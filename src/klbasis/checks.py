@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .coxeter import GroupTable
-from .hecke import HColumn, PolyStore, _store_stat_cache, column
+from .hecke import HColumn, column
 from .klbase import KLStore, WGraph
 from .ring import LaurentPoly, QPoly, is_unimodal, qpoly_from_sym
 
@@ -102,36 +102,13 @@ def column_summary(col: HColumn, with_unimodality: bool = True) -> dict:
     """Scan one column once: negativity, optional unimodality, max
     coefficient, entry and distinct-polynomial counts.
 
-    Distinct polynomials are scanned once each via store-level caches, so
-    repeated handles cost nothing."""
+    Distinct polynomials are scanned once each through the store's
+    per-handle figures, so repeated handles cost nothing."""
     st = col.store
-    neg_cache = _store_stat_cache(st, "nonneg")
-    uni_cache = _store_stat_cache(st, "unimodal")
-    max_cache = _store_stat_cache(st, "maxabs")
     handles = col.distinct_handles()
-    max_coeff = 0
-    bad_neg: list[int] = []
-    bad_uni: list[int] = []
-    for h in handles:
-        m = max_cache.get(h)
-        if m is None:
-            m = st.poly(h).max_abs_coeff()
-            max_cache[h] = m
-        if m > max_coeff:
-            max_coeff = m
-        ok = neg_cache.get(h)
-        if ok is None:
-            ok = st.poly(h).min_coeff() >= 0
-            neg_cache[h] = ok
-        if not ok:
-            bad_neg.append(h)
-        if with_unimodality:
-            u = uni_cache.get(h)
-            if u is None:
-                u = is_unimodal(qpoly_from_sym(st.poly(h)))
-                uni_cache[h] = u
-            if not u:
-                bad_uni.append(h)
+    max_coeff = max(map(st.max_abs, handles), default=0)
+    bad_neg = [h for h in handles if not st.nonnegative(h)]
+    bad_uni = [h for h in handles if not st.unimodal(h)] if with_unimodality else []
     return {
         "y": col.y,
         "max_coeff": max_coeff,

@@ -120,17 +120,29 @@ def _parse_log(path: Path) -> dict[int, tuple[int, str]]:
     return out
 
 
-_WORKER_STATE: dict = {}
-
-
-def _column_worker(task: tuple[int, str]) -> dict:
-    y, strategy = task
-    col = column(_WORKER_STATE["wg"], y, strategy)
+def _column_info(wg: WGraph, y: int, strategy: str, budget: int) -> dict:
+    """Column y, scanned; with a budget, also its distinct polynomials."""
+    col = column(wg, y, strategy)
     info = column_summary(col, with_unimodality=True)
-    if _WORKER_STATE.get("budget"):
+    if budget:
         polys = {str(col.store.poly(h)) for h in col.distinct_handles()}
         info["polys"] = sorted(polys)
     return info
+
+
+# (wg, strategy, budget) inside a pool worker, set once by its initializer;
+# never set in the parent process
+_pool_job: tuple = ()
+
+
+def _init_pool_worker(wg: WGraph, strategy: str, budget: int) -> None:
+    global _pool_job
+    _pool_job = (wg, strategy, budget)
+
+
+def _pool_column(y: int) -> dict:
+    wg, strategy, budget = _pool_job
+    return _column_info(wg, y, strategy, budget)
 
 
 def cmd_positivity(cfg: RunConfig) -> int:
@@ -204,10 +216,8 @@ def cmd_positivity(cfg: RunConfig) -> int:
                 )
 
     if cfg.threads <= 1:
-        _WORKER_STATE["wg"] = wg
-        _WORKER_STATE["budget"] = budget
         for y in todo:
-            handle(_column_worker((y, cfg.strategy)))
+            handle(_column_info(wg, y, cfg.strategy, budget))
     else:
         _run_pool(wg, todo, cfg, handle)
 
@@ -231,13 +241,17 @@ def cmd_positivity(cfg: RunConfig) -> int:
 
 def _run_pool(wg: WGraph, todo: list[int], cfg: RunConfig, handle) -> None:
     """Ordered collector over a process pool: results are applied in
-    ascending y regardless of completion order, so logs are deterministic."""
-    global _WORKER_STATE
-    _WORKER_STATE = {"wg": wg, "budget": cfg.store_budget}
+    ascending y regardless of completion order, so logs are deterministic.
+    Each worker receives the W-graph once, through its initializer (under
+    the fork start method, by inheritance), whatever the start method."""
     pending: dict[int, dict] = {}
     next_i = 0
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = {pool.submit(_column_worker, (y, cfg.strategy)): y for y in todo}
+    with ProcessPoolExecutor(
+        max_workers=cfg.threads,
+        initializer=_init_pool_worker,
+        initargs=(wg, cfg.strategy, cfg.store_budget),
+    ) as pool:
+        futures = {pool.submit(_pool_column, y): y for y in todo}
         remaining = set(futures)
         while remaining:
             finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)

@@ -7,12 +7,15 @@ from its defining properties; it is the independent oracle against which
 the P-polynomial recursion is checked.  The column layer computes, for a
 fixed y, every product c_x * c_y by induction on l(x), storing the
 structure constants as handles into a deduplicating store of symmetric
-Laurent polynomials.  Columns for distinct y are independent and share
-nothing mutable.
+Laurent polynomials.  The store holds only finished row values and their
+images under multiplication by v + v^-1 and by the mu-values; the sums a
+row is built from stay outside it.  Columns for distinct y are independent
+and share nothing mutable.
 """
 
 from __future__ import annotations
 
+from operator import le
 from typing import Callable, Iterable
 
 from .coxeter import GroupTable
@@ -171,46 +174,84 @@ def c_to_t(store: KLStore, u: CCombo) -> TCombo:
     return out
 
 
+# Add-cache marker for a pair of handles whose sum cancels to zero.
+_ZERO = -1
+
+
 class PolyStore:
     """Deduplicating store of symmetric Laurent polynomials.
 
     Each distinct polynomial is held once; rows refer to it by an integer
-    handle.  The binary operations used by the column recursion are cached
-    handle-to-handle, which is what makes the recursion cheap: identical
-    sub-sums recur constantly across a column.
+    handle, and ``column`` puts in only what a row keeps: finished row
+    values, and their images under ``bmul`` and ``scale``.  While a row is
+    built, its entries are handles or loose polynomials (``add_into``), and
+    a sum of two handles is remembered only when it cancels or is already
+    stored, so identical sums that recur across a column cost one lookup
+    while intermediate sums are never stored.  Every stored value is
+    checked against the signed 64-bit bound once, on ``intern``.
+
+    The store also caches, per handle, the figures a column scan reads
+    (``max_abs``, ``nonnegative``, ``unimodal``), so each distinct value
+    is scanned once however many columns share the store.
     """
 
     def __init__(self):
         self._polys: list[SymLaurentPoly] = []
         self._index: dict[SymLaurentPoly, int] = {}
-        self._add: dict[tuple[int, int], int | None] = {}
+        self._parity: list[int] = []  # degree parity per handle, for column's check
+        # packed handle pair -> handle of the sum, or _ZERO
+        self._add: dict[int, int] = {}
         self._bmul: dict[int, int] = {}
         self._scale: dict[tuple[int, int], int] = {}
+        self._max_abs: dict[int, int] = {}
+        self._nonnegative: dict[int, bool] = {}
+        self._unimodal: dict[int, bool] = {}
         self.one = self.intern(SymLaurentPoly.one())
 
     def intern(self, p: SymLaurentPoly) -> int:
         h = self._index.get(p)
         if h is None:
+            p.check_bound()
             h = len(self._polys)
             self._polys.append(p)
+            self._parity.append(p.parity())
             self._index[p] = h
         return h
 
     def poly(self, h: int) -> SymLaurentPoly:
         return self._polys[h]
 
-    def add(self, h1: int, h2: int) -> int | None:
-        """Handle of the sum, or None if it cancels to zero."""
-        if h2 < h1:
-            h1, h2 = h2, h1
-        key = (h1, h2)
-        got = self._add.get(key, -1)
-        if got != -1:
-            return got
-        s = self._polys[h1] + self._polys[h2]
-        out = self.intern(s) if s else None
-        self._add[key] = out
-        return out
+    def add_into(
+        self, row: dict[int, int | SymLaurentPoly], z: int, cur: int | SymLaurentPoly, h: int
+    ) -> None:
+        """Set row[z] to cur + the polynomial of handle h, where cur is the
+        entry already there: a handle or a loose polynomial.  A cancelled
+        entry is removed; a sum that is not a stored value stays loose."""
+        if cur.__class__ is int:
+            # handles stay far below 2^32, so the pair packs into one int
+            key = cur << 32 | h if cur < h else h << 32 | cur
+            got = self._add.get(key)
+            if got is None:
+                p = self._polys[cur] + self._polys[h]
+                if not p:
+                    self._add[key] = _ZERO
+                    del row[z]
+                    return
+                got = self._index.get(p)
+                if got is None:
+                    row[z] = p
+                    return
+                self._add[key] = got
+            if got < 0:  # _ZERO
+                del row[z]
+            else:
+                row[z] = got
+        else:
+            p = cur + self._polys[h]
+            if p:
+                row[z] = p
+            else:
+                del row[z]
 
     def bmul(self, h: int) -> int:
         got = self._bmul.get(h)
@@ -226,6 +267,30 @@ class PolyStore:
             got = self.intern(self._polys[h].scaled(n))
             self._scale[key] = got
         return got
+
+    def max_abs(self, h: int) -> int:
+        m = self._max_abs.get(h)
+        if m is None:
+            m = self._max_abs[h] = self._polys[h].max_abs_coeff()
+        return m
+
+    def nonnegative(self, h: int) -> bool:
+        ok = self._nonnegative.get(h)
+        if ok is None:
+            ok = self._nonnegative[h] = self._polys[h].min_coeff() >= 0
+        return ok
+
+    def unimodal(self, h: int) -> bool:
+        """v^d p is unimodal in q, p the polynomial of h and d its degree.
+
+        Its q-coefficients are the palindrome half[0], half[1], ...,
+        half[1], half[0], which is unimodal exactly when the half rises
+        weakly towards the middle."""
+        ok = self._unimodal.get(h)
+        if ok is None:
+            half = self._polys[h].half
+            ok = self._unimodal[h] = all(map(le, half, half[1:]))
+        return ok
 
     def __len__(self) -> int:
         return len(self._polys)
@@ -275,24 +340,7 @@ class HColumn:
         return sum(len(row) for row in self.rows)
 
     def max_abs_coeff(self) -> int:
-        cache = _store_stat_cache(self.store, "maxabs")
-        best = 0
-        for h in self.distinct_handles():
-            m = cache.get(h)
-            if m is None:
-                m = self.store.poly(h).max_abs_coeff()
-                cache[h] = m
-            if m > best:
-                best = m
-        return best
-
-
-def _store_stat_cache(store: PolyStore, name: str) -> dict:
-    caches = getattr(store, "_stat_caches", None)
-    if caches is None:
-        caches = {}
-        store._stat_caches = caches
-    return caches.setdefault(name, {})
+        return max(map(self.store.max_abs, self.distinct_handles()), default=0)
 
 
 def column(
@@ -310,62 +358,62 @@ def column(
     g = wg.g
     pick = DESCENT_STRATEGIES[strategy]
     st = store if store is not None else PolyStore()
+    add_into, bmul, scale, intern = st.add_into, st.bmul, st.scale, st.intern
+    parities = st._parity
+    lmask, lmult, lengths, mu_lists = g.lmask, g.lmult, g.lengths, wg.mu_lists
     rows: list[dict[int, int]] = [dict() for _ in range(g.size)]
     rows[0] = {y: st.one}
-    ly = g.lengths[y]
+    ly = lengths[y]
     for x in range(1, g.size):
-        s = pick(g.lmask[x])
-        sx = g.lmult[x][s]
-        row = _apply_cs(wg, s, rows[sx], st)
-        for z, mu in wg.mu_in(sx):
-            if g.lmask[z] >> s & 1:
-                _row_sub_scaled(row, rows[z], mu, st)
-        parity = (g.lengths[x] + ly) & 1
+        s = pick(lmask[x])
+        sx = lmult[x][s]
+        row: dict[int, int | SymLaurentPoly] = {}
+        get = row.get
+        # c_s * c_{sx}, as in c_mult_gen ...
+        # (the first touch of an entry is inlined: it needs no sum)
+        for z, h in rows[sx].items():
+            up = not lmask[z] >> s & 1
+            t = lmult[z][s] if up else z
+            ht = h if up else bmul(h)
+            cur = get(t)
+            if cur is None:
+                row[t] = ht
+            else:
+                add_into(row, t, cur, ht)
+            if up:
+                for w, mu in mu_lists[z]:
+                    if lmask[w] >> s & 1:
+                        hw = h if mu == 1 else scale(h, mu)
+                        cur = get(w)
+                        if cur is None:
+                            row[w] = hw
+                        else:
+                            add_into(row, w, cur, hw)
+        # ... minus mu(z, sx) c_z over the z below sx with s in L(z)
+        for z, mu in mu_lists[sx]:
+            if lmask[z] >> s & 1:
+                for w, h in rows[z].items():
+                    h = scale(h, -mu)
+                    cur = get(w)
+                    if cur is None:
+                        row[w] = h
+                    else:
+                        add_into(row, w, cur, h)
+        parity = (lengths[x] + ly) & 1
         for z, h in row.items():
-            if st.poly(h).parity() != (parity ^ (g.lengths[z] & 1)):
+            if h.__class__ is not int:
+                h = row[z] = intern(h)
+            if parities[h] != parity ^ (lengths[z] & 1):
                 raise sym_parity_error(x, y, z, st.poly(h))
         rows[x] = row
     return HColumn(g, y, rows, st)
 
 
 def sym_parity_error(x: int, y: int, z: int, p: SymLaurentPoly) -> Exception:
-    from .ring import NotSymmetricError
-
     return NotSymmetricError(
         f"h({x},{y},{z}) = {p} violates the l(x)+l(y)+l(z) parity; "
         "this indicates a recursion bug"
     )
-
-
-def _apply_cs(wg: WGraph, s: int, row: dict[int, int], st: PolyStore) -> dict[int, int]:
-    g = wg.g
-    out: dict[int, int] = {}
-    for z, h in row.items():
-        if g.lmask[z] >> s & 1:
-            _row_add(out, z, st.bmul(h), st)
-        else:
-            _row_add(out, g.lmult[z][s], h, st)
-            for w, mu in wg.mu_in(z):
-                if g.lmask[w] >> s & 1:
-                    _row_add(out, w, h if mu == 1 else st.scale(h, mu), st)
-    return out
-
-
-def _row_add(row: dict[int, int], z: int, h: int, st: PolyStore) -> None:
-    cur = row.get(z)
-    if cur is None:
-        row[z] = h
-        return
-    s = st.add(cur, h)
-    if s is None:
-        del row[z]
-    else:
-        row[z] = s
-
-
-def _row_sub_scaled(row: dict[int, int], other: dict[int, int], mu: int, st: PolyStore) -> None:
-    for z, h in other.items():
-        _row_add(row, z, st.scale(h, -mu), st)
 
 
 def h_value(col: HColumn, x: int, z: int) -> SymLaurentPoly:

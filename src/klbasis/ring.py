@@ -3,9 +3,11 @@ polynomials in q = v^2, and bar-symmetric Laurent polynomials stored by
 their upper half.
 
 Coefficients are confined to signed 64-bit range.  Structure constants for
-the large non-crystallographic groups grow close to 2^30, so every
-normalisation step checks the bound and raises CoefficientOverflowError
-rather than let values drift silently.
+the large non-crystallographic groups grow close to 2^30, so the bound is
+checked and CoefficientOverflowError raised rather than let values drift
+silently: by every LaurentPoly and QPoly normalisation step, and for
+SymLaurentPoly once per stored value (``hecke.PolyStore.intern``), since
+Python ints cannot wrap in the arithmetic in between.
 
 The canonical textual form used throughout (output files, CLI, reprs)
 lists terms in ascending exponent, elides unit coefficients, and writes
@@ -14,6 +16,7 @@ exponents as ``v^-1``, ``q^2``:  ``v^-3 + 2v^-1 + 2v + v^3``.
 
 from __future__ import annotations
 
+from operator import add as _add
 from typing import Iterable, Iterator, Mapping, Union
 
 _I64_MIN = -(1 << 63)
@@ -317,6 +320,11 @@ class SymLaurentPoly:
     the coefficients at exponents degree, degree-2, ... down to 0 or 1.
     All exponents carrying a nonzero coefficient share the parity of the
     degree; the constant term, when present, is stored once.
+
+    The constructor checks the signed 64-bit bound; the arithmetic below
+    (sum, scaling, multiplication by v + v^-1) does not, and
+    ``hecke.PolyStore.intern`` calls ``check_bound`` on each value it
+    stores.
     """
 
     __slots__ = ("_d", "_half")
@@ -395,20 +403,35 @@ class SymLaurentPoly:
         out._c = c
         return out
 
-    def _upper_dict(self) -> dict[int, int]:
-        return {self._d - 2 * i: a for i, a in enumerate(self._half) if a}
+    def check_bound(self) -> None:
+        """Raise CoefficientOverflowError unless every coefficient fits in
+        signed 64 bits."""
+        h = self._half
+        if h and (max(h) > _I64_MAX or min(h) < _I64_MIN):
+            for a in h:
+                _check64(a, "SymLaurentPoly")
 
     def __add__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
+        # Both halves end at exponent 0 or 1, so they align at their tails.
         if self._d < 0:
             return other
         if other._d < 0:
             return self
-        if (self._d & 1) != (other._d & 1):
+        if (self._d ^ other._d) & 1:
             raise MixedParityError("adding symmetric polynomials of different parity")
-        c = self._upper_dict()
-        for e, a in other._upper_dict().items():
-            c[e] = c.get(e, 0) + a
-        return SymLaurentPoly.from_upper(c)
+        a, b = self._half, other._half
+        k = len(a) - len(b)
+        if k > 0:
+            return _sym(self._d, a[:k] + tuple(map(_add, a[k:], b)))
+        if k < 0:
+            return _sym(other._d, b[:-k] + tuple(map(_add, a, b[-k:])))
+        h = tuple(map(_add, a, b))
+        if h[0]:
+            return _sym(self._d, h)
+        for i, c in enumerate(h):
+            if c:
+                return _sym(self._d - 2 * i, h[i:])
+        return _S_ZERO
 
     def __neg__(self) -> "SymLaurentPoly":
         return self.scaled(-1)
@@ -419,20 +442,19 @@ class SymLaurentPoly:
     def scaled(self, n: int) -> "SymLaurentPoly":
         if n == 0 or self._d < 0:
             return _S_ZERO
-        return SymLaurentPoly(self._d, [_check64(a * n, "scale") for a in self._half])
+        return _sym(self._d, tuple(a * n for a in self._half))
 
     def bmul(self) -> "SymLaurentPoly":
         """Multiply by v + v^-1.  Flips parity, raises the degree by one."""
         if self._d < 0:
             return self
-        out: dict[int, int] = {}
-        up = self._upper_dict()
-        for e, a in up.items():
-            out[e + 1] = out.get(e + 1, 0) + a
-            if e >= 1:
-                # v^e + v^-e spreads down; at e = 1 both images land on v^0
-                out[e - 1] = out.get(e - 1, 0) + (2 * a if e == 1 else a)
-        return SymLaurentPoly.from_upper(out)
+        # v^e + v^-e spreads to exponents e + 1 and e - 1; at e = 1 both
+        # images of the pair land on v^0
+        h = self._half
+        out = (h[0],) + tuple(map(_add, h[1:], h))
+        if self._d & 1:
+            out += (2 * h[-1],)
+        return _sym(self._d + 1, out)
 
     def max_abs_coeff(self) -> int:
         return max((abs(a) for a in self._half), default=0)
@@ -456,6 +478,15 @@ class SymLaurentPoly:
 
     def __repr__(self) -> str:
         return f"SymLaurentPoly('{self}')"
+
+
+def _sym(degree: int, half: tuple[int, ...]) -> SymLaurentPoly:
+    """A SymLaurentPoly from an already normalised half (nonzero leading
+    coefficient), without the constructor's checks."""
+    out = object.__new__(SymLaurentPoly)
+    out._d = degree
+    out._half = half
+    return out
 
 
 _S_ZERO = SymLaurentPoly(-1)

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import klbasis
 from klbasis.cli import main
 from klbasis.coxeter import group_from_name
 from klbasis.hecke import c_in_t_basis, c_to_t, tcombo_mult
@@ -117,6 +119,29 @@ class TestPositivity:
         assert (
             a / "positivity_verbose_log"
         ).read_bytes() == (b / "positivity_verbose_log").read_bytes()
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_threads_deterministic_any_start_method(self, tmp_path, method):
+        serial = tmp_path / "serial"
+        pool = tmp_path / "pool"
+        assert main(["positivity", "--group", "B2", "--outdir", str(serial)]) == 0
+        env = dict(os.environ)
+        src = str(Path(klbasis.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "from klbasis.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, method, "positivity", "--group", "B2",
+             "--threads", "2", "--outdir", str(pool)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("positivity_log", "positivity_verbose_log", "error_log"):
+            assert (serial / name).read_bytes() == (pool / name).read_bytes(), name
 
     def test_resume_after_partial_log(self, tmp_path):
         full = tmp_path / "full"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from klbasis.hecke import (
     PolyStore,
@@ -16,7 +17,13 @@ from klbasis.hecke import (
     t_mult_gen,
     tcombo_mult,
 )
-from klbasis.ring import LaurentPoly, SymLaurentPoly
+from klbasis.ring import (
+    CoefficientOverflowError,
+    LaurentPoly,
+    SymLaurentPoly,
+    is_unimodal,
+    qpoly_from_sym,
+)
 
 ONE = LaurentPoly.one()
 V = LaurentPoly({1: 1})
@@ -234,6 +241,31 @@ class TestColumns:
                 assert seen.setdefault(p, h) == h
         assert len(col.distinct_handles()) <= len(store)
 
+    @pytest.mark.parametrize("name", ["H3", "B3"])
+    def test_store_holds_no_intermediates(self, wgraphs, name):
+        """The store holds row values, their bmul images and their +-mu
+        scalings, and nothing else: with a store per column, and with
+        one store shared by every column of the group."""
+        wg = wgraphs(name)
+        mus = {mu for _, _, mu in wg.edges()}
+
+        def orphans(store, values):
+            allowed = set(values)
+            for p in values:
+                allowed.add(p.bmul())
+                allowed.update(p.scaled(n * mu) for mu in mus for n in (1, -1))
+            return [store.poly(h) for h in range(len(store)) if store.poly(h) not in allowed]
+
+        shared = PolyStore()
+        shared_values = set()
+        for y in range(wg.g.size):
+            col = column(wg, y)
+            values = {col.store.poly(h) for h in col.distinct_handles()}
+            assert not orphans(col.store, values), y
+            col = column(wg, y, store=shared)
+            shared_values.update(col.store.poly(h) for h in col.distinct_handles())
+        assert not orphans(shared, shared_values)
+
     def test_strategy_invariance_small(self, wgraphs):
         wg = wgraphs("A2")
         for y in range(wg.g.size):
@@ -241,3 +273,32 @@ class TestColumns:
             b = column(wg, y, "last")
             for x in range(wg.g.size):
                 assert a.row_polys(x) == b.row_polys(x)
+
+
+class TestPolyStore:
+    def test_intern_checks_64_bit_bound(self):
+        big = SymLaurentPoly(0, (1 << 62,))
+        total = big + big  # the sum itself is not checked
+        assert total.half == (1 << 63,)
+        with pytest.raises(CoefficientOverflowError):
+            PolyStore().intern(total)
+        low = SymLaurentPoly(1, (-(1 << 62),))
+        with pytest.raises(CoefficientOverflowError):
+            PolyStore().intern(low + low + low)
+        store = PolyStore()
+        assert store.poly(store.intern(low + low)) == low + low  # -2^63 fits
+
+    @given(st.lists(st.integers(-2, 3), min_size=1, max_size=7), st.booleans())
+    def test_unimodal_matches_q_coefficients(self, half, odd):
+        p = SymLaurentPoly(2 * (len(half) - 1) + odd, half)
+        assume(p)
+        store = PolyStore()
+        assert store.unimodal(store.intern(p)) == is_unimodal(qpoly_from_sym(p))
+
+    def test_scan_figures(self):
+        store = PolyStore()
+        h = store.intern(SymLaurentPoly(3, (2, -5)))
+        assert store.max_abs(h) == 5
+        assert not store.nonnegative(h)
+        assert store.nonnegative(store.one) and store.unimodal(store.one)
+        assert store.max_abs(store.one) == 1

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from klbasis.ring import (
     CoefficientOverflowError,
@@ -22,6 +22,32 @@ def L(d):
 laurents = st.dictionaries(
     st.integers(-8, 8), st.integers(-50, 50), max_size=8
 ).map(LaurentPoly)
+
+sym_halves = st.lists(st.integers(-30, 30), min_size=1, max_size=6)
+
+
+@st.composite
+def sym_polys(draw, parity=None):
+    """Symmetric polynomials of the given degree parity (drawn if None)."""
+    par = draw(st.integers(0, 1)) if parity is None else parity
+    half = draw(sym_halves)
+    return SymLaurentPoly(2 * (len(half) - 1) + par, half)
+
+
+@st.composite
+def sym_pairs(draw):
+    """Same-parity pairs (a, b): unrelated (equal or unequal degrees), b
+    cancelling the top terms of a, or b = -a."""
+    a = draw(sym_polys())
+    kind = draw(st.sampled_from(["free", "cancel_top", "negate"]))
+    if kind == "negate":
+        return a, -a
+    if kind == "free" or not a:
+        return a, draw(sym_polys(a.degree & 1))
+    k = draw(st.integers(1, len(a.half)))
+    n = len(a.half) - k
+    tail = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+    return a, SymLaurentPoly(a.degree, [-c for c in a.half[:k]] + tail)
 
 
 class TestLaurent:
@@ -97,6 +123,36 @@ class TestSymLaurent:
     def test_add_parity_guard(self):
         with pytest.raises(MixedParityError):
             SymLaurentPoly.one() + SymLaurentPoly(1, (1,))
+
+    @given(sym_pairs())
+    def test_add_matches_expanded_sum(self, pair):
+        a, b = pair
+        s = a + b
+        assert s == sym_from_laurent(a.expand() + b.expand())
+        assert s == b + a
+        assert not s.half or s.half[0] != 0
+
+    @given(sym_polys(0), sym_polys(1))
+    def test_add_mixed_parity_raises(self, a, b):
+        assume(a and b)
+        with pytest.raises(MixedParityError):
+            a + b
+        with pytest.raises(MixedParityError):
+            b + a
+
+    def test_add_cancellation_examples(self):
+        a = SymLaurentPoly(4, (1, 2, 3))
+        # top terms cancel: the degree drops by two per cancelled term
+        assert a + SymLaurentPoly(4, (-1, -2, 5)) == SymLaurentPoly(0, (8,))
+        assert a + SymLaurentPoly(4, (-1, 0, 0)) == SymLaurentPoly(2, (2, 3))
+        assert (a + (-a)).is_zero() and a + (-a) == SymLaurentPoly.zero()
+        # unequal degrees align at the low end
+        assert a + SymLaurentPoly(2, (1, 1)) == SymLaurentPoly(4, (1, 3, 4))
+
+    @given(sym_polys())
+    def test_bmul_matches_expanded_product(self, p):
+        beta = LaurentPoly({1: 1, -1: 1})
+        assert p.bmul() == sym_from_laurent(p.expand() * beta)
 
     def test_zero_normalisation(self):
         assert SymLaurentPoly(2, (0, 5)) == SymLaurentPoly(0, (5,))
