@@ -35,7 +35,6 @@ from .hecke import (
     c_in_t_basis_oracle,
     c_mult_gen,
     column,
-    h_value,
     t_inverse,
     t_mult_gen,
     tcombo_mult,

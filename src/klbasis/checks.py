@@ -234,11 +234,3 @@ def check_strategy_invariance(wg: WGraph, ys: Sequence[int] | None = None) -> Ch
     report.counters.update(triples=triples)
     return report
 
-
-def global_max_coeff(wg: WGraph, strategy: str = "first") -> int:
-    """Maximum coefficient over all h_{x,y,z} of the group."""
-    best = 0
-    for y in range(wg.g.size):
-        col = column(wg, y, strategy)
-        best = max(best, col.max_abs_coeff())
-    return best

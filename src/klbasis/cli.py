@@ -5,8 +5,9 @@ fixed y), positivity (structure-constant sweep with checkpointed progress
 log), cycltable / cprod (product tables), triangle (dihedral coefficient
 tables).  The positivity run appends ``y: maxcoeff = N`` lines (cumulative
 maximum) to positivity_log, per-column maxima to positivity_verbose_log,
-and failures to error_log; a resumed run rebuilds the W-graph, skips the
-columns already logged and continues the cumulative maximum from the log.
+and failures to error_log, each column's failures before its log lines; a
+resumed run rebuilds the W-graph, skips the columns both logs carry, keeps
+only their failures and continues the cumulative maximum from the log.
 """
 
 from __future__ import annotations
@@ -120,6 +121,17 @@ def _parse_log(path: Path) -> dict[int, tuple[int, str]]:
     return out
 
 
+def _error_lines(path: Path) -> list[str]:
+    """Complete lines of an existing error log; a torn trailing line is
+    dropped."""
+    return path.read_bytes().decode().split("\n")[:-1] if path.exists() else []
+
+
+def _error_y(line: str) -> int:
+    """The y of an error line 'h(x,y,z) = ...'."""
+    return int(line.split("(", 1)[1].split(",", 2)[1])
+
+
 def _column_info(wg: WGraph, y: int, strategy: str, budget: int) -> dict:
     """Column y, scanned; with a budget, also its distinct polynomials."""
     col = column(wg, y, strategy)
@@ -169,8 +181,10 @@ def cmd_positivity(cfg: RunConfig) -> int:
             "".join(verbose_lines[y][1] + "\n" for y in sorted(done))
         )
         cum = max((main_lines[y][0] for y in done), default=0)
-        if not error_path.exists():
-            error_path.write_text("")
+        # error lines of a column not done belong to a run it will redo
+        error_path.write_text(
+            "".join(line + "\n" for line in _error_lines(error_path) if _error_y(line) in done)
+        )
     else:
         log_path.write_text("")
         verbose_path.write_text("")
@@ -188,13 +202,6 @@ def cmd_positivity(cfg: RunConfig) -> int:
         nonlocal cum, failures
         y = info["y"]
         cum = max(cum, info["max_coeff"])
-        with open(log_path, "a") as fh:
-            fh.write(f"{y}: maxcoeff = {cum}\n")
-        with open(verbose_path, "a") as fh:
-            fh.write(
-                f"{y}: maxcoeff = {info['max_coeff']} entries = {info['entries']}"
-                f" distinct = {info['distinct']}\n"
-            )
         problems = [
             f"h({x},{y},{z}) = {p} has a negative coefficient"
             for x, z, p in info["bad_negative"]
@@ -202,11 +209,20 @@ def cmd_positivity(cfg: RunConfig) -> int:
             f"h({x},{y},{z}) = {p} is not unimodal"
             for x, z, p in info["bad_unimodal"]
         ]
+        # the error lines go first: a column is done only once both logs
+        # carry its line, so a kill can never leave it done without them
         if problems:
             failures += len(problems)
             with open(error_path, "a") as fh:
                 for line in problems:
                     fh.write(line + "\n")
+        with open(log_path, "a") as fh:
+            fh.write(f"{y}: maxcoeff = {cum}\n")
+        with open(verbose_path, "a") as fh:
+            fh.write(
+                f"{y}: maxcoeff = {info['max_coeff']} entries = {info['entries']}"
+                f" distinct = {info['distinct']}\n"
+            )
         if budget and "polys" in info:
             global_polys.update(info["polys"])
             if len(global_polys) > budget:

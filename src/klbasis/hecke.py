@@ -9,18 +9,31 @@ fixed y, every product c_x * c_y by induction on l(x), storing the
 structure constants as handles into a deduplicating store of symmetric
 Laurent polynomials.  The store holds only finished row values and their
 images under multiplication by v + v^-1 and by the mu-values; the sums a
-row is built from stay outside it.  Columns for distinct y are independent
-and share nothing mutable.
+row is built from stay outside it.  Every polynomial in a column is one
+packed int, its upper half evaluated at v = 2^W (Kronecker substitution),
+so a sum of structure constants is one int addition.  Slots are wide
+enough that these sums cannot carry (``check_carry_bound``, once per
+column), and the store checks the signed 64-bit bound and the single
+degree parity of each value once, when it is interned.  Columns for
+distinct y are independent and share nothing mutable.
 """
 
 from __future__ import annotations
 
-from operator import le
+from functools import lru_cache
+from operator import ge
+from struct import Struct
 from typing import Callable, Iterable
 
 from .coxeter import GroupTable
 from .klbase import KLStore, WGraph
-from .ring import LaurentPoly, NotSymmetricError, SymLaurentPoly
+from .ring import (
+    CoefficientOverflowError,
+    LaurentPoly,
+    MixedParityError,
+    NotSymmetricError,
+    SymLaurentPoly,
+)
 
 TCombo = dict[int, LaurentPoly]
 CCombo = dict[int, LaurentPoly]
@@ -174,139 +187,144 @@ def c_to_t(store: KLStore, u: CCombo) -> TCombo:
     return out
 
 
-# Add-cache marker for a pair of handles whose sum cancels to zero.
-_ZERO = -1
+# Bits per exponent slot of a packed polynomial.  Stored coefficients fit
+# in signed 64 bits, so a sum of fewer than 2^(W - 65) stored values keeps
+# every slot below 2^(W - 1) in absolute value: it cannot carry.
+W = 96
+_SLOT = (1 << W) - 1
+_HALF = 1 << (W - 1)
+_CARRY_LIMIT = 1 << (W - 65)
+_I64 = 1 << 63
+
+
+def pack(p: SymLaurentPoly) -> int:
+    """The upper half of p at v = 2^W: sum of c_e 2^(W e) over e >= 0,
+    with signed coefficients c_e, one slot per exponent."""
+    u = 0
+    for c in p.half:
+        u = (u << 2 * W) + c
+    return u << W * (p.degree & 1)
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[int, int, Struct]:
+    """For n slots: 2^63 in each, the bits above 64 in each, and a reader
+    of the low 64 bits of each."""
+    ones = ((1 << W * n) - 1) // _SLOT
+    return ones << 63, ones * (_SLOT >> 64) << 64, Struct("<" + f"Q{W // 8 - 8}x" * n)
+
+
+def _biased(u: int) -> list[int]:
+    """c_e + 2^63 for the coefficients c_e of a packed value, exponent 0 up
+    to its degree.  Every c_e fits in signed 64 bits, or this raises, exactly
+    when adding 2^63 to each slot borrows from none and leaves it below 2^64."""
+    n = u.bit_length() // W + 2
+    bias, high, reader = _layout(n)
+    u += bias
+    if u < 0 or u & high:
+        raise CoefficientOverflowError("packed coefficient outside signed 64 bits")
+    out = list(reader.unpack(u.to_bytes(W // 8 * n, "little")))
+    while out and out[-1] == _I64:
+        out.pop()
+    return out
+
+
+def check_carry_bound(size: int, max_mu_list: int) -> None:
+    """Raise CoefficientOverflowError unless packed sums cannot carry in a
+    column: an entry sums at most size * (2 + max_mu_list) stored values."""
+    if size * (2 + max_mu_list) >= _CARRY_LIMIT:
+        raise CoefficientOverflowError(f"sums could carry: {size} rows, {max_mu_list} edges")
 
 
 class PolyStore:
-    """Deduplicating store of symmetric Laurent polynomials.
+    """Deduplicating store of symmetric Laurent polynomials, each held once
+    as one packed int (``pack``), so that a sum of values is one int
+    addition and is zero exactly when it cancels.
 
-    Each distinct polynomial is held once; rows refer to it by an integer
-    handle, and ``column`` puts in only what a row keeps: finished row
-    values, and their images under ``bmul`` and ``scale``.  While a row is
-    built, its entries are handles or loose polynomials (``add_into``), and
-    a sum of two handles is remembered only when it cancels or is already
-    stored, so identical sums that recur across a column cost one lookup
-    while intermediate sums are never stored.  Every stored value is
-    checked against the signed 64-bit bound once, on ``intern``.
-
-    The store also caches, per handle, the figures a column scan reads
-    (``max_abs``, ``nonnegative``, ``unimodal``), so each distinct value
-    is scanned once however many columns share the store.
+    Rows refer to values by integer handles, and ``column`` puts in only
+    what a row keeps: finished row values, and their images under ``bmul``
+    and ``scale``; the sums a row is built from stay loose ints.
+    ``intern_packed`` reads each new value's slots once: it raises
+    MixedParityError if its exponents mix parities and
+    CoefficientOverflowError if a coefficient leaves signed 64 bits, and
+    records the handle's parity and the figures a column scan reads
+    (``max_abs``, ``nonnegative``, ``unimodal``).
     """
 
     def __init__(self):
-        self._polys: list[SymLaurentPoly] = []
-        self._index: dict[SymLaurentPoly, int] = {}
+        self._values: list[int] = []
+        self._index: dict[int, int] = {}
         self._parity: list[int] = []  # degree parity per handle, for column's check
-        # packed handle pair -> handle of the sum, or _ZERO
-        self._add: dict[int, int] = {}
+        self._max_abs: list[int] = []
+        self._nonnegative: list[bool] = []
+        self._unimodal: list[bool] = []
         self._bmul: dict[int, int] = {}
         self._scale: dict[tuple[int, int], int] = {}
-        self._max_abs: dict[int, int] = {}
-        self._nonnegative: dict[int, bool] = {}
-        self._unimodal: dict[int, bool] = {}
         self.one = self.intern(SymLaurentPoly.one())
 
     def intern(self, p: SymLaurentPoly) -> int:
-        h = self._index.get(p)
+        return self.intern_packed(pack(p))
+
+    def intern_packed(self, u: int) -> int:
+        h = self._index.get(u)
         if h is None:
-            p.check_bound()
-            h = len(self._polys)
-            self._polys.append(p)
-            self._parity.append(p.parity())
-            self._index[p] = h
+            biased = _biased(u)
+            parity = len(biased) - 1 & 1
+            other = biased[parity ^ 1 :: 2]
+            if other.count(_I64) != len(other):
+                raise MixedParityError("packed polynomial of mixed parity")
+            half = biased[parity::2]  # from the middle out, each plus 2^63
+            hi, lo = max(half, default=_I64) - _I64, min(half, default=_I64) - _I64
+            h = len(self._values)
+            self._values.append(u)
+            self._parity.append(parity)
+            self._max_abs.append(max(hi, -lo))
+            self._nonnegative.append(lo >= 0)
+            # v^d p is unimodal in q iff its coefficients rise to the middle
+            self._unimodal.append(all(map(ge, half, half[1:])))
+            self._index[u] = h
         return h
 
     def poly(self, h: int) -> SymLaurentPoly:
-        return self._polys[h]
-
-    def add_into(
-        self, row: dict[int, int | SymLaurentPoly], z: int, cur: int | SymLaurentPoly, h: int
-    ) -> None:
-        """Set row[z] to cur + the polynomial of handle h, where cur is the
-        entry already there: a handle or a loose polynomial.  A cancelled
-        entry is removed; a sum that is not a stored value stays loose."""
-        if cur.__class__ is int:
-            # handles stay far below 2^32, so the pair packs into one int
-            key = cur << 32 | h if cur < h else h << 32 | cur
-            got = self._add.get(key)
-            if got is None:
-                p = self._polys[cur] + self._polys[h]
-                if not p:
-                    self._add[key] = _ZERO
-                    del row[z]
-                    return
-                got = self._index.get(p)
-                if got is None:
-                    row[z] = p
-                    return
-                self._add[key] = got
-            if got < 0:  # _ZERO
-                del row[z]
-            else:
-                row[z] = got
-        else:
-            p = cur + self._polys[h]
-            if p:
-                row[z] = p
-            else:
-                del row[z]
+        biased = _biased(self._values[h])
+        return SymLaurentPoly(len(biased) - 1, [c - _I64 for c in biased[::-2]])
 
     def bmul(self, h: int) -> int:
         got = self._bmul.get(h)
         if got is None:
-            got = self.intern(self._polys[h].bmul())
-            self._bmul[h] = got
+            # slot e gets slots e - 1 and e + 1, and slot 0 the v^1
+            # coefficient twice (once as the mirror of v^-1)
+            u = self._values[h]
+            up = (u >> W) + (u >> W - 1 & 1)  # undo the borrow of a negative slot 0
+            c1 = (up + _HALF & _SLOT) - _HALF
+            got = self._bmul[h] = self.intern_packed((u << W) + up + c1)
         return got
 
     def scale(self, h: int, n: int) -> int:
-        key = (h, n)
-        got = self._scale.get(key)
+        got = self._scale.get((h, n))
         if got is None:
-            got = self.intern(self._polys[h].scaled(n))
-            self._scale[key] = got
+            if abs(n) >= _CARRY_LIMIT:
+                raise CoefficientOverflowError(f"scaling by {n} could carry")
+            got = self._scale[h, n] = self.intern_packed(self._values[h] * n)
         return got
 
     def max_abs(self, h: int) -> int:
-        m = self._max_abs.get(h)
-        if m is None:
-            m = self._max_abs[h] = self._polys[h].max_abs_coeff()
-        return m
+        return self._max_abs[h]
 
     def nonnegative(self, h: int) -> bool:
-        ok = self._nonnegative.get(h)
-        if ok is None:
-            ok = self._nonnegative[h] = self._polys[h].min_coeff() >= 0
-        return ok
+        return self._nonnegative[h]
 
     def unimodal(self, h: int) -> bool:
-        """v^d p is unimodal in q, p the polynomial of h and d its degree.
-
-        Its q-coefficients are the palindrome half[0], half[1], ...,
-        half[1], half[0], which is unimodal exactly when the half rises
-        weakly towards the middle."""
-        ok = self._unimodal.get(h)
-        if ok is None:
-            half = self._polys[h].half
-            ok = self._unimodal[h] = all(map(le, half, half[1:]))
-        return ok
+        """v^d p is unimodal in q, p the polynomial of h and d its degree."""
+        return self._unimodal[h]
 
     def __len__(self) -> int:
-        return len(self._polys)
-
-
-def _first_descent(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _last_descent(mask: int) -> int:
-    return mask.bit_length() - 1
+        return len(self._values)
 
 
 DESCENT_STRATEGIES: dict[str, Callable[[int], int]] = {
-    "first": _first_descent,
-    "last": _last_descent,
+    "first": lambda mask: (mask & -mask).bit_length() - 1,
+    "last": lambda mask: mask.bit_length() - 1,
 }
 
 
@@ -331,16 +349,10 @@ class HColumn:
         return {z: self.store.poly(h) for z, h in self.rows[x].items()}
 
     def distinct_handles(self) -> set[int]:
-        out: set[int] = set()
-        for row in self.rows:
-            out.update(row.values())
-        return out
+        return set().union(*(row.values() for row in self.rows))
 
     def nonzero_entries(self) -> int:
         return sum(len(row) for row in self.rows)
-
-    def max_abs_coeff(self) -> int:
-        return max(map(self.store.max_abs, self.distinct_handles()), default=0)
 
 
 def column(
@@ -358,67 +370,55 @@ def column(
     g = wg.g
     pick = DESCENT_STRATEGIES[strategy]
     st = store if store is not None else PolyStore()
-    add_into, bmul, scale, intern = st.add_into, st.bmul, st.scale, st.intern
-    parities = st._parity
     lmask, lmult, lengths, mu_lists = g.lmask, g.lmult, g.lengths, wg.mu_lists
+    check_carry_bound(g.size, max(map(len, mu_lists), default=0))
+    bmul, scale, intern = st.bmul, st.scale, st.intern_packed
+    values, parities = st._values, st._parity
     rows: list[dict[int, int]] = [dict() for _ in range(g.size)]
     rows[0] = {y: st.one}
     ly = lengths[y]
     for x in range(1, g.size):
         s = pick(lmask[x])
         sx = lmult[x][s]
-        row: dict[int, int | SymLaurentPoly] = {}
+        # z -> the packed sum so far; a sum that cancels is removed
+        row: dict[int, int] = {}
         get = row.get
         # c_s * c_{sx}, as in c_mult_gen ...
-        # (the first touch of an entry is inlined: it needs no sum)
         for z, h in rows[sx].items():
             up = not lmask[z] >> s & 1
             t = lmult[z][s] if up else z
-            ht = h if up else bmul(h)
-            cur = get(t)
-            if cur is None:
-                row[t] = ht
+            u = values[h if up else bmul(h)]
+            if cur := get(t, 0) + u:
+                row[t] = cur
             else:
-                add_into(row, t, cur, ht)
+                del row[t]
             if up:
                 for w, mu in mu_lists[z]:
                     if lmask[w] >> s & 1:
-                        hw = h if mu == 1 else scale(h, mu)
-                        cur = get(w)
-                        if cur is None:
-                            row[w] = hw
+                        uw = u if mu == 1 else values[scale(h, mu)]
+                        if cur := get(w, 0) + uw:
+                            row[w] = cur
                         else:
-                            add_into(row, w, cur, hw)
+                            del row[w]
         # ... minus mu(z, sx) c_z over the z below sx with s in L(z)
         for z, mu in mu_lists[sx]:
             if lmask[z] >> s & 1:
                 for w, h in rows[z].items():
-                    h = scale(h, -mu)
-                    cur = get(w)
-                    if cur is None:
-                        row[w] = h
+                    u = values[scale(h, -mu)]
+                    if cur := get(w, 0) + u:
+                        row[w] = cur
                     else:
-                        add_into(row, w, cur, h)
+                        del row[w]
         parity = (lengths[x] + ly) & 1
-        for z, h in row.items():
-            if h.__class__ is not int:
-                h = row[z] = intern(h)
+        for z, u in row.items():
+            h = row[z] = intern(u)
             if parities[h] != parity ^ (lengths[z] & 1):
-                raise sym_parity_error(x, y, z, st.poly(h))
+                raise NotSymmetricError(
+                    f"h({x},{y},{z}) = {st.poly(h)} violates the l(x)+l(y)+l(z) "
+                    "parity; this indicates a recursion bug"
+                )
         rows[x] = row
     return HColumn(g, y, rows, st)
-
-
-def sym_parity_error(x: int, y: int, z: int, p: SymLaurentPoly) -> Exception:
-    return NotSymmetricError(
-        f"h({x},{y},{z}) = {p} violates the l(x)+l(y)+l(z) parity; "
-        "this indicates a recursion bug"
-    )
-
-
-def h_value(col: HColumn, x: int, z: int) -> SymLaurentPoly:
-    """The structure constant h_{x,y,z} of col's y; zero when absent."""
-    return col.h_value(x, z)
 
 
 def ccombo_from_column_row(col: HColumn, x: int) -> CCombo:

@@ -5,9 +5,12 @@ their upper half.
 Coefficients are confined to signed 64-bit range.  Structure constants for
 the large non-crystallographic groups grow close to 2^30, so the bound is
 checked and CoefficientOverflowError raised rather than let values drift
-silently: by every LaurentPoly and QPoly normalisation step, and for
-SymLaurentPoly once per stored value (``hecke.PolyStore.intern``), since
-Python ints cannot wrap in the arithmetic in between.
+silently: by every LaurentPoly and QPoly normalisation step, and by the
+SymLaurentPoly constructor.  SymLaurentPoly arithmetic does not check, since
+Python ints cannot wrap.  The column engine does not use it either: it
+holds each structure constant packed into one int (``hecke.pack``), and
+``hecke.PolyStore.intern_packed`` checks the bound, and the single degree
+parity, once per stored value.
 
 The canonical textual form used throughout (output files, CLI, reprs)
 lists terms in ascending exponent, elides unit coefficients, and writes
@@ -322,9 +325,7 @@ class SymLaurentPoly:
     degree; the constant term, when present, is stored once.
 
     The constructor checks the signed 64-bit bound; the arithmetic below
-    (sum, scaling, multiplication by v + v^-1) does not, and
-    ``hecke.PolyStore.intern`` calls ``check_bound`` on each value it
-    stores.
+    (sum, scaling, multiplication by v + v^-1) does not.
     """
 
     __slots__ = ("_d", "_half")
@@ -402,14 +403,6 @@ class SymLaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
         return out
-
-    def check_bound(self) -> None:
-        """Raise CoefficientOverflowError unless every coefficient fits in
-        signed 64 bits."""
-        h = self._half
-        if h and (max(h) > _I64_MAX or min(h) < _I64_MIN):
-            for a in h:
-                _check64(a, "SymLaurentPoly")
 
     def __add__(self, other: "SymLaurentPoly") -> "SymLaurentPoly":
         # Both halves end at exponent 0 or 1, so they align at their tails.

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import klbasis
+from klbasis import cli
 from klbasis.cli import main
 from klbasis.coxeter import group_from_name
 from klbasis.hecke import c_in_t_basis, c_to_t, tcombo_mult
@@ -155,6 +157,85 @@ class TestPositivity:
             ["positivity", "--group", "I2(6)", "--outdir", str(cut), "--resume"]
         ) == 0
         assert log.read_bytes() == (full / "positivity_log").read_bytes()
+
+
+LOGS = (cli.POSITIVITY_LOG, cli.VERBOSE_LOG, cli.ERROR_LOG)
+FAIL_Y = 3  # the B2 column the patched scan reports as failing
+
+
+class SimulatedKill(BaseException):
+    """Stands in for a SIGKILL between two log writes."""
+
+
+@pytest.fixture
+def failing_scan(monkeypatch):
+    """The column scan, reporting one negative entry in column FAIL_Y."""
+    scan = cli.column_summary
+
+    def failing(col, with_unimodality=True):
+        info = scan(col, with_unimodality=with_unimodality)
+        if col.y == FAIL_Y:
+            info["bad_negative"] = [(0, col.y, "-v")]
+        return info
+
+    monkeypatch.setattr(cli, "column_summary", failing)
+
+
+class TestFailingSweep:
+    ERROR = f"h(0,{FAIL_Y},{FAIL_Y}) = -v has a negative coefficient\n"
+
+    def test_serial(self, tmp_path, failing_scan):
+        assert run(["positivity", "--group", "B2"], tmp_path) == 1
+        assert (tmp_path / cli.ERROR_LOG).read_text() == self.ERROR
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched scan reaches pool workers only by fork",
+    )
+    def test_threads(self, tmp_path, failing_scan, monkeypatch):
+        monkeypatch.setattr(
+            cli, "ProcessPoolExecutor",
+            functools.partial(
+                cli.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+            ),
+        )
+        serial = tmp_path / "serial"
+        pool = tmp_path / "pool"
+        assert main(["positivity", "--group", "B2", "--outdir", str(serial)]) == 1
+        assert main(
+            ["positivity", "--group", "B2", "--outdir", str(pool), "--threads", "2"]
+        ) == 1
+        assert (pool / cli.ERROR_LOG).read_text() == self.ERROR
+        for name in LOGS:
+            assert (serial / name).read_bytes() == (pool / name).read_bytes(), name
+
+    @pytest.mark.parametrize("writes", [1, 2, 3])
+    def test_resume_after_kill_between_writes(self, tmp_path, failing_scan, monkeypatch, writes):
+        """Killed after the first, second or third of the failing column's
+        three log appends, whatever their order, a resumed run still fails
+        and ends with the logs of an uninterrupted run."""
+        reference = tmp_path / "reference"
+        cut = tmp_path / "cut"
+        assert main(["positivity", "--group", "B2", "--outdir", str(reference)]) == 1
+        appends = 0
+
+        def killing_open(path, mode="r", *args, **kwargs):
+            nonlocal appends
+            if "a" in mode and Path(path).name in LOGS:
+                # each passing column before FAIL_Y appends twice
+                if appends == 2 * FAIL_Y + writes:
+                    raise SimulatedKill
+                appends += 1
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", killing_open, raising=False)
+        with pytest.raises(SimulatedKill):
+            main(["positivity", "--group", "B2", "--outdir", str(cut)])
+        monkeypatch.delattr(cli, "open")
+        assert main(["positivity", "--group", "B2", "--outdir", str(cut), "--resume"]) == 1
+        assert (cut / cli.ERROR_LOG).read_text() == self.ERROR
+        for name in LOGS:
+            assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 class TestProductCommands:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from klbasis.hecke import (
+    W,
     PolyStore,
     bar_h,
     c_in_t_basis,
@@ -11,8 +12,9 @@ from klbasis.hecke import (
     c_mult_gen,
     c_to_t,
     ccombo_from_column_row,
+    check_carry_bound,
     column,
-    h_value,
+    pack,
     t_inverse,
     t_mult_gen,
     tcombo_mult,
@@ -20,10 +22,12 @@ from klbasis.hecke import (
 from klbasis.ring import (
     CoefficientOverflowError,
     LaurentPoly,
+    MixedParityError,
     SymLaurentPoly,
     is_unimodal,
     qpoly_from_sym,
 )
+from test_ring import sym_pairs, sym_polys
 
 ONE = LaurentPoly.one()
 V = LaurentPoly({1: 1})
@@ -136,9 +140,9 @@ class TestColumns:
         g = wg.g
         s = word_id(g, [1])
         col = column(wg, s)
-        assert h_value(col, 0, s) == SymLaurentPoly.one()
-        assert h_value(col, s, s) == SymLaurentPoly(1, (1,))
-        assert h_value(col, s, 0).is_zero()
+        assert col.h_value(0, s) == SymLaurentPoly.one()
+        assert col.h_value(s, s) == SymLaurentPoly(1, (1,))
+        assert col.h_value(s, 0).is_zero()
 
     def test_dihedral_row_matches_closed_form(self, wgraphs):
         wg = wgraphs("I2(9)")
@@ -302,3 +306,90 @@ class TestPolyStore:
         assert not store.nonnegative(h)
         assert store.nonnegative(store.one) and store.unimodal(store.one)
         assert store.max_abs(store.one) == 1
+
+    def test_scan_figures_match_every_h3_handle(self, wgraphs):
+        wg = wgraphs("H3")
+        for y in range(wg.g.size):
+            store = column(wg, y).store
+            for h in range(len(store)):
+                p = store.poly(h)
+                assert store.max_abs(h) == p.max_abs_coeff(), (y, h)
+                assert store.nonnegative(h) == (p.min_coeff() >= 0), (y, h)
+                assert store.unimodal(h) == is_unimodal(qpoly_from_sym(p)), (y, h)
+
+
+I64 = 1 << 63
+
+
+@st.composite
+def wide_sym_polys(draw):
+    """Nonzero symmetric polynomials of either parity, coefficients
+    anywhere in signed 64 bits."""
+    half = draw(st.lists(st.integers(-I64, I64 - 1), min_size=1, max_size=6))
+    assume(half[0])
+    return SymLaurentPoly(2 * (len(half) - 1) + draw(st.integers(0, 1)), half)
+
+
+class TestPackedStore:
+    @given(st.one_of(wide_sym_polys(), sym_polys()))
+    def test_round_trip(self, p):
+        store = PolyStore()
+        assert store.poly(store.intern(p)) == p
+
+    @given(sym_pairs())
+    def test_sum_is_int_addition(self, pair):
+        a, b = pair
+        total = pack(a) + pack(b)
+        assert total == pack(a + b)
+        assert (total == 0) == (not a + b)
+        if total:
+            store = PolyStore()
+            assert store.poly(store.intern_packed(total)) == a + b
+
+    @given(sym_polys(), st.integers(1, 4), st.booleans())
+    def test_mu_scaling_and_bmul(self, p, mu, negate):
+        assume(p)
+        n = -mu if negate else mu
+        store = PolyStore()
+        h = store.intern(p)
+        assert store.poly(store.scale(h, n)) == p.scaled(n)
+        assert store.poly(store.bmul(h)) == p.bmul()
+        assert store.poly(store.bmul(store.bmul(h))) == p.bmul().bmul()
+
+    @given(wide_sym_polys())
+    def test_bmul_wide(self, p):
+        store = PolyStore()
+        h = store.intern(p)
+        image = p.bmul()
+        if -I64 <= min(image.half) and max(image.half) < I64:
+            assert store.poly(store.bmul(h)) == image
+        else:
+            with pytest.raises(CoefficientOverflowError):
+                store.bmul(h)
+
+    def test_intern_rejects_mixed_parity(self):
+        store = PolyStore()
+        for u in (1 + (1 << W), (3 << 2 * W) - (5 << W), -1 - (1 << 3 * W)):
+            with pytest.raises(MixedParityError):
+                store.intern_packed(u)
+
+    def test_intern_rejects_digits_outside_64_bits(self):
+        store = PolyStore()
+        for u in (I64, -I64 - 1, I64 << 2 * W, (-I64 - 1 << W) + (1 << 3 * W)):
+            with pytest.raises(CoefficientOverflowError):
+                store.intern_packed(u)
+        for u in (I64 - 1, -I64, (I64 - 1) << 2 * W, -I64 << W):
+            h = store.intern_packed(u)
+            assert pack(store.poly(h)) == u
+        assert len(store) == 5  # one, and the four in range
+
+    def test_carry_bound(self):
+        check_carry_bound(14400, 10_000)
+        check_carry_bound((1 << W - 65) // 3 - 1, 1)
+        for size, longest in (((1 << W - 65) // 3 + 1, 1), (1 << W - 65, 0), (2, 1 << W - 65)):
+            with pytest.raises(CoefficientOverflowError):
+                check_carry_bound(size, longest)
+        store = PolyStore()
+        with pytest.raises(CoefficientOverflowError):
+            store.scale(store.one, 1 << W - 65)
+        assert store.poly(store.scale(store.one, (1 << W - 65) - 1)).half == ((1 << W - 65) - 1,)
