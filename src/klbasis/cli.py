@@ -8,6 +8,10 @@ maximum) to positivity_log, per-column maxima to positivity_verbose_log,
 and failures to error_log, each column's failures before its log lines; a
 resumed run rebuilds the W-graph, skips the columns both logs carry, keeps
 only their failures and continues the cumulative maximum from the log.
+With ``--store-budget`` each column's newly seen structure constants go to
+an append-only sidecar, h_polynomials_by_column, before its log lines, so
+a resumed run rebuilds the global list and writes the same h_polynomials
+as an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .klbase import KLStore, WGraph, build_wgraph
 POSITIVITY_LOG = "positivity_log"
 VERBOSE_LOG = "positivity_verbose_log"
 ERROR_LOG = "error_log"
+H_COLUMNS = "h_polynomials_by_column"
 
 
 @dataclass
@@ -121,8 +126,8 @@ def _parse_log(path: Path) -> dict[int, tuple[int, str]]:
     return out
 
 
-def _error_lines(path: Path) -> list[str]:
-    """Complete lines of an existing error log; a torn trailing line is
+def _complete_lines(path: Path) -> list[str]:
+    """Complete lines of an existing file; a torn trailing line is
     dropped."""
     return path.read_bytes().decode().split("\n")[:-1] if path.exists() else []
 
@@ -130,6 +135,12 @@ def _error_lines(path: Path) -> list[str]:
 def _error_y(line: str) -> int:
     """The y of an error line 'h(x,y,z) = ...'."""
     return int(line.split("(", 1)[1].split(",", 2)[1])
+
+
+def _h_columns(path: Path) -> dict[int, str]:
+    """Complete 'y: p1; p2; ...' lines of the structure-constant sidecar,
+    as {y: line}.  A torn trailing line is dropped."""
+    return {int(line.split(":", 1)[0]): line for line in _complete_lines(path)}
 
 
 def _column_info(wg: WGraph, y: int, strategy: str, budget: int) -> dict:
@@ -167,15 +178,22 @@ def cmd_positivity(cfg: RunConfig) -> int:
     verbose_path = _outpath(cfg, VERBOSE_LOG)
     error_path = _outpath(cfg, ERROR_LOG)
 
+    h_columns_path = _outpath(cfg, H_COLUMNS)
+    budget = cfg.store_budget
+    global_polys: set[str] = set()
+
     done: set[int] = set()
     cum = 0
     if cfg.resume:
         main_lines = _parse_log(log_path)
         verbose_lines = _parse_log(verbose_path)
-        # a kill can land between the two appends, so a column counts as
-        # done only when both logs carry its line; rewrite both to exactly
-        # the surviving complete lines
+        h_lines = _h_columns(h_columns_path)
+        # a kill can land between the appends, so a column counts as done
+        # only when both logs carry its line, and under a budget the
+        # sidecar too; rewrite each file to exactly the surviving lines
         done = set(main_lines) & set(verbose_lines)
+        if budget:
+            done &= set(h_lines)
         log_path.write_text("".join(main_lines[y][1] + "\n" for y in sorted(done)))
         verbose_path.write_text(
             "".join(verbose_lines[y][1] + "\n" for y in sorted(done))
@@ -183,19 +201,22 @@ def cmd_positivity(cfg: RunConfig) -> int:
         cum = max((main_lines[y][0] for y in done), default=0)
         # error lines of a column not done belong to a run it will redo
         error_path.write_text(
-            "".join(line + "\n" for line in _error_lines(error_path) if _error_y(line) in done)
+            "".join(line + "\n" for line in _complete_lines(error_path) if _error_y(line) in done)
         )
+        kept = [h_lines[y] for y in sorted(done) if y in h_lines]
+        h_columns_path.write_text("".join(line + "\n" for line in kept))
+        for line in kept:
+            global_polys.update(p for p in line.split(":", 1)[1].strip().split("; ") if p)
     else:
         log_path.write_text("")
         verbose_path.write_text("")
         error_path.write_text("")
+        h_columns_path.write_text("")
 
-    store = KLStore(g)
-    wg = build_wgraph(store)  # the only recomputation a resume pays for
+    # the P table is needed only to extract the graph: drop it at once, so
+    # neither this process nor the pool workers hold it during the sweep
+    wg = build_wgraph(KLStore(g))  # the only recomputation a resume pays for
     todo = [y for y in ys if y not in done]
-
-    global_polys: set[str] = set()
-    budget = cfg.store_budget
     failures = 0
 
     def handle(info: dict) -> None:
@@ -209,8 +230,14 @@ def cmd_positivity(cfg: RunConfig) -> int:
             f"h({x},{y},{z}) = {p} is not unimodal"
             for x, z, p in info["bad_unimodal"]
         ]
-        # the error lines go first: a column is done only once both logs
-        # carry its line, so a kill can never leave it done without them
+        # the sidecar and error lines go first: a column is done only once
+        # both logs carry its line, so a kill can never leave it done
+        # without them
+        if budget:
+            new = [p for p in info["polys"] if p not in global_polys]
+            global_polys.update(new)
+            with open(h_columns_path, "a") as fh:
+                fh.write(f"{y}: " + "; ".join(new) + "\n")
         if problems:
             failures += len(problems)
             with open(error_path, "a") as fh:
@@ -223,13 +250,11 @@ def cmd_positivity(cfg: RunConfig) -> int:
                 f"{y}: maxcoeff = {info['max_coeff']} entries = {info['entries']}"
                 f" distinct = {info['distinct']}\n"
             )
-        if budget and "polys" in info:
-            global_polys.update(info["polys"])
-            if len(global_polys) > budget:
-                raise SystemExit(
-                    f"distinct-polynomial store exceeded budget {budget}; "
-                    "rerun with a larger --store-budget or without it"
-                )
+        if budget and len(global_polys) > budget:
+            raise SystemExit(
+                f"distinct-polynomial store exceeded budget {budget}; "
+                "rerun with a larger --store-budget or without it"
+            )
 
     if cfg.threads <= 1:
         for y in todo:
@@ -259,7 +284,9 @@ def _run_pool(wg: WGraph, todo: list[int], cfg: RunConfig, handle) -> None:
     """Ordered collector over a process pool: results are applied in
     ascending y regardless of completion order, so logs are deterministic.
     Each worker receives the W-graph once, through its initializer (under
-    the fork start method, by inheritance), whatever the start method."""
+    the fork start method, by inheritance), whatever the start method.
+    When ``handle`` raises (a --store-budget abort, say), the columns not
+    yet started are cancelled rather than run to completion."""
     pending: dict[int, dict] = {}
     next_i = 0
     with ProcessPoolExecutor(
@@ -269,16 +296,17 @@ def _run_pool(wg: WGraph, todo: list[int], cfg: RunConfig, handle) -> None:
     ) as pool:
         futures = {pool.submit(_pool_column, y): y for y in todo}
         remaining = set(futures)
-        while remaining:
-            finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                pending[futures[fut]] = fut.result()
-            while next_i < len(todo) and todo[next_i] in pending:
-                handle(pending.pop(todo[next_i]))
-                next_i += 1
-    while next_i < len(todo) and todo[next_i] in pending:
-        handle(pending.pop(todo[next_i]))
-        next_i += 1
+        try:
+            while remaining:
+                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+                for fut in finished:
+                    pending[futures[fut]] = fut.result()
+                while next_i < len(todo) and todo[next_i] in pending:
+                    handle(pending.pop(todo[next_i]))
+                    next_i += 1
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _element_id(g: GroupTable, token: str) -> int:

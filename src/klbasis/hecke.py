@@ -10,29 +10,34 @@ structure constants as handles into a deduplicating store of symmetric
 Laurent polynomials.  The store holds only finished row values and their
 images under multiplication by v + v^-1 and by the mu-values; the sums a
 row is built from stay outside it.  Every polynomial in a column is one
-packed int, its upper half evaluated at v = 2^W (Kronecker substitution),
-so a sum of structure constants is one int addition.  Slots are wide
-enough that these sums cannot carry (``check_carry_bound``, once per
-column), and the store checks the signed 64-bit bound and the single
-degree parity of each value once, when it is interned.  Columns for
-distinct y are independent and share nothing mutable.
+packed int, its upper half evaluated at v = 2^W (Kronecker substitution,
+read back by the slot codec of ``ring``), so a sum of structure constants
+is one int addition.  Slots are wide enough that these sums cannot carry
+(``check_carry_bound``, once per column), and the store checks the signed
+64-bit bound and the single degree parity of each value once, when it is
+interned.  Columns for distinct y are independent and share nothing
+mutable.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import ge
-from struct import Struct
 from typing import Callable, Iterable
 
 from .coxeter import GroupTable
 from .klbase import KLStore, WGraph
 from .ring import (
+    _CARRY_LIMIT,
+    _HALF,
+    _I64,
+    _SLOT,
+    W,
     CoefficientOverflowError,
     LaurentPoly,
     MixedParityError,
     NotSymmetricError,
     SymLaurentPoly,
+    _biased,
 )
 
 TCombo = dict[int, LaurentPoly]
@@ -187,16 +192,6 @@ def c_to_t(store: KLStore, u: CCombo) -> TCombo:
     return out
 
 
-# Bits per exponent slot of a packed polynomial.  Stored coefficients fit
-# in signed 64 bits, so a sum of fewer than 2^(W - 65) stored values keeps
-# every slot below 2^(W - 1) in absolute value: it cannot carry.
-W = 96
-_SLOT = (1 << W) - 1
-_HALF = 1 << (W - 1)
-_CARRY_LIMIT = 1 << (W - 65)
-_I64 = 1 << 63
-
-
 def pack(p: SymLaurentPoly) -> int:
     """The upper half of p at v = 2^W: sum of c_e 2^(W e) over e >= 0,
     with signed coefficients c_e, one slot per exponent."""
@@ -204,29 +199,6 @@ def pack(p: SymLaurentPoly) -> int:
     for c in p.half:
         u = (u << 2 * W) + c
     return u << W * (p.degree & 1)
-
-
-@lru_cache(maxsize=None)
-def _layout(n: int) -> tuple[int, int, Struct]:
-    """For n slots: 2^63 in each, the bits above 64 in each, and a reader
-    of the low 64 bits of each."""
-    ones = ((1 << W * n) - 1) // _SLOT
-    return ones << 63, ones * (_SLOT >> 64) << 64, Struct("<" + f"Q{W // 8 - 8}x" * n)
-
-
-def _biased(u: int) -> list[int]:
-    """c_e + 2^63 for the coefficients c_e of a packed value, exponent 0 up
-    to its degree.  Every c_e fits in signed 64 bits, or this raises, exactly
-    when adding 2^63 to each slot borrows from none and leaves it below 2^64."""
-    n = u.bit_length() // W + 2
-    bias, high, reader = _layout(n)
-    u += bias
-    if u < 0 or u & high:
-        raise CoefficientOverflowError("packed coefficient outside signed 64 bits")
-    out = list(reader.unpack(u.to_bytes(W // 8 * n, "little")))
-    while out and out[-1] == _I64:
-        out.pop()
-    return out
 
 
 def check_carry_bound(size: int, max_mu_list: int) -> None:
@@ -259,7 +231,7 @@ class PolyStore:
         self._nonnegative: list[bool] = []
         self._unimodal: list[bool] = []
         self._bmul: dict[int, int] = {}
-        self._scale: dict[tuple[int, int], int] = {}
+        self._scale: dict[int, dict[int, int]] = {}  # n -> {h: handle of n * value}
         self.one = self.intern(SymLaurentPoly.one())
 
     def intern(self, p: SymLaurentPoly) -> int:
@@ -300,12 +272,21 @@ class PolyStore:
             got = self._bmul[h] = self.intern_packed((u << W) + up + c1)
         return got
 
-    def scale(self, h: int, n: int) -> int:
-        got = self._scale.get((h, n))
+    def scaling(self, n: int) -> dict[int, int]:
+        """{h: handle of n times the value of h}, for the handles ``scale``
+        has scaled by n so far."""
+        got = self._scale.get(n)
         if got is None:
             if abs(n) >= _CARRY_LIMIT:
                 raise CoefficientOverflowError(f"scaling by {n} could carry")
-            got = self._scale[h, n] = self.intern_packed(self._values[h] * n)
+            got = self._scale[n] = {}
+        return got
+
+    def scale(self, h: int, n: int) -> int:
+        images = self.scaling(n)
+        got = images.get(h)
+        if got is None:
+            got = images[h] = self.intern_packed(self._values[h] * n)
         return got
 
     def max_abs(self, h: int) -> int:
@@ -403,8 +384,11 @@ def column(
         # ... minus mu(z, sx) c_z over the z below sx with s in L(z)
         for z, mu in mu_lists[sx]:
             if lmask[z] >> s & 1:
+                # one dict lookup per entry; scale only on a miss
+                images = st.scaling(-mu)
                 for w, h in rows[z].items():
-                    u = values[scale(h, -mu)]
+                    hs = images.get(h)
+                    u = values[scale(h, -mu) if hs is None else hs]
                     if cur := get(w, 0) + u:
                         row[w] = cur
                     else:

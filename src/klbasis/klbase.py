@@ -9,51 +9,107 @@ extremal pairs are memoised.  Columns are filled in increasing length of
 y with the classical descent recursion; the generator used is always the
 lowest-index left descent of y (strategy sensitivity of the structure
 constant computation is tested separately, in checks).
+
+The table is packed and interned.  Each P_{x,y} is one int, the
+polynomial at q = 2^W (``ring.W``: one signed slot per coefficient), so
+the recursion is int shifts, additions and multiply-adds, and each
+distinct value is stored once: all pairs with equal P share one int
+object.  A value's slots are read once, when it is first seen
+(``ring._biased``), which checks the signed 64-bit bound and records its
+degree, its leading coefficient (the mu-value when the degree is the
+largest allowed) and whether it has a negative coefficient.  Every stored
+pair is still held to the degree bound and scanned for negative
+coefficients, through those figures.  Sums cannot carry between slots:
+each column checks its mu-values once (``check_mu_carry``).  Queries
+return ``QPoly``, decoded once per distinct value.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .coxeter import GroupTable
-from .ring import QPoly
+from .ring import _CARRY_LIMIT, _I64, W, CoefficientOverflowError, QPoly, _biased
 
 _Q_ONE = QPoly.one()
 _Q_ZERO = QPoly.zero()
 
 
+def check_mu_carry(mus: Iterable[int]) -> None:
+    """Raise CoefficientOverflowError unless the packed recursion over these
+    mu-values cannot carry: P_{x,y} sums P_{sx,sy}, q P_{x,sy} and
+    mu q^k P_{x,z} over the mu list, at most 2 + sum |mu| stored values."""
+    total = 2 + sum(map(abs, mus))
+    if total >= _CARRY_LIMIT:
+        raise CoefficientOverflowError(f"packed P sums could carry: {total} stored values")
+
+
 class KLStore:
-    """Memoised table of Kazhdan-Lusztig polynomials over one group."""
+    """Memoised table of Kazhdan-Lusztig polynomials over one group,
+    packed and interned (see the module docstring)."""
 
     def __init__(self, g: GroupTable):
         self.g = g
-        self._P: dict[tuple[int, int], QPoly] = {}
+        # canonical extremal pair (x, y), keyed y * |W| + x -> packed P
+        self._P: dict[int, int] = {}
+        # packed P -> (that int, degree, leading coefficient, has a negative
+        # coefficient); the first element is the one object all pairs share
+        self._values: dict[int, tuple[int, int, int, bool]] = {}
+        self._decoded: dict[int, QPoly] = {}
         self._mu: dict[int, tuple[tuple[int, int], ...]] = {}
         self._next_column = 0
         self.negative_pairs: list[tuple[int, int]] = []
 
-    # -- reductions -------------------------------------------------------
+    # -- packed values ------------------------------------------------------
 
-    def _reduce(self, x: int, y: int) -> int:
-        """Raise x until (x, y) is extremal; assumes x <= y."""
+    def _intern(self, u: int) -> tuple[int, int, int, bool]:
+        got = self._values.get(u)
+        if got is None:
+            biased = _biased(u)  # raises CoefficientOverflowError
+            got = self._values[u] = (
+                u,
+                len(biased) - 1,
+                biased[-1] - _I64 if biased else 0,
+                min(biased, default=_I64) < _I64,
+            )
+        return got
+
+    def _decode(self, u: int) -> QPoly:
+        p = self._decoded.get(u)
+        if p is None:
+            p = self._decoded[u] = QPoly([c - _I64 for c in _biased(u)])
+        return p
+
+    def _below(self, y: int) -> bytes:
+        """The Bruhat mask of y as little-endian bytes: testing one bit
+        costs the same wherever it sits, unlike shifting the int."""
         g = self.g
-        while x != y:
-            free = g.lmask[y] & ~g.lmask[x]
-            if free:
-                s = (free & -free).bit_length() - 1
-                x = g.lmult[x][s]
-                continue
-            free = g.rmask[y] & ~g.rmask[x]
-            if free:
-                s = (free & -free).bit_length() - 1
-                x = g.rmult[x][s]
-                continue
-            break
-        return x
+        return g.bruhat_mask(y).to_bytes((g.size + 7) >> 3, "little")
 
-    def _canonical(self, x: int, y: int) -> tuple[int, int]:
-        ix, iy = self.g.inv[x], self.g.inv[y]
-        return (ix, iy) if (iy, ix) < (y, x) else (x, y)
+    def _packed(self, x: int, y: int, below: bytes) -> int:
+        """P_{x,y} packed, where below is ``_below(y)`` and the columns up
+        to y's length are built."""
+        if x == y:
+            return 1
+        if not below[x >> 3] >> (x & 7) & 1:
+            return 0
+        # raise x until (x, y) is extremal
+        g = self.g
+        lmask, rmask = g.lmask, g.rmask
+        left, right = lmask[y], rmask[y]
+        while x != y:
+            free = left & ~lmask[x]
+            if free:
+                x = g.lmult[x][(free & -free).bit_length() - 1]
+                continue
+            free = right & ~rmask[x]
+            if free:
+                x = g.rmult[x][(free & -free).bit_length() - 1]
+                continue
+            n = g.size
+            key, tkey = y * n + x, g.inv[y] * n + g.inv[x]
+            return self._P[tkey if tkey < key else key]
+        return 1
 
     # -- column construction ----------------------------------------------
 
@@ -78,57 +134,59 @@ class KLStore:
             & g.descent_superset_mask("right", g.rmask[y])
         )
         ly = g.lengths[y]
+        out = [(int(x), 1) for x in g.mask_to_ids(interval & g.level_mask(ly - 1))]
         if y:
             s = (g.lmask[y] & -g.lmask[y]).bit_length() - 1
             sy = g.lmult[y][s]
-            mus = [(z, mu) for z, mu in self.mu_list(sy) if g.lmask[z] >> s & 1]
+            mus = [
+                (z, mu, g.lengths[z], self._below(z), W * ((ly - g.lengths[z]) >> 1))
+                for z, mu in self.mu_list(sy)
+                if g.lmask[z] >> s & 1
+            ]
+            check_mu_carry(mu for _, mu, _, _, _ in mus)
+            below = self._below(sy)
+            values, table, inv, lengths, n = self._values, self._P, g.inv, g.lengths, g.size
             for x in g.mask_to_ids(extremal):
                 x = int(x)
-                if x == y or (iy == y and g.inv[x] < x):
+                if x == y:
                     continue
-                p = self._recurrence(x, y, s, sy, mus)
-                d = ly - g.lengths[x]
-                if 2 * p.degree() > d - 1:
-                    raise AssertionError(
-                        f"degree bound violated for P_{{{x},{y}}} in {g.name}: {p}"
+                d = ly - lengths[x]
+                if iy == y and inv[x] < x:
+                    # P_{x,y} = P_{x^-1,y}, stored earlier in this column
+                    _, deg, lead, _ = values[table[y * n + inv[x]]]
+                else:
+                    u, deg, lead, negative = self._intern(
+                        self._recurrence(x, y, s, sy, below, mus)
                     )
-                if any(c < 0 for c in p.coeffs):
-                    self.negative_pairs.append((x, y))
-                self._P[(x, y)] = p
-        self._mu[y] = self._make_mu_list(y, interval, extremal)
-
-    def _recurrence(self, x: int, y: int, s: int, sy: int, mus) -> QPoly:
-        # P_{x,y} = P_{sx,sy} + q P_{x,sy} - sum mu(z,sy) q^((l(y)-l(z))/2) P_{x,z}
-        # for extremal (x, y), where s in L(y) implies s in L(x).
-        g = self.g
-        sx = g.lmult[x][s]
-        p = self.kl_polynomial(sx, sy) + self.kl_polynomial(x, sy).shift(1)
-        ly = g.lengths[y]
-        lx = g.lengths[x]
-        for z, mu in mus:
-            if g.lengths[z] < lx:
-                continue
-            pz = self.kl_polynomial(x, z)
-            if pz:
-                p = p - (mu * pz).shift((ly - g.lengths[z]) >> 1)
-        return p
-
-    def _make_mu_list(self, y: int, interval: int, extremal: int) -> tuple[tuple[int, int], ...]:
-        g = self.g
-        ly = g.lengths[y]
-        out = []
-        for x in g.mask_to_ids(interval & g.level_mask(ly - 1)):
-            out.append((int(x), 1))
-        for x in g.mask_to_ids(extremal):
-            x = int(x)
-            d = ly - g.lengths[x]
-            if d < 3 or d % 2 == 0:
-                continue
-            mu = self.kl_polynomial(x, y).coeff((d - 1) >> 1)
-            if mu:
-                out.append((x, mu))
+                    if 2 * deg > d - 1:
+                        raise AssertionError(
+                            f"degree bound violated for P_{{{x},{y}}} in {g.name}: "
+                            f"{self._decode(u)}"
+                        )
+                    if negative:
+                        self.negative_pairs.append((x, y))
+                    table[y * n + x] = u
+                # mu(x, y) is the coefficient of q^((d-1)/2), the largest
+                # degree the bound allows
+                if d >= 3 and d & 1 and 2 * deg == d - 1:
+                    out.append((x, lead))
         out.sort()
-        return tuple(out)
+        self._mu[y] = tuple(out)
+
+    def _recurrence(self, x: int, y: int, s: int, sy: int, below: bytes, mus) -> int:
+        # P_{x,y} = P_{sx,sy} + q P_{x,sy} - sum mu(z,sy) q^((l(y)-l(z))/2) P_{x,z}
+        # for extremal (x, y), where s in L(y) implies s in L(x); below is
+        # _below(sy), and mus holds (z, mu, l(z), _below(z), slot shift)
+        # for the z with s in L(z)
+        packed = self._packed
+        u = packed(self.g.lmult[x][s], sy, below) + (packed(x, sy, below) << W)
+        lx = self.g.lengths[x]
+        for z, mu, lz, below_z, shift in mus:
+            if lz >= lx:
+                pz = packed(x, z, below_z)
+                if pz:
+                    u -= pz * mu << shift
+        return u
 
     # -- queries ------------------------------------------------------------
 
@@ -139,13 +197,9 @@ class KLStore:
         g = self.g
         if g.lengths[x] >= g.lengths[y] or not g.bruhat_mask(y) >> x & 1:
             return _Q_ZERO
-        x = self._reduce(x, y)
-        if x == y:
-            return _Q_ONE
-        key = self._canonical(x, y)
-        if key not in self._P:
+        if y >= self._next_column:
             self.build_upto(g.lengths[y])
-        return self._P[key]
+        return self._decode(self._packed(x, y, self._below(y)))
 
     def mu(self, x: int, y: int) -> int:
         """Coefficient of degree (l(y)-l(x)-1)/2 in P_{x,y}; zero for even
@@ -181,8 +235,10 @@ class KLStore:
 
     def iter_pairs(self) -> Iterator[tuple[int, int, QPoly]]:
         """Stored canonical extremal pairs (x, y, P) with x < y."""
-        for (x, y), p in sorted(self._P.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            yield x, y, p
+        n = self.g.size
+        for key in sorted(self._P):
+            y, x = divmod(key, n)
+            yield x, y, self._decode(self._P[key])
 
     def distinct_polynomials(self) -> list[QPoly]:
         """The distinct P_{x,y} over all x <= y, sorted by (degree, coeffs).
@@ -191,7 +247,7 @@ class KLStore:
         """
         self.build_all()
         seen = {_Q_ONE}
-        seen.update(self._P.values())
+        seen.update(map(self._decode, set(self._P.values())))
         return sorted(seen, key=QPoly.sort_key)
 
 

@@ -5,12 +5,17 @@ their upper half.
 Coefficients are confined to signed 64-bit range.  Structure constants for
 the large non-crystallographic groups grow close to 2^30, so the bound is
 checked and CoefficientOverflowError raised rather than let values drift
-silently: by every LaurentPoly and QPoly normalisation step, and by the
-SymLaurentPoly constructor.  SymLaurentPoly arithmetic does not check, since
-Python ints cannot wrap.  The column engine does not use it either: it
-holds each structure constant packed into one int (``hecke.pack``), and
-``hecke.PolyStore.intern_packed`` checks the bound, and the single degree
-parity, once per stored value.
+silently.  Three layers check it on every operation: every LaurentPoly and
+QPoly normalisation step (the t-basis oracle, the dihedral closed forms and
+QPoly queries), and the SymLaurentPoly constructor.  SymLaurentPoly
+arithmetic does not check, since Python ints cannot wrap.  The two large
+tables check once per stored value instead, through one codec defined
+here: a polynomial packed into one int, one W-bit slot per coefficient
+(``W``, ``_biased``).  ``klbase.KLStore`` holds each P_{x,y} packed and
+checks the bound when a distinct value is first stored;
+``hecke.PolyStore.intern_packed`` does the same, with the single degree
+parity, for each structure constant (``hecke.pack``).  Sums in between
+cannot carry, which each caller checks once per column.
 
 The canonical textual form used throughout (output files, CLI, reprs)
 lists terms in ascending exponent, elides unit coefficients, and writes
@@ -19,7 +24,9 @@ exponents as ``v^-1``, ``q^2``:  ``v^-3 + 2v^-1 + 2v + v^3``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add as _add
+from struct import Struct
 from typing import Iterable, Iterator, Mapping, Union
 
 _I64_MIN = -(1 << 63)
@@ -42,6 +49,43 @@ def _check64(c: int, where: str) -> int:
     if c < _I64_MIN or c > _I64_MAX:
         raise CoefficientOverflowError(f"coefficient {c} out of 64-bit range in {where}")
     return c
+
+
+# Packed polynomials.  A polynomial with signed integer coefficients c_e
+# is held as the one int sum of c_e 2^(W e): the polynomial evaluated at
+# 2^W (Kronecker substitution), one W-bit slot per exponent.  Sums and
+# scalings are then int additions and multiplications.  A stored value has
+# every coefficient in signed 64 bits, so a sum of fewer than 2^(W - 65)
+# stored values keeps every slot below 2^(W - 1) in absolute value: it
+# cannot carry, and its slots read back as its coefficients.
+W = 96
+_SLOT = (1 << W) - 1
+_HALF = 1 << (W - 1)
+_CARRY_LIMIT = 1 << (W - 65)
+_I64 = 1 << 63
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[int, int, Struct]:
+    """For n slots: 2^63 in each, the bits above 64 in each, and a reader
+    of the low 64 bits of each."""
+    ones = ((1 << W * n) - 1) // _SLOT
+    return ones << 63, ones * (_SLOT >> 64) << 64, Struct("<" + f"Q{W // 8 - 8}x" * n)
+
+
+def _biased(u: int) -> list[int]:
+    """c_e + 2^63 for the coefficients c_e of a packed value, exponent 0 up
+    to its degree.  Every c_e fits in signed 64 bits, or this raises, exactly
+    when adding 2^63 to each slot borrows from none and leaves it below 2^64."""
+    n = u.bit_length() // W + 2
+    bias, high, reader = _layout(n)
+    u += bias
+    if u < 0 or u & high:
+        raise CoefficientOverflowError("packed coefficient outside signed 64 bits")
+    out = list(reader.unpack(u.to_bytes(W // 8 * n, "little")))
+    while out and out[-1] == _I64:
+        out.pop()
+    return out
 
 
 def _fmt_terms(items: Iterable[tuple[int, int]], var: str) -> str:

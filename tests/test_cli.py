@@ -193,12 +193,7 @@ class TestFailingSweep:
         reason="the patched scan reaches pool workers only by fork",
     )
     def test_threads(self, tmp_path, failing_scan, monkeypatch):
-        monkeypatch.setattr(
-            cli, "ProcessPoolExecutor",
-            functools.partial(
-                cli.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
-            ),
-        )
+        fork_pool(monkeypatch)
         serial = tmp_path / "serial"
         pool = tmp_path / "pool"
         assert main(["positivity", "--group", "B2", "--outdir", str(serial)]) == 1
@@ -234,6 +229,114 @@ class TestFailingSweep:
         monkeypatch.delattr(cli, "open")
         assert main(["positivity", "--group", "B2", "--outdir", str(cut), "--resume"]) == 1
         assert (cut / cli.ERROR_LOG).read_text() == self.ERROR
+        for name in LOGS:
+            assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+def fork_pool(monkeypatch):
+    """Pin the sweep's pool to the fork start method, which carries a
+    monkeypatched cli module over to the workers."""
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor",
+        functools.partial(cli.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")),
+    )
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched column job reaches pool workers only by fork",
+)
+
+
+class TestStoreBudget:
+    BUDGET = ["--store-budget", "100000"]
+    OUTPUTS = (*LOGS, "h_polynomials", cli.H_COLUMNS)
+
+    @staticmethod
+    def sweep(outdir, *extra):
+        return main(["positivity", "--group", "B3", "--range", "0:45",
+                     "--outdir", str(outdir), *extra])
+
+    def assert_same(self, got, want):
+        for name in self.OUTPUTS:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_resume_from_torn_logs(self, tmp_path):
+        reference, cut = tmp_path / "reference", tmp_path / "cut"
+        assert self.sweep(reference, *self.BUDGET) == 0
+        assert self.sweep(cut, *self.BUDGET) == 0
+        for name, keep in ((cli.POSITIVITY_LOG, 40), (cli.VERBOSE_LOG, 38)):
+            lines = (cut / name).read_text().splitlines(keepends=True)
+            (cut / name).write_text("".join(lines[:keep]) + lines[keep][:5])
+        assert self.sweep(cut, "--resume", *self.BUDGET) == 0
+        self.assert_same(cut, reference)
+
+    @pytest.mark.parametrize("appends", [1, 30, 31, 32, 120, 121, 122])
+    def test_resume_after_kill(self, tmp_path, monkeypatch, appends):
+        """Killed after any of the sweep's appends (three per column: the
+        sidecar and the two logs), a resumed run ends with the files of an
+        uninterrupted one."""
+        reference, cut = tmp_path / "reference", tmp_path / "cut"
+        assert self.sweep(reference, *self.BUDGET) == 0
+        count = 0
+
+        def killing_open(path, mode="r", *args, **kwargs):
+            nonlocal count
+            if "a" in mode:
+                if count == appends:
+                    raise SimulatedKill
+                count += 1
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", killing_open, raising=False)
+        with pytest.raises(SimulatedKill):
+            self.sweep(cut, *self.BUDGET)
+        monkeypatch.delattr(cli, "open")
+        assert self.sweep(cut, "--resume", *self.BUDGET) == 0
+        self.assert_same(cut, reference)
+
+    def test_resume_after_a_run_without_budget(self, tmp_path):
+        """Columns logged without a budget carry no sidecar line: a resume
+        with a budget computes them again."""
+        reference, cut = tmp_path / "reference", tmp_path / "cut"
+        assert self.sweep(reference, *self.BUDGET) == 0
+        assert self.sweep(cut) == 0
+        assert not (cut / "h_polynomials").exists()
+        assert self.sweep(cut, "--resume", *self.BUDGET) == 0
+        self.assert_same(cut, reference)
+
+    @needs_fork
+    def test_pool_abort_cancels_queued_columns(self, tmp_path, monkeypatch):
+        """A budget abort under --threads 2 runs no more than the columns
+        already started, and leaves logs a resume without the budget
+        completes to those of an uninterrupted run."""
+        fork_pool(monkeypatch)
+        reference, serial, cut = tmp_path / "reference", tmp_path / "serial", tmp_path / "cut"
+        ran = tmp_path / "ran"
+        job = cli._column_info
+
+        def recording(wg, y, *args):
+            with open(ran, "a") as fh:
+                fh.write(f"{y}\n")
+            return job(wg, y, *args)
+
+        sweep = ["positivity", "--group", "B4", "--range", "0:127"]
+        assert main([*sweep, "--outdir", str(reference)]) == 0
+        abort = [*sweep, "--store-budget", "10"]
+        with pytest.raises(SystemExit, match="budget"):
+            main([*abort, "--outdir", str(serial)])
+        monkeypatch.setattr(cli, "_column_info", recording)
+        with pytest.raises(SystemExit, match="budget"):
+            main([*abort, "--outdir", str(cut), "--threads", "2"])
+        for name in (*LOGS, cli.H_COLUMNS):
+            assert (cut / name).read_bytes() == (serial / name).read_bytes(), name
+        logged = len((cut / cli.POSITIVITY_LOG).read_text().splitlines())
+        # the logged columns, and at most those the two workers had started
+        # or queued when the abort came: far from all 128
+        assert logged < 128 // 4
+        assert len(ran.read_text().splitlines()) < logged + 10
+        monkeypatch.setattr(cli, "_column_info", job)
+        assert main([*sweep, "--outdir", str(cut), "--threads", "2", "--resume"]) == 0
         for name in LOGS:
             assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
 

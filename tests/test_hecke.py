@@ -14,6 +14,7 @@ from klbasis.hecke import (
     ccombo_from_column_row,
     check_carry_bound,
     column,
+    combo_add_scaled,
     pack,
     t_inverse,
     t_mult_gen,
@@ -27,6 +28,7 @@ from klbasis.ring import (
     is_unimodal,
     qpoly_from_sym,
 )
+from klbasis.klbase import WGraph
 from test_ring import sym_pairs, sym_polys
 
 ONE = LaurentPoly.one()
@@ -269,6 +271,29 @@ class TestColumns:
             col = column(wg, y, store=shared)
             shared_values.update(col.store.poly(h) for h in col.distinct_handles())
         assert not orphans(shared, shared_values)
+
+    def test_rows_follow_the_recursion_for_any_mu(self, wgraphs):
+        """Every row is c_s (row sx) - sum mu(z, sx) (row z), recomputed
+        on Laurent coefficients, over the H3 W-graph with each mu-value
+        multiplied by 1, 2 or 3, so that one column subtracts the same
+        row under several mu-values: each keeps its own scaled images."""
+        g = wgraphs("H3").g
+        wg = WGraph(g, tuple(
+            tuple((z, mu * (1 + (z + y) % 3)) for z, mu in wgraphs("H3").mu_in(y))
+            for y in range(g.size)
+        ))
+        for y in (7, 23, 57, 119):
+            col = column(wg, y)
+            rows = {0: {y: ONE}}
+            for x in range(1, g.size):
+                s = (g.lmask[x] & -g.lmask[x]).bit_length() - 1
+                sx = g.lmult[x][s]
+                row = c_mult_gen(wg, s, rows[sx])
+                for z, mu in wg.mu_in(sx):
+                    if g.lmask[z] >> s & 1:
+                        combo_add_scaled(row, rows[z], LaurentPoly({0: -mu}))
+                rows[x] = row
+                assert {z: p.expand() for z, p in col.row_polys(x).items()} == row, (x, y)
 
     def test_strategy_invariance_small(self, wgraphs):
         wg = wgraphs("A2")

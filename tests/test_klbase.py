@@ -2,9 +2,9 @@ from collections import Counter
 
 import pytest
 
-from klbasis.coxeter import all_reduced_subwords
-from klbasis.klbase import KLStore, build_wgraph, extremal_pairs
-from klbasis.ring import QPoly
+from klbasis.coxeter import all_reduced_subwords, group_from_name
+from klbasis.klbase import KLStore, build_wgraph, check_mu_carry, extremal_pairs
+from klbasis.ring import W, CoefficientOverflowError, QPoly
 
 ONE = QPoly.one()
 ZERO = QPoly.zero()
@@ -162,3 +162,155 @@ class TestExtremalPairs:
             assert g.lmask[x] & g.lmask[y] == g.lmask[y]
             assert g.rmask[x] & g.rmask[y] == g.rmask[y]
             assert g.bruhat_leq(x, y)
+
+
+class ReferenceKLStore:
+    """The extremal-pair recursion on QPoly values, one QPoly per pair: the
+    reference the packed, interned KLStore must reproduce pair for pair."""
+
+    def __init__(self, g):
+        self.g = g
+        self.P = {}
+        self.mu = {}
+        for y in range(g.size):
+            self._column(y)
+
+    def kl(self, x, y):
+        g = self.g
+        if x == y:
+            return ONE
+        if g.lengths[x] >= g.lengths[y] or not g.bruhat_mask(y) >> x & 1:
+            return ZERO
+        while x != y:
+            free = g.lmask[y] & ~g.lmask[x] or g.rmask[y] & ~g.rmask[x]
+            if not free:
+                break
+            s = (free & -free).bit_length() - 1
+            x = g.lmult[x][s] if g.lmask[y] & ~g.lmask[x] else g.rmult[x][s]
+        if x == y:
+            return ONE
+        ix, iy = g.inv[x], g.inv[y]
+        return self.P[(ix, iy) if (iy, ix) < (y, x) else (x, y)]
+
+    def mu_list(self, y):
+        g = self.g
+        if y in self.mu:
+            return self.mu[y]
+        return tuple(sorted((g.inv[z], mu) for z, mu in self.mu[g.inv[y]]))
+
+    def _column(self, y):
+        g = self.g
+        if g.inv[y] < y:
+            return
+        interval = g.bruhat_mask(y)
+        extremal = [
+            int(x) for x in g.mask_to_ids(interval)
+            if g.lmask[x] & g.lmask[y] == g.lmask[y] and g.rmask[x] & g.rmask[y] == g.rmask[y]
+        ]
+        ly = g.lengths[y]
+        if y:
+            s = (g.lmask[y] & -g.lmask[y]).bit_length() - 1
+            sy = g.lmult[y][s]
+            mus = [(z, mu) for z, mu in self.mu_list(sy) if g.lmask[z] >> s & 1]
+            for x in extremal:
+                if x == y or (g.inv[y] == y and g.inv[x] < x):
+                    continue
+                p = self.kl(g.lmult[x][s], sy) + self.kl(x, sy).shift(1)
+                for z, mu in mus:
+                    p = p - (mu * self.kl(x, z)).shift((ly - g.lengths[z]) >> 1)
+                self.P[(x, y)] = p
+        out = [(int(x), 1) for x in g.mask_to_ids(interval & g.level_mask(ly - 1))]
+        for x in extremal:
+            d = ly - g.lengths[x]
+            if d >= 3 and d % 2:
+                mu = self.kl(x, y).coeff((d - 1) >> 1)
+                if mu:
+                    out.append((x, mu))
+        self.mu[y] = tuple(sorted(out))
+
+
+class TestPackedTable:
+    @pytest.mark.parametrize("name", ["H3", "B3", "B4", "A4", "D4", "F4", "I2(7)"])
+    def test_matches_qpoly_reference(self, name):
+        g = group_from_name(name)
+        store = KLStore(g)
+        store.build_all()
+        ref = ReferenceKLStore(g)
+        assert {(x, y): p for x, y, p in store.iter_pairs()} == ref.P
+        for y in range(g.size):
+            assert store.mu_list(y) == ref.mu_list(y)
+        assert not store.negative_pairs
+        # interned: pairs with equal P share one int object
+        assert len({id(u) for u in store._P.values()}) == len(set(ref.P.values()))
+
+    def test_equal_values_are_one_object(self):
+        store = KLStore(group_from_name("A3"))
+        polys = store.distinct_polynomials()
+        assert polys == [ONE, QPoly((1, 1))]
+        # five stored pairs, two of them 1 + q (a big int) and three 1: the
+        # diagonal's 1 is stored too, so the objects are as many as the values
+        assert len(store._P) == 5
+        assert len({id(u) for u in store._P.values()}) == len(polys)
+
+    @staticmethod
+    def planted(monkeypatch, target, value):
+        """KLStore whose recurrence yields ``value`` (packed) for the pair
+        ``target`` = (x, y)."""
+        recurrence = KLStore._recurrence
+
+        def planting(self, x, y, *args):
+            return value if (x, y) == target else recurrence(self, x, y, *args)
+
+        monkeypatch.setattr(KLStore, "_recurrence", planting)
+
+    @staticmethod
+    def pair_at_distance(g, d):
+        """The first stored pair (x, y) of the table with l(y) - l(x) = d."""
+        store = KLStore(g)
+        store.build_all()
+        return next((x, y) for x, y, _ in store.iter_pairs() if g.lengths[y] - g.lengths[x] == d)
+
+    @pytest.mark.parametrize("bad", [1 << 63, -(1 << 63) - 1, 1 + (1 << 63 << W)])
+    def test_value_outside_64_bits_raises(self, monkeypatch, bad):
+        g = group_from_name("B3")
+        target = self.pair_at_distance(g, 3)
+        self.planted(monkeypatch, target, bad)
+        with pytest.raises(CoefficientOverflowError):
+            KLStore(g).build_all()
+
+    def test_value_at_64_bit_edge_is_stored(self, monkeypatch):
+        g = group_from_name("B3")
+        target = self.pair_at_distance(g, 3)
+        edge = (1 << 63) - 1 + ((1 << 63) - 1 << W)  # (2^63 - 1)(1 + q)
+        self.planted(monkeypatch, target, edge)
+        store = KLStore(g)
+        assert store.kl_polynomial(*target) == QPoly([(1 << 63) - 1] * 2)
+        assert store.mu(*target) == (1 << 63) - 1
+
+    def test_degree_bound_fires(self, monkeypatch):
+        g = group_from_name("B3")
+        target = self.pair_at_distance(g, 3)
+        self.planted(monkeypatch, target, 1 + (1 << 2 * W))  # 1 + q^2, degree 2 > 1
+        with pytest.raises(AssertionError, match="degree bound"):
+            KLStore(g).build_all()
+
+    def test_negative_pairs_and_mu_positivity_fire(self, monkeypatch):
+        g = group_from_name("B3")
+        target = self.pair_at_distance(g, 3)
+        self.planted(monkeypatch, target, 1 - (1 << W))  # 1 - q
+        store = KLStore(g)
+        store.build_all()
+        assert store.negative_pairs == [target]
+        assert store.kl_polynomial(*target) == QPoly([1, -1])
+        assert store.mu(*target) == -1
+        with pytest.raises(ValueError, match="positivity"):
+            build_wgraph(store)
+
+    def test_carry_guard(self):
+        limit = 1 << W - 65
+        check_mu_carry([])
+        check_mu_carry([limit - 3])
+        check_mu_carry([1, -(limit // 2 - 3), limit // 2 - 1])
+        for mus in ([limit - 2], [-(limit - 2)], [limit // 2, -(limit // 2)]):
+            with pytest.raises(CoefficientOverflowError):
+                check_mu_carry(mus)

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from klbasis.ring import (
+    _I64,
+    W,
     CoefficientOverflowError,
     LaurentPoly,
     MixedParityError,
@@ -10,6 +12,7 @@ from klbasis.ring import (
     SymLaurentPoly,
     bar,
     is_unimodal,
+    _biased,
     qpoly_from_sym,
     sym_from_laurent,
 )
@@ -189,3 +192,27 @@ class TestQPoly:
     def test_str(self):
         assert str(QPoly((1, 2, 0, 1))) == "1 + 2q + q^3"
         assert str(QPoly((0, 1))) == "q"
+
+
+def packed(coeffs):
+    """sum of c_k 2^(W k): the packed form the slot reader reads."""
+    return sum(c << W * k for k, c in enumerate(coeffs))
+
+
+i64s = st.one_of(
+    st.integers(-_I64, _I64 - 1), st.sampled_from([-_I64, -_I64 + 1, -1, 0, 1, _I64 - 1])
+)
+
+
+class TestPackedCodec:
+    @given(st.lists(i64s, max_size=8))
+    def test_round_trip_full_64_bit_range(self, coeffs):
+        # _biased reads c_k + 2^63 from exponent 0 up to the degree
+        assert QPoly([c - _I64 for c in _biased(packed(coeffs))]) == QPoly(coeffs)
+
+    @given(st.lists(i64s, max_size=6), st.integers(0, 6), st.sampled_from([_I64, -_I64 - 1]))
+    def test_slot_outside_64_bits_raises(self, coeffs, k, bad):
+        coeffs = coeffs + [0] * (k + 1 - len(coeffs))
+        coeffs[k] = bad
+        with pytest.raises(CoefficientOverflowError):
+            _biased(packed(coeffs))
