@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .coxeter import GroupTable
-from .hecke import HColumn, column
+from .hecke import DESCENT_STRATEGIES, HColumn, column
 from .klbase import KLStore, WGraph
 from .ring import LaurentPoly, QPoly, is_unimodal, qpoly_from_sym
 
@@ -120,6 +120,8 @@ def column_summary(col: HColumn, with_unimodality: bool = True) -> dict:
 
 
 def _locate_handles(col: HColumn, handles: list[int]) -> list[tuple[int, int, str]]:
+    """The entries (x, z, h_{x,y,z}) holding one of the handles, sorted by
+    (x, z): row order depends on the descent strategy, the report must not."""
     if not handles:
         return []
     wanted = set(handles)
@@ -128,13 +130,14 @@ def _locate_handles(col: HColumn, handles: list[int]) -> list[tuple[int, int, st
         for z, h in row.items():
             if h in wanted:
                 out.append((x, z, str(col.store.poly(h))))
+    out.sort()
     return out
 
 
 def check_p3(
     wg: WGraph,
     y_range: Iterable[int] | None = None,
-    strategy: str = "first",
+    strategy: str = "fewest",
     progress: Callable[[dict], None] | None = None,
     with_unimodality: bool = False,
 ) -> CheckReport:
@@ -215,22 +218,23 @@ def check_w0_identity(store: KLStore, wg: WGraph, enforce_unimodal: bool = False
 
 
 def check_strategy_invariance(wg: WGraph, ys: Sequence[int] | None = None) -> CheckReport:
-    """Identical h-tables from the first-descent and last-descent column
-    recursions."""
+    """Identical h-tables from the column recursion under every descent
+    strategy, each held to the first one (the default)."""
     g = wg.g
     report = CheckReport("strategy_invariance", g.name)
+    names = list(DESCENT_STRATEGIES)
     triples = 0
     for y in range(g.size) if ys is None else ys:
-        first = column(wg, y, "first")
-        last = column(wg, y, "last")
+        ref = column(wg, y, names[0])
+        others = [(name, column(wg, y, name)) for name in names[1:]]
         for x in range(g.size):
-            rf = first.row_polys(x)
-            rl = last.row_polys(x)
-            triples += len(rf)
-            if rf != rl:
-                report.record_failure(
-                    f"rows differ at x={x}, y={y}: first={rf}, last={rl}"
-                )
+            rr = ref.row_polys(x)
+            triples += len(rr)
+            for name, col in others:
+                ro = col.row_polys(x)
+                if ro != rr:
+                    report.record_failure(
+                        f"rows differ at x={x}, y={y}: {names[0]}={rr}, {name}={ro}"
+                    )
     report.counters.update(triples=triples)
     return report
-

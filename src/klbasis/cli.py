@@ -30,7 +30,7 @@ from .checks import (
 )
 from .coxeter import CoxeterMatrix, GroupTable, build_group, preset_matrix
 from .dihedral import format_triangle, triangle_table
-from .hecke import column, format_combo
+from .hecke import DESCENT_STRATEGIES, column, format_combo
 from .klbase import KLStore, WGraph, build_wgraph
 
 POSITIVITY_LOG = "positivity_log"
@@ -45,7 +45,7 @@ class RunConfig:
     matrix_file: str | None = None
     command: str = ""
     y_range: tuple[int, int] | None = None
-    strategy: str = "first"
+    strategy: str = "fewest"
     threads: int = 1
     outdir: str = "."
     resume: bool = False
@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--matrix", help="file with rank then upper-triangle labels")
     ap.add_argument("--range", type=_parse_range, default=None, metavar="LO:HI",
                     help="inclusive range of y ids for positivity")
-    ap.add_argument("--strategy", choices=("first", "last"), default="first")
+    ap.add_argument("--strategy", choices=tuple(DESCENT_STRATEGIES), default="fewest",
+                    help="left descent of each x that the column recursion uses")
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--resume", action="store_true",
                     help="skip y values already in positivity_log")

@@ -7,22 +7,28 @@ from its defining properties; it is the independent oracle against which
 the P-polynomial recursion is checked.  The column layer computes, for a
 fixed y, every product c_x * c_y by induction on l(x), storing the
 structure constants as handles into a deduplicating store of symmetric
-Laurent polynomials.  The store holds only finished row values and their
-images under multiplication by v + v^-1 and by the mu-values; the sums a
-row is built from stay outside it.  Every polynomial in a column is one
+Laurent polynomials.  The store holds only the structure constants
+themselves, the finished row values.  Every polynomial in a column is one
 packed int, its upper half evaluated at v = 2^W (Kronecker substitution,
 read back by the slot codec of ``ring``), so a sum of structure constants
-is one int addition.  Slots are wide enough that these sums cannot carry
-(``check_carry_bound``, once per column), and the store checks the signed
+is one int addition, and the images a row is built from, under
+multiplication by v + v^-1 (``bmul_packed``) and by the mu-values, are
+int arithmetic on stored values: summands, never stored.  Slots are wide
+enough that these sums cannot carry, each summand weighed by its factor
+(``check_carry_bound``, once per column).  The store checks the signed
 64-bit bound and the single degree parity of each value once, when it is
-interned.  Columns for distinct y are independent and share nothing
-mutable.
+interned, and holds every value to a bound that keeps each of its images
+in 64 bits too (``PolyStore.bound_images``).  The recursion follows only
+the W-graph's descent-filtered edges, and the descent of each x is fixed
+once per group (``DESCENT_STRATEGIES``; by default the cheapest, see
+``klbase.WGraph``).  Columns for distinct y are independent and share
+nothing mutable.
 """
 
 from __future__ import annotations
 
 from operator import ge
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .coxeter import GroupTable
 from .klbase import KLStore, WGraph
@@ -201,11 +207,25 @@ def pack(p: SymLaurentPoly) -> int:
     return u << W * (p.degree & 1)
 
 
-def check_carry_bound(size: int, max_mu_list: int) -> None:
+def bmul_packed(u: int) -> int:
+    """The packed image of a packed symmetric value under multiplication
+    by v + v^-1: slot e gets slots e - 1 and e + 1, and slot 0 the v^1
+    coefficient twice (once as the mirror of v^-1).  Each image slot is at
+    most twice the largest slot of u, so it cannot carry."""
+    up = (u >> W) + (u >> W - 1 & 1)  # undo the borrow of a negative slot 0
+    c1 = (up + _HALF & _SLOT) - _HALF
+    return (u << W) + up + c1
+
+
+def check_carry_bound(size: int, max_mu_sum: int) -> None:
     """Raise CoefficientOverflowError unless packed sums cannot carry in a
-    column: an entry sums at most size * (2 + max_mu_list) stored values."""
-    if size * (2 + max_mu_list) >= _CARRY_LIMIT:
-        raise CoefficientOverflowError(f"sums could carry: {size} rows, {max_mu_list} edges")
+    column, each summand weighed by its factor over a stored value: an
+    entry adds at most one term per row entry of sx, a bmul image (2), a
+    value (1) or a mu-image (|mu| <= max_mu_sum), and subtracts mu-images
+    of at most size rows, sum |mu| <= max_mu_sum each; size * (2 + 2 *
+    max_mu_sum) bounds both together."""
+    if size * (2 + 2 * max_mu_sum) >= _CARRY_LIMIT:
+        raise CoefficientOverflowError(f"sums could carry: {size} rows, mu sum {max_mu_sum}")
 
 
 class PolyStore:
@@ -214,13 +234,14 @@ class PolyStore:
     addition and is zero exactly when it cancels.
 
     Rows refer to values by integer handles, and ``column`` puts in only
-    what a row keeps: finished row values, and their images under ``bmul``
-    and ``scale``; the sums a row is built from stay loose ints.
+    the finished row values; the bmul and mu images a row is built from
+    are computed from them as loose ints and never stored.
     ``intern_packed`` reads each new value's slots once: it raises
     MixedParityError if its exponents mix parities and
-    CoefficientOverflowError if a coefficient leaves signed 64 bits, and
-    records the handle's parity and the figures a column scan reads
-    (``max_abs``, ``nonnegative``, ``unimodal``).
+    CoefficientOverflowError if a coefficient leaves signed 64 bits, or if
+    an image of the value could (``bound_images``), and records the
+    handle's parity and the figures a column scan reads (``max_abs``,
+    ``nonnegative``, ``unimodal``).
     """
 
     def __init__(self):
@@ -230,9 +251,21 @@ class PolyStore:
         self._max_abs: list[int] = []
         self._nonnegative: list[bool] = []
         self._unimodal: list[bool] = []
-        self._bmul: dict[int, int] = {}
-        self._scale: dict[int, dict[int, int]] = {}  # n -> {h: handle of n * value}
+        # every value has max_abs below this; 2^63 + 1 bounds nothing more
+        # than the signed 64 bits
+        self._image_limit = _I64 + 1
         self.one = self.intern(SymLaurentPoly.one())
+
+    def bound_images(self, factor: int) -> None:
+        """Hold every value, stored or to come, to max_abs * factor < 2^63,
+        so that its images under bmul (factor 2) and under scaling by any
+        |mu| <= factor stay in signed 64 bits.  Raises
+        CoefficientOverflowError if a stored value breaks the bound."""
+        limit = -(-_I64 // factor)  # max_abs * factor >= 2^63 iff max_abs >= limit
+        if limit < self._image_limit:
+            if max(self._max_abs) >= limit:
+                raise CoefficientOverflowError(f"a stored value times {factor} leaves 64 bits")
+            self._image_limit = limit
 
     def intern(self, p: SymLaurentPoly) -> int:
         return self.intern_packed(pack(p))
@@ -247,10 +280,15 @@ class PolyStore:
                 raise MixedParityError("packed polynomial of mixed parity")
             half = biased[parity::2]  # from the middle out, each plus 2^63
             hi, lo = max(half, default=_I64) - _I64, min(half, default=_I64) - _I64
+            max_abs = max(hi, -lo)
+            if max_abs >= self._image_limit:
+                raise CoefficientOverflowError(
+                    f"coefficient {max_abs} would leave 64 bits in an image"
+                )
             h = len(self._values)
             self._values.append(u)
             self._parity.append(parity)
-            self._max_abs.append(max(hi, -lo))
+            self._max_abs.append(max_abs)
             self._nonnegative.append(lo >= 0)
             # v^d p is unimodal in q iff its coefficients rise to the middle
             self._unimodal.append(all(map(ge, half, half[1:])))
@@ -260,34 +298,6 @@ class PolyStore:
     def poly(self, h: int) -> SymLaurentPoly:
         biased = _biased(self._values[h])
         return SymLaurentPoly(len(biased) - 1, [c - _I64 for c in biased[::-2]])
-
-    def bmul(self, h: int) -> int:
-        got = self._bmul.get(h)
-        if got is None:
-            # slot e gets slots e - 1 and e + 1, and slot 0 the v^1
-            # coefficient twice (once as the mirror of v^-1)
-            u = self._values[h]
-            up = (u >> W) + (u >> W - 1 & 1)  # undo the borrow of a negative slot 0
-            c1 = (up + _HALF & _SLOT) - _HALF
-            got = self._bmul[h] = self.intern_packed((u << W) + up + c1)
-        return got
-
-    def scaling(self, n: int) -> dict[int, int]:
-        """{h: handle of n times the value of h}, for the handles ``scale``
-        has scaled by n so far."""
-        got = self._scale.get(n)
-        if got is None:
-            if abs(n) >= _CARRY_LIMIT:
-                raise CoefficientOverflowError(f"scaling by {n} could carry")
-            got = self._scale[n] = {}
-        return got
-
-    def scale(self, h: int, n: int) -> int:
-        images = self.scaling(n)
-        got = images.get(h)
-        if got is None:
-            got = images[h] = self.intern_packed(self._values[h] * n)
-        return got
 
     def max_abs(self, h: int) -> int:
         return self._max_abs[h]
@@ -303,9 +313,13 @@ class PolyStore:
         return len(self._values)
 
 
-DESCENT_STRATEGIES: dict[str, Callable[[int], int]] = {
-    "first": lambda mask: (mask & -mask).bit_length() - 1,
-    "last": lambda mask: mask.bit_length() - 1,
+# strategy name -> the chosen left descent of each element (-1 for the
+# identity); every strategy gives the same rows, "first" and "last" are
+# kept as oracles for the default
+DESCENT_STRATEGIES: dict[str, Callable[[WGraph], Sequence[int]]] = {
+    "fewest": lambda wg: wg.cheapest_descent,
+    "first": lambda wg: [(mask & -mask).bit_length() - 1 for mask in wg.g.lmask],
+    "last": lambda wg: [mask.bit_length() - 1 for mask in wg.g.lmask],
 }
 
 
@@ -339,63 +353,67 @@ class HColumn:
 def column(
     wg: WGraph,
     y: int,
-    strategy: str = "first",
+    strategy: str = "fewest",
     store: PolyStore | None = None,
 ) -> HColumn:
     """All products c_x * c_y for x in the group, by induction on l(x).
 
     Row x is obtained from c_x = c_s c_{sx} - sum mu(z, sx) c_z with
-    s the chosen descent of x; every coefficient is kept in symmetric
-    form and checked against the parity l(x) + l(y) + l(z) mod 2.
+    s the descent of x that the strategy chooses; both sums follow only
+    the W-graph's descent-filtered edges.  Every coefficient is kept in
+    symmetric form and checked against the parity l(x) + l(y) + l(z)
+    mod 2.
     """
     g = wg.g
-    pick = DESCENT_STRATEGIES[strategy]
+    descent = DESCENT_STRATEGIES[strategy](wg)
     st = store if store is not None else PolyStore()
-    lmask, lmult, lengths, mu_lists = g.lmask, g.lmult, g.lengths, wg.mu_lists
-    check_carry_bound(g.size, max(map(len, mu_lists), default=0))
-    bmul, scale, intern = st.bmul, st.scale, st.intern_packed
-    values, parities = st._values, st._parity
+    max_mu, max_mu_sum = wg.mu_bounds
+    st.bound_images(max(2, max_mu))
+    check_carry_bound(g.size, max_mu_sum)
+    lmult, lengths, descent_edges = g.lmult, g.lengths, wg.descent_edges
+    intern, index, values, parities = st.intern_packed, st._index, st._values, st._parity
     rows: list[dict[int, int]] = [dict() for _ in range(g.size)]
     rows[0] = {y: st.one}
     ly = lengths[y]
     for x in range(1, g.size):
-        s = pick(lmask[x])
+        s = descent[x]
         sx = lmult[x][s]
+        edges = descent_edges[s]
         # z -> the packed sum so far; a sum that cancels is removed
         row: dict[int, int] = {}
         get = row.get
         # c_s * c_{sx}, as in c_mult_gen ...
         for z, h in rows[sx].items():
-            up = not lmask[z] >> s & 1
-            t = lmult[z][s] if up else z
-            u = values[h if up else bmul(h)]
+            t = lmult[z][s]
+            if t < z:  # s in L(z): (v + v^-1) c_z
+                if cur := get(z, 0) + bmul_packed(values[h]):
+                    row[z] = cur
+                else:
+                    del row[z]
+                continue
+            u = values[h]
             if cur := get(t, 0) + u:
                 row[t] = cur
             else:
                 del row[t]
-            if up:
-                for w, mu in mu_lists[z]:
-                    if lmask[w] >> s & 1:
-                        uw = u if mu == 1 else values[scale(h, mu)]
-                        if cur := get(w, 0) + uw:
-                            row[w] = cur
-                        else:
-                            del row[w]
+            for w, mu in edges[z]:
+                if cur := get(w, 0) + (u if mu == 1 else u * mu):
+                    row[w] = cur
+                else:
+                    del row[w]
         # ... minus mu(z, sx) c_z over the z below sx with s in L(z)
-        for z, mu in mu_lists[sx]:
-            if lmask[z] >> s & 1:
-                # one dict lookup per entry; scale only on a miss
-                images = st.scaling(-mu)
-                for w, h in rows[z].items():
-                    hs = images.get(h)
-                    u = values[scale(h, -mu) if hs is None else hs]
-                    if cur := get(w, 0) + u:
-                        row[w] = cur
-                    else:
-                        del row[w]
+        for z, mu in edges[sx]:
+            for w, h in rows[z].items():
+                if cur := get(w, 0) - (values[h] if mu == 1 else values[h] * mu):
+                    row[w] = cur
+                else:
+                    del row[w]
         parity = (lengths[x] + ly) & 1
         for z, u in row.items():
-            h = row[z] = intern(u)
+            h = index.get(u)
+            if h is None:
+                h = intern(u)
+            row[z] = h
             if parities[h] != parity ^ (lengths[z] & 1):
                 raise NotSymmetricError(
                     f"h({x},{y},{z}) = {st.poly(h)} violates the l(x)+l(y)+l(z) "

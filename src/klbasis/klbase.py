@@ -26,6 +26,7 @@ return ``QPoly``, decoded once per distinct value.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .coxeter import GroupTable
@@ -253,7 +254,23 @@ class KLStore:
 
 class WGraph:
     """Descent sets plus mu-labelled edges; the only data the structure
-    constant recursion consumes besides group multiplication."""
+    constant recursion consumes besides group multiplication.
+
+    ``mu_lists[y]`` holds the (z, mu(z, y)) with z < y.  The column
+    recursion reads them only through views derived once per graph, on
+    first use, so that loading a graph costs no more than its lists:
+
+    - ``descent_edges[s][z]``, for s not in L(z), the (w, mu) of
+      ``mu_lists[z]`` with s in L(w): the edges that both c_s c_z and the
+      subtraction in c_s c_{sx} = c_x + sum mu(z, sx) c_z follow (empty
+      for s in L(z), where neither reads it);
+    - ``cheapest_descent[x]``, the s in L(x) whose sx has the fewest such
+      edges, the lowest s on ties.  Any left descent of x gives the same
+      row (Kazhdan-Lusztig, Invent. Math. 53, 1979), so this choice, fixed
+      once per group, changes only the work;
+    - ``mu_bounds``, the largest |mu| and the largest sum of |mu| over one
+      list, which bound the images and the sums of a column.
+    """
 
     def __init__(self, g: GroupTable, mu_lists: tuple[tuple[tuple[int, int], ...], ...]):
         self.g = g
@@ -262,6 +279,34 @@ class WGraph:
     @property
     def size(self) -> int:
         return self.g.size
+
+    @cached_property
+    def descent_edges(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        lmask = self.g.lmask
+        return tuple(
+            tuple(
+                () if lmask[z] & bit else tuple([e for e in edges if lmask[e[0]] & bit])
+                for z, edges in enumerate(self.mu_lists)
+            )
+            for bit in (1 << s for s in range(self.g.rank))
+        )
+
+    @cached_property
+    def cheapest_descent(self) -> tuple[int, ...]:
+        g, edges = self.g, self.descent_edges
+        return (-1,) + tuple(
+            min(
+                (s for s in range(g.rank) if g.lmask[x] >> s & 1),
+                key=lambda s: len(edges[s][g.lmult[x][s]]),
+            )
+            for x in range(1, g.size)
+        )
+
+    @cached_property
+    def mu_bounds(self) -> tuple[int, int]:
+        """(largest |mu|, largest sum of |mu| over one mu list)."""
+        mus = [[abs(mu) for _, mu in edges] for edges in self.mu_lists]
+        return max(map(max, filter(None, mus)), default=0), max(map(sum, mus), default=0)
 
     def mu_in(self, y: int) -> tuple[tuple[int, int], ...]:
         """(z, mu(z, y)) pairs with z < y."""

@@ -14,8 +14,11 @@ here: a polynomial packed into one int, one W-bit slot per coefficient
 (``W``, ``_biased``).  ``klbase.KLStore`` holds each P_{x,y} packed and
 checks the bound when a distinct value is first stored;
 ``hecke.PolyStore.intern_packed`` does the same, with the single degree
-parity, for each structure constant (``hecke.pack``).  Sums in between
-cannot carry, which each caller checks once per column.
+parity, for each structure constant (``hecke.pack``), and the store holds
+only structure constants.  The images of a stored value under v + v^-1
+and the mu-values are summands, never stored: the store bounds each value
+so that they stay in 64 bits, and sums in between cannot carry, each
+summand weighed by its factor, which each caller checks once per column.
 
 The canonical textual form used throughout (output files, CLI, reprs)
 lists terms in ascending exponent, elides unit coefficients, and writes

@@ -152,8 +152,8 @@ def test_criterion_06_strategy_invariance(wgraphs):
     for name in ("H3", "I2(7)"):
         rep = check_strategy_invariance(wgraphs(name))
         assert rep.passed, rep.to_text()
-    report(6, "first- and last-descent sweeps produce identical h-tables "
-              "on H3 and I2(7)")
+    report(6, "fewest-, first- and last-descent sweeps produce identical "
+              "h-tables on H3 and I2(7)")
 
 
 def test_criterion_07_h_symmetry_h3(wgraphs):

@@ -12,9 +12,10 @@ from klbasis.checks import (
     check_w0_identity,
     column_summary,
 )
-from klbasis.hecke import column
+from klbasis.hecke import DESCENT_STRATEGIES, PolyStore, column
 from klbasis.klbase import KLStore
 from klbasis.ring import LaurentPoly, SymLaurentPoly, qpoly_from_sym
+from test_hecke import planted_wgraph
 
 
 class TestReport:
@@ -136,6 +137,72 @@ class TestStrategyInvariance:
         report = check_strategy_invariance(wgraphs("I2(7)"))
         assert report.passed
         assert report.counters["triples"] > 0
+
+    def test_every_strategy_is_held_to_the_default(self, wgraphs):
+        """A planted mu makes the rows depend on the descent, and the check
+        names each strategy that departs from the default."""
+        report = check_strategy_invariance(negated_edge(wgraphs("B3")))
+        assert not report.passed
+        text = " ".join(report.counterexamples)
+        assert "fewest=" in text and ("first=" in text or "last=" in text)
+
+
+def negated_edge(wg):
+    """wg with one mu negated, on the first edge (z, y) with L(z) not
+    inside L(y), which the column recursion reads."""
+    g = wg.g
+    z0, y0, _ = next(e for e in wg.edges() if g.lmask[e[0]] & ~g.lmask[e[1]])
+    return planted_wgraph(wg, lambda z, y, mu: -mu if (z, y) == (z0, y0) else mu)
+
+
+class FlaggingStore(PolyStore):
+    """A store whose scan figures call v + v^-1 negative and 2 not
+    unimodal: failures in every column of a real W-graph."""
+
+    FLAGGED = {SymLaurentPoly(1, (1,)): "negative", SymLaurentPoly(0, (2,)): "unimodal"}
+
+    def nonnegative(self, h):
+        return self.FLAGGED.get(self.poly(h)) != "negative"
+
+    def unimodal(self, h):
+        return self.FLAGGED.get(self.poly(h)) != "unimodal"
+
+
+class TestFailureLines:
+    def test_independent_of_the_descent(self, wgraphs):
+        """Every strategy reports the same failures, in (x, z) order,
+        though the strategies fill their rows in different orders."""
+        wg = wgraphs("H3")
+        orders_differ, flagged = False, 0
+        for y in range(1, wg.g.size, 7):
+            reports, orders = [], []
+            for strategy in DESCENT_STRATEGIES:
+                col = column(wg, y, strategy, store=FlaggingStore())
+                info = column_summary(col)
+                reports.append((info["bad_negative"], info["bad_unimodal"]))
+                orders.append([(x, z) for x, row in enumerate(col.rows) for z in row
+                               if col.store.poly(row[z]) in FlaggingStore.FLAGGED])
+            assert all(r == reports[0] for r in reports), y
+            for bad in reports[0]:
+                flagged += len(bad)
+                assert bad == sorted(bad)
+            orders_differ |= any(o != orders[0] for o in orders)
+        assert flagged and orders_differ
+
+    def test_sorted_under_a_planted_negative_mu(self, wgraphs):
+        """One negated mu in the H3 W-graph, built as in
+        test_rows_follow_the_recursion_for_any_mu: real negative values,
+        which then depend on the descent, each list in (x, z) order."""
+        base = wgraphs("H3")
+        wg = negated_edge(base)
+        found = 0
+        for strategy in DESCENT_STRATEGIES:
+            for y in range(0, base.size, 5):
+                info = column_summary(column(wg, y, strategy))
+                for bad in (info["bad_negative"], info["bad_unimodal"]):
+                    found += len(bad)
+                    assert bad == sorted(bad), (strategy, y)
+        assert found
 
 
 def test_transpose_sweep_same_global_max(wgraphs):

@@ -1,12 +1,15 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from klbasis.hecke import (
+    DESCENT_STRATEGIES,
     W,
     PolyStore,
     bar_h,
+    bmul_packed,
     c_in_t_basis,
     c_in_t_basis_oracle,
     c_mult_gen,
@@ -249,51 +252,42 @@ class TestColumns:
 
     @pytest.mark.parametrize("name", ["H3", "B3"])
     def test_store_holds_no_intermediates(self, wgraphs, name):
-        """The store holds row values, their bmul images and their +-mu
-        scalings, and nothing else: with a store per column, and with
-        one store shared by every column of the group."""
+        """The store holds row values and nothing else, no bmul or mu
+        images: with a store per column, and with one store shared by
+        every column of the group."""
         wg = wgraphs(name)
-        mus = {mu for _, _, mu in wg.edges()}
-
-        def orphans(store, values):
-            allowed = set(values)
-            for p in values:
-                allowed.add(p.bmul())
-                allowed.update(p.scaled(n * mu) for mu in mus for n in (1, -1))
-            return [store.poly(h) for h in range(len(store)) if store.poly(h) not in allowed]
-
         shared = PolyStore()
-        shared_values = set()
+        shared_handles = set()
         for y in range(wg.g.size):
             col = column(wg, y)
-            values = {col.store.poly(h) for h in col.distinct_handles()}
-            assert not orphans(col.store, values), y
+            assert col.distinct_handles() == set(range(len(col.store))), y
             col = column(wg, y, store=shared)
-            shared_values.update(col.store.poly(h) for h in col.distinct_handles())
-        assert not orphans(shared, shared_values)
+            shared_handles |= col.distinct_handles()
+        assert shared_handles == set(range(len(shared)))
 
     def test_rows_follow_the_recursion_for_any_mu(self, wgraphs):
         """Every row is c_s (row sx) - sum mu(z, sx) (row z), recomputed
-        on Laurent coefficients, over the H3 W-graph with each mu-value
-        multiplied by 1, 2 or 3, so that one column subtracts the same
-        row under several mu-values: each keeps its own scaled images."""
-        g = wgraphs("H3").g
-        wg = WGraph(g, tuple(
-            tuple((z, mu * (1 + (z + y) % 3)) for z, mu in wgraphs("H3").mu_in(y))
-            for y in range(g.size)
-        ))
-        for y in (7, 23, 57, 119):
-            col = column(wg, y)
+        on Laurent coefficients with the descent s each strategy chooses,
+        over the H3 W-graph with each mu-value multiplied by 1, 2 or 3, so
+        that one column subtracts the same row under several mu-values.
+        Such a graph is no W-graph, so the rows depend on the strategy."""
+        wg = planted_wgraph(wgraphs("H3"), lambda z, y, mu: mu * (1 + (z + y) % 3))
+        g = wg.g
+        for strategy, y in itertools.product(DESCENT_STRATEGIES, (7, 23, 57, 119)):
+            col = column(wg, y, strategy)
+            descent = DESCENT_STRATEGIES[strategy](wg)
             rows = {0: {y: ONE}}
             for x in range(1, g.size):
-                s = (g.lmask[x] & -g.lmask[x]).bit_length() - 1
+                s = descent[x]
+                assert g.lmask[x] >> s & 1
                 sx = g.lmult[x][s]
                 row = c_mult_gen(wg, s, rows[sx])
                 for z, mu in wg.mu_in(sx):
                     if g.lmask[z] >> s & 1:
                         combo_add_scaled(row, rows[z], LaurentPoly({0: -mu}))
                 rows[x] = row
-                assert {z: p.expand() for z, p in col.row_polys(x).items()} == row, (x, y)
+                assert {z: p.expand() for z, p in col.row_polys(x).items()} == row, (
+                    strategy, x, y)
 
     def test_strategy_invariance_small(self, wgraphs):
         wg = wgraphs("A2")
@@ -302,6 +296,40 @@ class TestColumns:
             b = column(wg, y, "last")
             for x in range(wg.g.size):
                 assert a.row_polys(x) == b.row_polys(x)
+
+    @pytest.mark.parametrize("name", ["H3", "B3", "A4", "D4", "I2(7)"])
+    def test_fewest_equals_first(self, wgraphs, name):
+        """The default descent gives the rows of the first-descent oracle,
+        row by row, in every column; one store for both, so equal values
+        are equal handles."""
+        wg = wgraphs(name)
+        store = PolyStore()
+        for y in range(wg.g.size):
+            fewest = column(wg, y, "fewest", store=store)
+            first = column(wg, y, "first", store=store)
+            assert fewest.rows == first.rows, y
+
+    def test_cheapest_descent(self, wgraphs):
+        """A left descent of each element with the fewest filtered
+        subtraction edges, the lowest on ties; the filtered lists are the
+        mu-list entries with s in L(w), for s not in L(z)."""
+        wg = wgraphs("H3")
+        g = wg.g
+        for s in range(g.rank):
+            for z in range(g.size):
+                want = () if g.lmask[z] >> s & 1 else tuple(
+                    (w, mu) for w, mu in wg.mu_in(z) if g.lmask[w] >> s & 1)
+                assert wg.descent_edges[s][z] == want
+        def cost(x, s):
+            return len(wg.descent_edges[s][g.lmult[x][s]])
+
+        for x in range(1, g.size):
+            s = wg.cheapest_descent[x]
+            descents = [t for t in range(g.rank) if g.lmask[x] >> t & 1]
+            assert s in descents
+            assert all((cost(x, s), s) <= (cost(x, t), t) for t in descents)
+        assert any(wg.cheapest_descent[x] != DESCENT_STRATEGIES["first"](wg)[x]
+                   for x in range(1, g.size))
 
 
 class TestPolyStore:
@@ -376,21 +404,21 @@ class TestPackedStore:
         assume(p)
         n = -mu if negate else mu
         store = PolyStore()
-        h = store.intern(p)
-        assert store.poly(store.scale(h, n)) == p.scaled(n)
-        assert store.poly(store.bmul(h)) == p.bmul()
-        assert store.poly(store.bmul(store.bmul(h))) == p.bmul().bmul()
+        u = store._values[store.intern(p)]
+        assert store.poly(store.intern_packed(u * n)) == p.scaled(n)
+        assert store.poly(store.intern_packed(bmul_packed(u))) == p.bmul()
+        assert store.poly(store.intern_packed(bmul_packed(bmul_packed(u)))) == p.bmul().bmul()
 
     @given(wide_sym_polys())
     def test_bmul_wide(self, p):
         store = PolyStore()
-        h = store.intern(p)
+        u = store._values[store.intern(p)]
         image = p.bmul()
         if -I64 <= min(image.half) and max(image.half) < I64:
-            assert store.poly(store.bmul(h)) == image
+            assert store.poly(store.intern_packed(bmul_packed(u))) == image
         else:
             with pytest.raises(CoefficientOverflowError):
-                store.bmul(h)
+                store.intern_packed(bmul_packed(u))
 
     def test_intern_rejects_mixed_parity(self):
         store = PolyStore()
@@ -409,12 +437,73 @@ class TestPackedStore:
         assert len(store) == 5  # one, and the four in range
 
     def test_carry_bound(self):
+        """Sums cannot carry while size * (2 + 2 * max_mu_sum) < 2^(W-65):
+        a bmul image weighs 2 stored values, a mu-image |mu|."""
+        limit = 1 << W - 65
         check_carry_bound(14400, 10_000)
-        check_carry_bound((1 << W - 65) // 3 - 1, 1)
-        for size, longest in (((1 << W - 65) // 3 + 1, 1), (1 << W - 65, 0), (2, 1 << W - 65)):
+        check_carry_bound(14400, 1745)  # H4
+        check_carry_bound(limit // 4 - 1, 1)
+        check_carry_bound(limit // 2 - 1, 0)
+        check_carry_bound(1, limit // 2 - 2)
+        for size, mu_sum in ((limit // 4, 1), (limit // 2, 0), (1, limit // 2 - 1),
+                             (2, limit), (limit, 0)):
             with pytest.raises(CoefficientOverflowError):
-                check_carry_bound(size, longest)
-        store = PolyStore()
+                check_carry_bound(size, mu_sum)
+        # exactly at the limit, and one step either side of it
+        size = limit // (2 + 2 * 1745)
+        check_carry_bound(size, 1745)
         with pytest.raises(CoefficientOverflowError):
-            store.scale(store.one, 1 << W - 65)
-        assert store.poly(store.scale(store.one, (1 << W - 65) - 1)).half == ((1 << W - 65) - 1,)
+            check_carry_bound(size + 1, 1745)
+        check_carry_bound(limit // 8 - 1, 3)
+        with pytest.raises(CoefficientOverflowError):
+            check_carry_bound(limit // 8, 3)  # 8 * limit / 8 == limit
+        # a scaled image past the guard would be read back wrongly, one
+        # below it exactly
+        store = PolyStore()
+        assert store.poly(store.intern_packed(store._values[store.one] * (limit - 1))).half == (
+            limit - 1,)
+
+    @pytest.mark.parametrize("factor", [2, 3, 21, 1745])
+    def test_image_bound(self, factor):
+        """Under bound_images(f) a value is interned only if max_abs * f is
+        below 2^63, so its bmul (f >= 2) and mu-images (|mu| <= f) fit in
+        64 bits; values already held are checked when the bound tightens."""
+        top = (I64 - 1) // factor  # top * factor < 2^63 <= (top + 1) * factor
+        for odd in (0, 1):
+            store = PolyStore()
+            store.bound_images(factor)
+            for c in (top, -top):
+                p = SymLaurentPoly(2 + odd, (1, c))  # v^(2+odd) + c v^odd + ...
+                h = store.intern(p)
+                images = [bmul_packed(store._values[h])] + [
+                    store._values[h] * n for n in (factor, -factor)]
+                plain = PolyStore()
+                for image in images:
+                    plain.intern_packed(image)  # in 64 bits
+                with pytest.raises(CoefficientOverflowError):
+                    store.intern(SymLaurentPoly(2 + odd, (1, c + (1 if c > 0 else -1))))
+        if factor == 2:
+            store = PolyStore()
+            store.bound_images(2)
+            store.intern(SymLaurentPoly(0, ((1 << 62) - 1,)))  # image 2^63 - 2
+            for c in (1 << 62, -(1 << 62)):  # images at 2^63
+                with pytest.raises(CoefficientOverflowError):
+                    store.intern(SymLaurentPoly(0, (c,)))
+        # tightening checks what is held, loosening is a no-op
+        store = PolyStore()
+        store.intern(SymLaurentPoly(0, (top + 1,)))
+        store.bound_images(1)
+        with pytest.raises(CoefficientOverflowError):
+            store.bound_images(factor)
+        store = PolyStore()
+        store.bound_images(factor)
+        store.bound_images(1)
+        with pytest.raises(CoefficientOverflowError):
+            store.intern(SymLaurentPoly(0, (top + 1,)))
+
+
+def planted_wgraph(base: WGraph, mu_of) -> WGraph:
+    """base with each mu(z, y) replaced by mu_of(z, y, mu)."""
+    return WGraph(base.g, tuple(
+        tuple((z, mu_of(z, y, mu)) for z, mu in base.mu_in(y)) for y in range(base.size)
+    ))
