@@ -20,9 +20,7 @@ from .coxeter import (
     InfiniteTypeError,
     RankTooLargeError,
     build_group,
-    bruhat_leq,
     group_from_name,
-    longest_element,
     preset_matrix,
 )
 from .klbase import KLStore, WGraph, build_wgraph, extremal_pairs

@@ -5,9 +5,12 @@ fixed y), positivity (structure-constant sweep with checkpointed progress
 log), cycltable / cprod (product tables), triangle (dihedral coefficient
 tables).  The positivity run appends ``y: maxcoeff = N`` lines (cumulative
 maximum) to positivity_log, per-column maxima to positivity_verbose_log,
-and failures to error_log, each column's failures before its log lines; a
-resumed run rebuilds the W-graph, skips the columns both logs carry, keeps
-only their failures and continues the cumulative maximum from the log.
+and failures to error_log, each column's failures before its log lines.
+A fresh run builds the W-graph from the P table and saves it as
+wgraph.npz in the output directory; a resumed run loads that file (and
+builds and saves the graph only when the file is missing, damaged or for
+another group), skips the columns both logs carry, keeps only their
+failures and continues the cumulative maximum from the log.
 With ``--store-budget`` each column's newly seen structure constants go to
 an append-only sidecar, h_polynomials_by_column, before its log lines, so
 a resumed run rebuilds the global list and writes the same h_polynomials
@@ -31,12 +34,13 @@ from .checks import (
 from .coxeter import CoxeterMatrix, GroupTable, build_group, preset_matrix
 from .dihedral import format_triangle, triangle_table
 from .hecke import DESCENT_STRATEGIES, column, format_combo
-from .klbase import KLStore, WGraph, build_wgraph
+from .klbase import KLStore, WGraph, build_wgraph, load_wgraph, save_wgraph
 
 POSITIVITY_LOG = "positivity_log"
 VERBOSE_LOG = "positivity_verbose_log"
 ERROR_LOG = "error_log"
 H_COLUMNS = "h_polynomials_by_column"
+WGRAPH_FILE = "wgraph.npz"
 
 
 @dataclass
@@ -214,8 +218,14 @@ def cmd_positivity(cfg: RunConfig) -> int:
         h_columns_path.write_text("")
 
     # the P table is needed only to extract the graph: drop it at once, so
-    # neither this process nor the pool workers hold it during the sweep
-    wg = build_wgraph(KLStore(g))  # the only recomputation a resume pays for
+    # neither this process nor the pool workers hold it during the sweep; a
+    # resume loads the graph a fresh run saved, and rebuilds it only when
+    # that file cannot be used
+    wgraph_path = _outpath(cfg, WGRAPH_FILE)
+    wg = load_wgraph(wgraph_path, g) if cfg.resume else None
+    if wg is None:
+        wg = build_wgraph(KLStore(g))
+        save_wgraph(wg, wgraph_path)
     todo = [y for y in ys if y not in done]
     failures = 0
 
@@ -285,22 +295,27 @@ def _run_pool(wg: WGraph, todo: list[int], cfg: RunConfig, handle) -> None:
     ascending y regardless of completion order, so logs are deterministic.
     Each worker receives the W-graph once, through its initializer (under
     the fork start method, by inheritance), whatever the start method.
-    When ``handle`` raises (a --store-budget abort, say), the columns not
-    yet started are cancelled rather than run to completion."""
+    At most ``4 * threads`` columns beyond the last one handled are
+    submitted, so the workers never run far ahead of the logs.  When
+    ``handle`` raises (a --store-budget abort, say), the columns not yet
+    started are cancelled rather than run to completion."""
+    window = 4 * cfg.threads
     pending: dict[int, dict] = {}
-    next_i = 0
+    futures: dict = {}
+    next_i = submitted = 0
     with ProcessPoolExecutor(
         max_workers=cfg.threads,
         initializer=_init_pool_worker,
         initargs=(wg, cfg.strategy, cfg.store_budget),
     ) as pool:
-        futures = {pool.submit(_pool_column, y): y for y in todo}
-        remaining = set(futures)
         try:
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+            while next_i < len(todo):
+                while submitted < min(len(todo), next_i + window):
+                    futures[pool.submit(_pool_column, todo[submitted])] = todo[submitted]
+                    submitted += 1
+                finished, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for fut in finished:
-                    pending[futures[fut]] = fut.result()
+                    pending[futures.pop(fut)] = fut.result()
                 while next_i < len(todo) and todo[next_i] in pending:
                     handle(pending.pop(todo[next_i]))
                     next_i += 1

@@ -492,19 +492,3 @@ def group_from_name(name: str, max_size: int = 1_000_000) -> GroupTable:
     matrix, canonical = preset_matrix(name)
     return build_group(matrix, canonical, max_size=max_size)
 
-
-def bruhat_leq(g: GroupTable, x: int, y: int) -> bool:
-    return g.bruhat_leq(x, y)
-
-
-def longest_element(g: GroupTable) -> int:
-    return g.w0
-
-
-def all_reduced_subwords(g: GroupTable, y: int) -> set[int]:
-    """Brute-force Bruhat lower interval via the subword definition,
-    scanning subsequences of one reduced word of y.  Test oracle only."""
-    reachable = {0}
-    for s in g.word(y):
-        reachable |= {g.rmult[x][s] for x in reachable}
-    return reachable

@@ -423,11 +423,6 @@ def column(
     return HColumn(g, y, rows, st)
 
 
-def ccombo_from_column_row(col: HColumn, x: int) -> CCombo:
-    """Row of the column as a KL-basis combination with Laurent values."""
-    return {z: col.store.poly(h).expand() for z, h in col.rows[x].items()}
-
-
 def format_combo(g: GroupTable, combo: Iterable[tuple[int, LaurentPoly | SymLaurentPoly]]) -> str:
     """Render 'z1 -> poly1; z2 -> poly2' with ids and ShortLex words."""
     parts = []

@@ -22,12 +22,21 @@ pair is still held to the degree bound and scanned for negative
 coefficients, through those figures.  Sums cannot carry between slots:
 each column checks its mu-values once (``check_mu_carry``).  Queries
 return ``QPoly``, decoded once per distinct value.
+
+The W-graph, all the column engine reads, persists as CSR arrays in an
+``.npz`` (``save_wgraph``, ``load_wgraph``), so a resumed sweep loads it
+instead of rebuilding the table.
 """
 
 from __future__ import annotations
 
+import os
+import zipfile
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .coxeter import GroupTable
 from .ring import _CARRY_LIMIT, _I64, W, CoefficientOverflowError, QPoly, _biased
@@ -322,15 +331,113 @@ class WGraph:
         return sum(len(t) for t in self.mu_lists)
 
 
+def _checked_wgraph(g: GroupTable, lists: tuple[tuple[tuple[int, int], ...], ...]) -> WGraph:
+    """The W-graph of these mu lists, once every mu is at least one."""
+    for y, edges in enumerate(lists):
+        for z, mu in edges:
+            if mu < 1:
+                raise ValueError(f"nonpositive mu({z},{y}) = {mu}: edge-level positivity fails")
+    return WGraph(g, lists)
+
+
 def build_wgraph(store: KLStore) -> WGraph:
     """Materialise the W-graph of the whole group from a KL store."""
     store.build_all()
-    lists = tuple(store.mu_list(y) for y in range(store.g.size))
-    for y in range(store.g.size):
-        for z, mu in lists[y]:
-            if mu < 1:
-                raise ValueError(f"nonpositive mu({z},{y}) = {mu}: edge-level positivity fails")
-    return WGraph(store.g, lists)
+    return _checked_wgraph(store.g, tuple(store.mu_list(y) for y in range(store.g.size)))
+
+
+# -- the W-graph on disk ------------------------------------------------------
+#
+# An .npz of CSR arrays: the edges into y are z[offsets[y]:offsets[y + 1]]
+# with mu[offsets[y]:offsets[y + 1]].  It also holds the format version,
+# the Coxeter matrix and a sha256 over all of these, so a file of another
+# group or version, or with damaged arrays, is never read as this graph.
+
+WGRAPH_VERSION = 1
+_WGRAPH_DTYPES = {
+    "version": np.int64,
+    "matrix": np.int64,
+    "offsets": np.int64,
+    "z": np.int32,
+    "mu": np.int64,
+}
+
+
+def _wgraph_digest(arrays: dict[str, np.ndarray]) -> str:
+    # imported here, not with the module: hashlib maps OpenSSL, about 4 MB
+    # of resident memory that only a save or a load needs
+    import hashlib
+
+    h = hashlib.sha256()
+    for key in _WGRAPH_DTYPES:
+        a = arrays[key]
+        h.update(f"{key} {a.dtype.str} {a.shape}\0".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def save_wgraph(wg: WGraph, path: str | os.PathLike) -> None:
+    """Write the W-graph to path atomically: a temporary file beside it,
+    then a rename, so a kill leaves either the whole file or none."""
+    lists = wg.mu_lists
+    count = wg.edge_count()
+    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum([len(edges) for edges in lists], out=offsets[1:])
+    arrays = {
+        "version": np.array(WGRAPH_VERSION, dtype=np.int64),
+        "matrix": np.array(wg.g.matrix.entries, dtype=np.int64),
+        "offsets": offsets,
+        "z": np.fromiter((z for edges in lists for z, _ in edges), np.int32, count),
+        "mu": np.fromiter((mu for edges in lists for _, mu in edges), np.int64, count),
+    }
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, sha256=np.array(_wgraph_digest(arrays)), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def load_wgraph(path: str | os.PathLike, g: GroupTable) -> WGraph | None:
+    """The W-graph of g saved at path, or None when the file is missing or
+    unreadable, or was written for another format version, Coxeter matrix
+    or size, or fails its hash.  The edges are held to mu >= 1 again, as
+    ``build_wgraph`` holds them."""
+    try:
+        # np.load leaves a path it opened open when the zip is damaged
+        with open(path, "rb") as fh, np.load(fh) as data:
+            arrays = {key: data[key] for key in _WGRAPH_DTYPES}
+            digest = str(data["sha256"])
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if (
+        any(arrays[key].dtype != dtype for key, dtype in _WGRAPH_DTYPES.items())
+        or arrays["version"].shape != ()
+        or int(arrays["version"]) != WGRAPH_VERSION
+        or arrays["matrix"].tolist() != [list(row) for row in g.matrix.entries]
+        or arrays["offsets"].shape != (g.size + 1,)
+        or digest != _wgraph_digest(arrays)
+    ):
+        return None
+    offsets, z, mu = arrays["offsets"], arrays["z"], arrays["mu"]
+    sizes = np.diff(offsets)
+    if (
+        offsets[0] != 0
+        or (sizes < 0).any()
+        or z.shape != mu.shape
+        or z.shape != (offsets[-1],)
+        or (z < 0).any()
+        or (z >= np.repeat(np.arange(g.size), sizes)).any()
+    ):
+        return None
+    edges = list(zip(z.tolist(), mu.tolist()))
+    bounds = offsets.tolist()
+    return _checked_wgraph(
+        g, tuple(tuple(edges[bounds[y]:bounds[y + 1]]) for y in range(g.size))
+    )
 
 
 class ExtremalPairs:

@@ -32,12 +32,13 @@ from klbasis.hecke import (
     c_in_t_basis,
     c_in_t_basis_oracle,
     c_to_t,
-    ccombo_from_column_row,
     column,
     tcombo_mult,
 )
 from klbasis.klbase import extremal_pairs
 from klbasis.ring import SymLaurentPoly
+
+from oracles import ccombo_from_column_row
 
 
 def report(n, text):

@@ -5,14 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import klbasis
-from klbasis import cli
+from klbasis import cli, klbase
 from klbasis.cli import main
 from klbasis.coxeter import group_from_name
 from klbasis.hecke import c_in_t_basis, c_to_t, tcombo_mult
-from klbasis.klbase import KLStore
+from klbasis.klbase import KLStore, load_wgraph
 from klbasis.ring import LaurentPoly
 
 
@@ -144,6 +145,21 @@ class TestPositivity:
         assert proc.returncode == 0, proc.stderr
         for name in ("positivity_log", "positivity_verbose_log", "error_log"):
             assert (serial / name).read_bytes() == (pool / name).read_bytes(), name
+
+    def test_pool_window(self, tmp_path, monkeypatch):
+        """The pool runs at most 4 * threads columns beyond the last one
+        logged: each is submitted only once the log is that close."""
+        ahead = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def submit(self, fn, y):
+                ahead.append(y - len(cli._complete_lines(tmp_path / cli.POSITIVITY_LOG)))
+                return super().submit(fn, y)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        assert run(["positivity", "--group", "B3", "--threads", "2"], tmp_path) == 0
+        assert len(ahead) == 48
+        assert max(ahead) == 4 * 2 - 1
 
     def test_resume_after_partial_log(self, tmp_path):
         full = tmp_path / "full"
@@ -339,6 +355,151 @@ class TestStoreBudget:
         assert main([*sweep, "--outdir", str(cut), "--threads", "2", "--resume"]) == 0
         for name in LOGS:
             assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+class TestWGraphFile:
+    """A fresh sweep saves its W-graph as wgraph.npz; a resume loads it, and
+    rebuilds and saves it only when the file cannot be used."""
+
+    SWEEP = ["positivity", "--group", "B3"]
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("reference")
+        assert main([*self.SWEEP, "--outdir", str(out)]) == 0
+        return out
+
+    def cut(self, tmp_path):
+        """Logs and W-graph file of a sweep of columns 0..20 only."""
+        cut = tmp_path / "cut"
+        assert main([*self.SWEEP, "--range", "0:20", "--outdir", str(cut)]) == 0
+        return cut
+
+    @staticmethod
+    def assert_logs(got, want):
+        for name in LOGS:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    @staticmethod
+    def counting_store(monkeypatch):
+        built = []
+
+        def store(g):
+            built.append(g.name)
+            return KLStore(g)
+
+        monkeypatch.setattr(cli, "KLStore", store)
+        return built
+
+    def test_fresh_run_saves_the_built_graph(self, reference, wgraphs):
+        wg = load_wgraph(reference / cli.WGRAPH_FILE, wgraphs("B3").g)
+        assert wg.mu_lists == wgraphs("B3").mu_lists
+
+    def test_fresh_run_builds_even_with_a_file(self, tmp_path, monkeypatch):
+        cut = self.cut(tmp_path)
+        built = self.counting_store(monkeypatch)
+        assert main([*self.SWEEP, "--range", "0:20", "--outdir", str(cut)]) == 0
+        assert built == ["B3"]
+
+    def test_resume_never_builds_the_p_table(self, tmp_path, reference, monkeypatch):
+        cut = self.cut(tmp_path)
+
+        def no_store(g):
+            raise AssertionError("a resume from a valid wgraph.npz built the P table")
+
+        monkeypatch.setattr(cli, "KLStore", no_store)
+        assert main([*self.SWEEP, "--outdir", str(cut), "--resume"]) == 0
+        self.assert_logs(cut, reference)
+
+    @staticmethod
+    def damage(path, how):
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        if how == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            return
+        if how == "missing array":
+            del arrays["offsets"]
+        elif how == "flipped byte in z":
+            arrays["z"] = arrays["z"].copy()
+            arrays["z"].view(np.uint8)[5] ^= 1
+        else:
+            if how == "wrong matrix":
+                arrays["matrix"] = np.array(group_from_name("A3").matrix.entries)
+            else:
+                arrays["version"] = arrays["version"] + 1
+            arrays["sha256"] = np.array(klbase._wgraph_digest(arrays))
+        np.savez(path, **arrays)
+
+    @pytest.mark.parametrize(
+        "how", ["wrong matrix", "wrong version", "flipped byte in z", "truncated", "missing array"]
+    )
+    def test_damaged_file_is_rebuilt(self, tmp_path, reference, monkeypatch, how):
+        cut = self.cut(tmp_path)
+        path = cut / cli.WGRAPH_FILE
+        self.damage(path, how)
+        g = group_from_name("B3")
+        assert load_wgraph(path, g) is None
+        built = self.counting_store(monkeypatch)
+        assert main([*self.SWEEP, "--outdir", str(cut), "--resume"]) == 0
+        assert built == ["B3"]
+        self.assert_logs(cut, reference)
+        assert path.read_bytes() == (reference / cli.WGRAPH_FILE).read_bytes()
+
+    def test_resume_without_a_file_builds_and_saves_it(self, tmp_path, reference, monkeypatch):
+        cut = self.cut(tmp_path)
+        (cut / cli.WGRAPH_FILE).unlink()
+        built = self.counting_store(monkeypatch)
+        assert main([*self.SWEEP, "--outdir", str(cut), "--resume"]) == 0
+        assert built == ["B3"]
+        self.assert_logs(cut, reference)
+        assert load_wgraph(cut / cli.WGRAPH_FILE, group_from_name("B3")) is not None
+
+    def test_kill_during_write(self, tmp_path, reference, monkeypatch):
+        """Killed while the file is written, a fresh run leaves no file at
+        the final path, and a resume builds it and completes the sweep."""
+        cut = tmp_path / "cut"
+        replace = klbase.os.replace
+
+        def killed(src, dst):
+            raise SimulatedKill
+
+        monkeypatch.setattr(klbase.os, "replace", killed)
+        with pytest.raises(SimulatedKill):
+            main([*self.SWEEP, "--range", "0:20", "--outdir", str(cut)])
+        monkeypatch.setattr(klbase.os, "replace", replace)
+        assert not (cut / cli.WGRAPH_FILE).exists()
+        assert not list(cut.glob("wgraph*"))
+        # a kill that skips the clean-up leaves the temporary file behind
+        (cut / (cli.WGRAPH_FILE + ".tmp")).write_bytes(b"PK\x03\x04torn")
+        assert main([*self.SWEEP, "--outdir", str(cut), "--resume"]) == 0
+        self.assert_logs(cut, reference)
+        assert sorted(p.name for p in cut.glob("wgraph*")) == [cli.WGRAPH_FILE]
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_resume_threads_any_start_method(self, tmp_path, reference, method):
+        """--resume --threads 2 from a saved file gives the serial logs
+        under every start method, and builds no P table."""
+        cut = self.cut(tmp_path)
+        env = dict(os.environ)
+        src = str(Path(klbasis.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "from klbasis import cli\n"
+            "def no_store(g):\n"
+            "    raise AssertionError('the resume built the P table')\n"
+            "cli.KLStore = no_store\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, method, *self.SWEEP, "--threads", "2",
+             "--outdir", str(cut), "--resume"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        self.assert_logs(cut, reference)
 
 
 class TestProductCommands:

@@ -14,7 +14,6 @@ from klbasis.hecke import (
     c_in_t_basis_oracle,
     c_mult_gen,
     c_to_t,
-    ccombo_from_column_row,
     check_carry_bound,
     column,
     combo_add_scaled,
@@ -23,6 +22,8 @@ from klbasis.hecke import (
     t_mult_gen,
     tcombo_mult,
 )
+
+from oracles import ccombo_from_column_row
 from klbasis.ring import (
     CoefficientOverflowError,
     LaurentPoly,

@@ -1,10 +1,22 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from klbasis.coxeter import all_reduced_subwords, group_from_name
-from klbasis.klbase import KLStore, build_wgraph, check_mu_carry, extremal_pairs
+from klbasis.coxeter import group_from_name
+from klbasis import klbase
+from klbasis.klbase import (
+    KLStore,
+    WGraph,
+    build_wgraph,
+    check_mu_carry,
+    extremal_pairs,
+    load_wgraph,
+    save_wgraph,
+)
 from klbasis.ring import W, CoefficientOverflowError, QPoly
+
+from oracles import all_reduced_subwords
 
 ONE = QPoly.one()
 ZERO = QPoly.zero()
@@ -314,3 +326,175 @@ class TestPackedTable:
         for mus in ([limit - 2], [-(limit - 2)], [limit // 2, -(limit // 2)]):
             with pytest.raises(CoefficientOverflowError):
                 check_mu_carry(mus)
+
+
+SMALL_PRESETS = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "H3",
+    "I2(2)", "I2(5)", "I2(8)", "I2(13)",
+]
+
+
+def npz_arrays(path):
+    with np.load(path) as data:
+        return {key: data[key] for key in data.files}
+
+
+def rewrite(path, rehash=True, **changes):
+    """Rewrite the saved W-graph at path with some arrays changed; with
+    rehash, under a hash that matches them."""
+    arrays = npz_arrays(path)
+    arrays.update(changes)
+    if rehash:
+        arrays["sha256"] = np.array(klbase._wgraph_digest(arrays))
+    np.savez(path, **arrays)
+
+
+class TestSavedWGraph:
+    @pytest.mark.parametrize("name", SMALL_PRESETS)
+    def test_round_trip_equals_build(self, wgraphs, tmp_path, name):
+        built = wgraphs(name)
+        path = tmp_path / "wgraph.npz"
+        save_wgraph(built, path)
+        loaded = load_wgraph(path, built.g)
+        assert loaded is not None and loaded.g is built.g
+        assert loaded.mu_lists == built.mu_lists
+        assert list(loaded.edges()) == list(built.edges())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wgraph.npz"]
+
+    @pytest.fixture
+    def saved(self, wgraphs, tmp_path):
+        wg = wgraphs("B3")
+        path = tmp_path / "wgraph.npz"
+        save_wgraph(wg, path)
+        return wg, path
+
+    def test_missing_file(self, groups, tmp_path):
+        assert load_wgraph(tmp_path / "wgraph.npz", groups("B3")) is None
+
+    def test_wrong_group(self, saved, groups):
+        _, path = saved
+        for name in ("A3", "H3", "B4"):
+            assert load_wgraph(path, groups(name)) is None
+
+    def test_wrong_matrix(self, saved, groups):
+        """A file naming another matrix, under a matching hash, is refused
+        for the matrix alone."""
+        wg, path = saved
+        rewrite(path, matrix=np.array(groups("A3").matrix.entries, dtype=np.int64))
+        assert load_wgraph(path, wg.g) is None
+
+    def test_wrong_version(self, saved):
+        wg, path = saved
+        rewrite(path, version=np.array(klbase.WGRAPH_VERSION + 1, dtype=np.int64))
+        assert load_wgraph(path, wg.g) is None
+
+    def test_wrong_dtype(self, saved):
+        wg, path = saved
+        rewrite(path, z=npz_arrays(path)["z"].astype(np.int64))
+        assert load_wgraph(path, wg.g) is None
+
+    def test_rehashed_file_loads(self, saved):
+        wg, path = saved
+        rewrite(path)
+        assert load_wgraph(path, wg.g).mu_lists == wg.mu_lists
+
+    def test_flipped_byte_in_z_fails_the_hash(self, saved):
+        wg, path = saved
+        z = npz_arrays(path)["z"].copy()
+        z.view(np.uint8)[len(z) * 2] ^= 1
+        rewrite(path, rehash=False, z=z)
+        assert load_wgraph(path, wg.g) is None
+        rewrite(path)  # the same arrays under a matching hash still load
+        assert load_wgraph(path, wg.g) is not None
+
+    def test_flipped_byte_on_disk(self, saved):
+        wg, path = saved
+        data = bytearray(path.read_bytes())
+        z = npz_arrays(path)["z"].tobytes()
+        at = data.find(z) + len(z) // 2
+        assert data.count(z) == 1
+        data[at] ^= 1
+        path.write_bytes(bytes(data))
+        assert load_wgraph(path, wg.g) is None
+
+    @pytest.mark.parametrize("keep", ["nothing", "ten bytes", "half", "all but one byte"])
+    def test_truncated_file(self, saved, keep):
+        wg, path = saved
+        data = path.read_bytes()
+        cut = {"nothing": 0, "ten bytes": 10, "half": len(data) // 2}.get(keep, len(data) - 1)
+        path.write_bytes(data[:cut])
+        assert load_wgraph(path, wg.g) is None
+
+    @pytest.mark.parametrize("key", ["version", "matrix", "offsets", "z", "mu", "sha256"])
+    def test_missing_array(self, saved, key):
+        wg, path = saved
+        arrays = npz_arrays(path)
+        del arrays[key]
+        np.savez(path, **arrays)
+        assert load_wgraph(path, wg.g) is None
+
+    def test_not_a_csr_of_this_group(self, saved):
+        """Arrays under a matching hash that do not describe edges z < y of
+        this group are rejected too."""
+        wg, path = saved
+        a = npz_arrays(path)
+        n = wg.size
+        bad = [
+            {"offsets": a["offsets"][:-1]},
+            {"offsets": a["offsets"] + 1},
+            {"offsets": np.concatenate([a["offsets"][:-1], a["offsets"][-1:] - 1])},
+            {"z": a["z"][:-1], "mu": a["mu"][:-1]},
+            {"mu": a["mu"][:-1]},
+            {"z": np.where(np.arange(len(a["z"])) == 0, n, a["z"]).astype(np.int32)},
+            {"z": np.where(np.arange(len(a["z"])) == 0, -1, a["z"]).astype(np.int32)},
+        ]
+        # the first edge into the last y, moved to z = y
+        last = int(a["offsets"][-2])
+        z = a["z"].copy()
+        z[last] = n - 1
+        bad.append({"z": z})
+        for changes in bad:
+            rewrite(path, **{**a, **changes})
+            assert load_wgraph(path, wg.g) is None, changes
+        rewrite(path, **a)
+        assert load_wgraph(path, wg.g) is not None
+
+    def test_nonpositive_mu_fails_as_in_build(self, saved):
+        """A hash-valid file with a mu below one is refused by the check
+        build_wgraph makes, not read as a graph."""
+        wg, path = saved
+        mu = npz_arrays(path)["mu"].copy()
+        mu[3] = 0
+        rewrite(path, mu=mu)
+        with pytest.raises(ValueError, match="edge-level positivity"):
+            load_wgraph(path, wg.g)
+        # build_wgraph refuses the same edge with the same message
+        z, y, _ = list(wg.edges())[3]
+        lists = list(wg.mu_lists)
+        lists[y] = tuple((w, 0 if w == z else m) for w, m in lists[y])
+        with pytest.raises(ValueError, match=rf"nonpositive mu\({z},{y}\) = 0"):
+            klbase._checked_wgraph(wg.g, tuple(lists))
+
+    def test_kill_during_write_leaves_no_file(self, saved, monkeypatch):
+        wg, path = saved
+        path.unlink()
+        savez = np.savez
+
+        def torn(fh, **arrays):
+            savez(fh, **arrays)
+            fh.truncate(fh.tell() // 2)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(klbase.np, "savez", torn)
+        with pytest.raises(KeyboardInterrupt):
+            save_wgraph(wg, path)
+        assert list(path.parent.iterdir()) == []
+        monkeypatch.setattr(klbase.np, "savez", savez)
+        # an old file survives a torn rewrite whole
+        save_wgraph(wg, path)
+        before = path.read_bytes()
+        monkeypatch.setattr(klbase.np, "savez", torn)
+        with pytest.raises(KeyboardInterrupt):
+            save_wgraph(WGraph(wg.g, ((),) * wg.size), path)
+        assert path.read_bytes() == before
+        assert list(path.parent.iterdir()) == [path]
