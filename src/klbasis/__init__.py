@@ -43,7 +43,6 @@ from .checks import (
     check_p2,
     check_p3,
     check_strategy_invariance,
-    check_unimodal,
     check_w0_identity,
 )
 from .dihedral import (

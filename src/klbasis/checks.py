@@ -102,42 +102,49 @@ def column_summary(col: HColumn, with_unimodality: bool = True) -> dict:
     """Scan one column once: negativity, optional unimodality, max
     coefficient, entry and distinct-polynomial counts.
 
-    Distinct polynomials are scanned once each through the store's
-    per-handle figures, so repeated handles cost nothing."""
+    The column's store holds exactly its distinct values, so each is
+    scanned once, through the store's figures, however many entries
+    share it."""
     st = col.store
-    handles = col.distinct_handles()
-    max_coeff = max(map(st.max_abs, handles), default=0)
-    bad_neg = [h for h in handles if not st.nonnegative(h)]
-    bad_uni = [h for h in handles if not st.unimodal(h)] if with_unimodality else []
+    bad_neg = [u for u in st if not st.nonnegative(u)]
+    bad_uni = [u for u in st if not st.unimodal(u)] if with_unimodality else []
     return {
         "y": col.y,
-        "max_coeff": max_coeff,
+        "max_coeff": max(map(st.max_abs, st)),
         "entries": col.nonzero_entries(),
-        "distinct": len(handles),
-        "bad_negative": _locate_handles(col, bad_neg),
-        "bad_unimodal": _locate_handles(col, bad_uni),
+        "distinct": len(st),
+        "bad_negative": _locate(col, bad_neg),
+        "bad_unimodal": _locate(col, bad_uni),
     }
 
 
-def _locate_handles(col: HColumn, handles: list[int]) -> list[tuple[int, int, str]]:
-    """The entries (x, z, h_{x,y,z}) holding one of the handles, sorted by
+def _locate(col: HColumn, values: list[int]) -> list[tuple[int, int, str]]:
+    """The entries (x, z, h_{x,y,z}) holding one of the values, sorted by
     (x, z): row order depends on the descent strategy, the report must not."""
-    if not handles:
+    if not values:
         return []
-    wanted = set(handles)
+    wanted = set(values)
     out = []
     for x, row in enumerate(col.rows):
-        for z, h in row.items():
-            if h in wanted:
-                out.append((x, z, str(col.store.poly(h))))
+        for z, u in row.items():
+            if u in wanted:
+                out.append((x, z, str(col.store.poly(u))))
     out.sort()
     return out
+
+
+def failure_lines(info: dict) -> list[str]:
+    """The error lines of a scanned column (``column_summary``): its
+    negative entries, then its entries that are not unimodal."""
+    y = info["y"]
+    return [
+        f"h({x},{y},{z}) = {p} has a negative coefficient" for x, z, p in info["bad_negative"]
+    ] + [f"h({x},{y},{z}) = {p} is not unimodal" for x, z, p in info["bad_unimodal"]]
 
 
 def check_p3(
     wg: WGraph,
     y_range: Iterable[int] | None = None,
-    strategy: str = "fewest",
     progress: Callable[[dict], None] | None = None,
     with_unimodality: bool = False,
 ) -> CheckReport:
@@ -151,29 +158,16 @@ def check_p3(
     triples = 0
     columns = 0
     for y in ys:
-        col = column(wg, y, strategy)
-        info = column_summary(col, with_unimodality=with_unimodality)
+        info = column_summary(column(wg, y), with_unimodality=with_unimodality)
         columns += 1
         triples += info["entries"]
         max_coeff = max(max_coeff, info["max_coeff"])
-        for x, z, p in info["bad_negative"]:
-            report.record_failure(f"h({x},{y},{z}) = {p} has a negative coefficient")
-        for x, z, p in info["bad_unimodal"]:
-            report.record_failure(f"h({x},{y},{z}) = {p} is not unimodal")
+        for line in failure_lines(info):
+            report.record_failure(line)
         if progress is not None:
             info["cumulative_max"] = max_coeff
             progress(info)
     report.counters.update(columns=columns, triples=triples, max_coeff=max_coeff)
-    return report
-
-
-def check_unimodal(col: HColumn) -> CheckReport:
-    """v^d h_{x,y,z} is unimodal in q for every entry of the column."""
-    report = CheckReport("unimodal", col.g.name)
-    info = column_summary(col, with_unimodality=True)
-    for x, z, p in info["bad_unimodal"]:
-        report.record_failure(f"h({x},{col.y},{z}) = {p} is not unimodal")
-    report.counters.update(entries=info["entries"], distinct=info["distinct"])
     return report
 
 

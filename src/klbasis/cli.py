@@ -30,6 +30,7 @@ from .checks import (
     CheckReport,
     check_p2,
     column_summary,
+    failure_lines,
 )
 from .coxeter import CoxeterMatrix, GroupTable, build_group, preset_matrix
 from .dihedral import format_triangle, triangle_table
@@ -152,8 +153,7 @@ def _column_info(wg: WGraph, y: int, strategy: str, budget: int) -> dict:
     col = column(wg, y, strategy)
     info = column_summary(col, with_unimodality=True)
     if budget:
-        polys = {str(col.store.poly(h)) for h in col.distinct_handles()}
-        info["polys"] = sorted(polys)
+        info["polys"] = sorted(str(col.store.poly(u)) for u in col.store)
     return info
 
 
@@ -233,13 +233,7 @@ def cmd_positivity(cfg: RunConfig) -> int:
         nonlocal cum, failures
         y = info["y"]
         cum = max(cum, info["max_coeff"])
-        problems = [
-            f"h({x},{y},{z}) = {p} has a negative coefficient"
-            for x, z, p in info["bad_negative"]
-        ] + [
-            f"h({x},{y},{z}) = {p} is not unimodal"
-            for x, z, p in info["bad_unimodal"]
-        ]
+        problems = failure_lines(info)
         # the sidecar and error lines go first: a column is done only once
         # both logs carry its line, so a kill can never leave it done
         # without them

@@ -5,16 +5,17 @@ LaurentPoly maps) implements generator multiplication, the bar involution
 and the triangular bar-solve that reconstructs the Kazhdan-Lusztig basis
 from its defining properties; it is the independent oracle against which
 the P-polynomial recursion is checked.  The column layer computes, for a
-fixed y, every product c_x * c_y by induction on l(x), storing the
-structure constants as handles into a deduplicating store of symmetric
+fixed y, every product c_x * c_y by induction on l(x), with the
+structure constants interned in a deduplicating store of symmetric
 Laurent polynomials.  The store holds only the structure constants
 themselves, the finished row values.  Every polynomial in a column is one
 packed int, its upper half evaluated at v = 2^W (Kronecker substitution,
-read back by the slot codec of ``ring``), so a sum of structure constants
-is one int addition, and the images a row is built from, under
-multiplication by v + v^-1 (``bmul_packed``) and by the mu-values, are
-int arithmetic on stored values: summands, never stored.  Slots are wide
-enough that these sums cannot carry, each summand weighed by its factor
+read back by the slot codec of ``ring``), and the rows hold these ints,
+one shared object per value.  So a sum of structure constants is one int
+addition, and the images a row is built from, under multiplication by
+v + v^-1 (``bmul_packed``) and by the mu-values, are int arithmetic on
+stored values: summands, never stored.  Slots are wide enough that these
+sums cannot carry, each summand weighed by its factor
 (``check_carry_bound``, once per column).  The store checks the signed
 64-bit bound and the single degree parity of each value once, when it is
 interned, and holds every value to a bound that keeps each of its images
@@ -28,7 +29,7 @@ nothing mutable.
 from __future__ import annotations
 
 from operator import ge
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coxeter import GroupTable
 from .klbase import KLStore, WGraph
@@ -233,24 +234,22 @@ class PolyStore:
     as one packed int (``pack``), so that a sum of values is one int
     addition and is zero exactly when it cancels.
 
-    Rows refer to values by integer handles, and ``column`` puts in only
-    the finished row values; the bmul and mu images a row is built from
-    are computed from them as loose ints and never stored.
-    ``intern_packed`` reads each new value's slots once: it raises
-    MixedParityError if its exponents mix parities and
-    CoefficientOverflowError if a coefficient leaves signed 64 bits, or if
-    an image of the value could (``bound_images``), and records the
-    handle's parity and the figures a column scan reads (``max_abs``,
+    Rows hold the packed values themselves, each the one int object the
+    store keeps for it, and ``column`` puts in only the finished row
+    values; the bmul and mu images a row is built from are computed from
+    them as loose ints and never stored.  Iterating the store gives its
+    distinct values.  ``intern_packed`` reads each new value's slots
+    once: it raises MixedParityError if its exponents mix parities and
+    CoefficientOverflowError if a coefficient leaves signed 64 bits, or
+    if an image of the value could (``bound_images``), and records the
+    value's parity and the figures a column scan reads (``max_abs``,
     ``nonnegative``, ``unimodal``).
     """
 
     def __init__(self):
-        self._values: list[int] = []
-        self._index: dict[int, int] = {}
-        self._parity: list[int] = []  # degree parity per handle, for column's check
-        self._max_abs: list[int] = []
-        self._nonnegative: list[bool] = []
-        self._unimodal: list[bool] = []
+        # packed value -> (that int, degree parity, max_abs, nonnegative,
+        # unimodal); the first element is the one object all rows share
+        self._figures: dict[int, tuple[int, int, int, bool, bool]] = {}
         # every value has max_abs below this; 2^63 + 1 bounds nothing more
         # than the signed 64 bits
         self._image_limit = _I64 + 1
@@ -263,7 +262,7 @@ class PolyStore:
         CoefficientOverflowError if a stored value breaks the bound."""
         limit = -(-_I64 // factor)  # max_abs * factor >= 2^63 iff max_abs >= limit
         if limit < self._image_limit:
-            if max(self._max_abs) >= limit:
+            if max(map(self.max_abs, self)) >= limit:
                 raise CoefficientOverflowError(f"a stored value times {factor} leaves 64 bits")
             self._image_limit = limit
 
@@ -271,46 +270,47 @@ class PolyStore:
         return self.intern_packed(pack(p))
 
     def intern_packed(self, u: int) -> int:
-        h = self._index.get(u)
-        if h is None:
-            biased = _biased(u)
-            parity = len(biased) - 1 & 1
-            other = biased[parity ^ 1 :: 2]
-            if other.count(_I64) != len(other):
-                raise MixedParityError("packed polynomial of mixed parity")
-            half = biased[parity::2]  # from the middle out, each plus 2^63
-            hi, lo = max(half, default=_I64) - _I64, min(half, default=_I64) - _I64
-            max_abs = max(hi, -lo)
-            if max_abs >= self._image_limit:
-                raise CoefficientOverflowError(
-                    f"coefficient {max_abs} would leave 64 bits in an image"
-                )
-            h = len(self._values)
-            self._values.append(u)
-            self._parity.append(parity)
-            self._max_abs.append(max_abs)
-            self._nonnegative.append(lo >= 0)
-            # v^d p is unimodal in q iff its coefficients rise to the middle
-            self._unimodal.append(all(map(ge, half, half[1:])))
-            self._index[u] = h
-        return h
+        """The store's own int equal to u, interning u if it is new."""
+        return (self._figures.get(u) or self._add(u))[0]
 
-    def poly(self, h: int) -> SymLaurentPoly:
-        biased = _biased(self._values[h])
+    def _add(self, u: int) -> tuple[int, int, int, bool, bool]:
+        """Check a value not yet held, store it and return its figures."""
+        biased = _biased(u)
+        parity = len(biased) - 1 & 1
+        other = biased[parity ^ 1 :: 2]
+        if other.count(_I64) != len(other):
+            raise MixedParityError("packed polynomial of mixed parity")
+        half = biased[parity::2]  # from the middle out, each plus 2^63
+        hi, lo = max(half, default=_I64) - _I64, min(half, default=_I64) - _I64
+        max_abs = max(hi, -lo)
+        if max_abs >= self._image_limit:
+            raise CoefficientOverflowError(
+                f"coefficient {max_abs} would leave 64 bits in an image"
+            )
+        # v^d p is unimodal in q iff its coefficients rise to the middle
+        unimodal = all(map(ge, half, half[1:]))
+        got = self._figures[u] = (u, parity, max_abs, lo >= 0, unimodal)
+        return got
+
+    def poly(self, u: int) -> SymLaurentPoly:
+        biased = _biased(u)
         return SymLaurentPoly(len(biased) - 1, [c - _I64 for c in biased[::-2]])
 
-    def max_abs(self, h: int) -> int:
-        return self._max_abs[h]
+    def max_abs(self, u: int) -> int:
+        return self._figures[u][2]
 
-    def nonnegative(self, h: int) -> bool:
-        return self._nonnegative[h]
+    def nonnegative(self, u: int) -> bool:
+        return self._figures[u][3]
 
-    def unimodal(self, h: int) -> bool:
-        """v^d p is unimodal in q, p the polynomial of h and d its degree."""
-        return self._unimodal[h]
+    def unimodal(self, u: int) -> bool:
+        """v^d p is unimodal in q, p the polynomial of u and d its degree."""
+        return self._figures[u][4]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._figures)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._figures)
 
 
 # strategy name -> the chosen left descent of each element (-1 for the
@@ -324,8 +324,8 @@ DESCENT_STRATEGIES: dict[str, Callable[[WGraph], Sequence[int]]] = {
 
 
 class HColumn:
-    """For a fixed y, the table x -> (z -> h_{x,y,z}) with entries stored
-    as handles into a PolyStore."""
+    """For a fixed y, the table x -> (z -> h_{x,y,z}) with entries held as
+    packed values, each the one int object its PolyStore keeps for it."""
 
     def __init__(self, g: GroupTable, y: int, rows: list[dict[int, int]], store: PolyStore):
         self.g = g
@@ -337,41 +337,33 @@ class HColumn:
         return self.rows[x]
 
     def h_value(self, x: int, z: int) -> SymLaurentPoly:
-        h = self.rows[x].get(z)
-        return SymLaurentPoly.zero() if h is None else self.store.poly(h)
+        u = self.rows[x].get(z)
+        return SymLaurentPoly.zero() if u is None else self.store.poly(u)
 
     def row_polys(self, x: int) -> dict[int, SymLaurentPoly]:
-        return {z: self.store.poly(h) for z, h in self.rows[x].items()}
-
-    def distinct_handles(self) -> set[int]:
-        return set().union(*(row.values() for row in self.rows))
+        return {z: self.store.poly(u) for z, u in self.rows[x].items()}
 
     def nonzero_entries(self) -> int:
         return sum(len(row) for row in self.rows)
 
 
-def column(
-    wg: WGraph,
-    y: int,
-    strategy: str = "fewest",
-    store: PolyStore | None = None,
-) -> HColumn:
+def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
     """All products c_x * c_y for x in the group, by induction on l(x).
 
     Row x is obtained from c_x = c_s c_{sx} - sum mu(z, sx) c_z with
     s the descent of x that the strategy chooses; both sums follow only
     the W-graph's descent-filtered edges.  Every coefficient is kept in
     symmetric form and checked against the parity l(x) + l(y) + l(z)
-    mod 2.
+    mod 2.  The column's store holds exactly its distinct values.
     """
     g = wg.g
     descent = DESCENT_STRATEGIES[strategy](wg)
-    st = store if store is not None else PolyStore()
+    st = PolyStore()
     max_mu, max_mu_sum = wg.mu_bounds
     st.bound_images(max(2, max_mu))
     check_carry_bound(g.size, max_mu_sum)
     lmult, lengths, descent_edges = g.lmult, g.lengths, wg.descent_edges
-    intern, index, values, parities = st.intern_packed, st._index, st._values, st._parity
+    figures, add = st._figures.get, st._add
     rows: list[dict[int, int]] = [dict() for _ in range(g.size)]
     rows[0] = {y: st.one}
     ly = lengths[y]
@@ -383,15 +375,14 @@ def column(
         row: dict[int, int] = {}
         get = row.get
         # c_s * c_{sx}, as in c_mult_gen ...
-        for z, h in rows[sx].items():
+        for z, u in rows[sx].items():
             t = lmult[z][s]
             if t < z:  # s in L(z): (v + v^-1) c_z
-                if cur := get(z, 0) + bmul_packed(values[h]):
+                if cur := get(z, 0) + bmul_packed(u):
                     row[z] = cur
                 else:
                     del row[z]
                 continue
-            u = values[h]
             if cur := get(t, 0) + u:
                 row[t] = cur
             else:
@@ -403,20 +394,18 @@ def column(
                     del row[w]
         # ... minus mu(z, sx) c_z over the z below sx with s in L(z)
         for z, mu in edges[sx]:
-            for w, h in rows[z].items():
-                if cur := get(w, 0) - (values[h] if mu == 1 else values[h] * mu):
+            for w, u in rows[z].items():
+                if cur := get(w, 0) - (u if mu == 1 else u * mu):
                     row[w] = cur
                 else:
                     del row[w]
         parity = (lengths[x] + ly) & 1
         for z, u in row.items():
-            h = index.get(u)
-            if h is None:
-                h = intern(u)
-            row[z] = h
-            if parities[h] != parity ^ (lengths[z] & 1):
+            f = figures(u) or add(u)
+            row[z] = f[0]
+            if f[1] != parity ^ (lengths[z] & 1):
                 raise NotSymmetricError(
-                    f"h({x},{y},{z}) = {st.poly(h)} violates the l(x)+l(y)+l(z) "
+                    f"h({x},{y},{z}) = {st.poly(u)} violates the l(x)+l(y)+l(z) "
                     "parity; this indicates a recursion bug"
                 )
         rows[x] = row

@@ -54,6 +54,16 @@ def check_mu_carry(mus: Iterable[int]) -> None:
         raise CoefficientOverflowError(f"packed P sums could carry: {total} stored values")
 
 
+def _extremal_mask(g: GroupTable, y: int) -> int:
+    """Bitmask of the x <= y whose left and right descent sets contain
+    those of y: the extremal pairs of column y."""
+    return (
+        g.bruhat_mask(y)
+        & g.descent_superset_mask("left", g.lmask[y])
+        & g.descent_superset_mask("right", g.rmask[y])
+    )
+
+
 class KLStore:
     """Memoised table of Kazhdan-Lusztig polynomials over one group,
     packed and interned (see the module docstring)."""
@@ -138,11 +148,6 @@ class KLStore:
         if iy < y:
             return  # values live in the transposed column
         interval = g.bruhat_mask(y)
-        extremal = (
-            interval
-            & g.descent_superset_mask("left", g.lmask[y])
-            & g.descent_superset_mask("right", g.rmask[y])
-        )
         ly = g.lengths[y]
         out = [(int(x), 1) for x in g.mask_to_ids(interval & g.level_mask(ly - 1))]
         if y:
@@ -156,7 +161,7 @@ class KLStore:
             check_mu_carry(mu for _, mu, _, _, _ in mus)
             below = self._below(sy)
             values, table, inv, lengths, n = self._values, self._P, g.inv, g.lengths, g.size
-            for x in g.mask_to_ids(extremal):
+            for x in g.mask_to_ids(_extremal_mask(g, y)):
                 x = int(x)
                 if x == y:
                     continue
@@ -229,19 +234,15 @@ class KLStore:
     def mu_list(self, y: int) -> tuple[tuple[int, int], ...]:
         """All (z, mu(z, y)) with nonzero mu, sorted by z."""
         got = self._mu.get(y)
-        if got is not None:
-            return got
-        g = self.g
-        iy = g.inv[y]
-        if iy != y and iy in self._mu:
-            derived = tuple(sorted((g.inv[z], mu) for z, mu in self._mu[iy]))
-            self._mu[y] = derived
-            return derived
-        self.build_upto(g.lengths[y])
-        if y not in self._mu:  # y was skipped as non-canonical
-            derived = tuple(sorted((g.inv[z], mu) for z, mu in self._mu[iy]))
-            self._mu[y] = derived
-        return self._mu[y]
+        if got is None:
+            g = self.g
+            iy = g.inv[y]
+            if iy not in self._mu:
+                self.build_upto(g.lengths[y])
+            got = self._mu.get(y)
+            if got is None:  # y is not canonical: derive from the list of y^-1
+                got = self._mu[y] = tuple(sorted((g.inv[z], mu) for z, mu in self._mu[iy]))
+        return got
 
     def iter_pairs(self) -> Iterator[tuple[int, int, QPoly]]:
         """Stored canonical extremal pairs (x, y, P) with x < y."""
@@ -450,18 +451,10 @@ class ExtremalPairs:
         self.g = g
         self._count: int | None = None
 
-    def _column_mask(self, y: int) -> int:
-        g = self.g
-        return (
-            g.bruhat_mask(y)
-            & g.descent_superset_mask("left", g.lmask[y])
-            & g.descent_superset_mask("right", g.rmask[y])
-        )
-
     def count(self) -> int:
         if self._count is None:
             self._count = sum(
-                self._column_mask(y).bit_count()
+                _extremal_mask(self.g, y).bit_count()
                 for y in range(self.g.size)
                 if y <= self.g.inv[y]
             )
@@ -472,7 +465,7 @@ class ExtremalPairs:
         for y in range(g.size):
             if y > g.inv[y]:
                 continue
-            for x in g.mask_to_ids(self._column_mask(y)):
+            for x in g.mask_to_ids(_extremal_mask(g, y)):
                 yield int(x), y
 
 

@@ -159,9 +159,6 @@ class LaurentPoly:
     def degree(self) -> int | None:
         return max(self._c) if self._c else None
 
-    def valuation(self) -> int | None:
-        return min(self._c) if self._c else None
-
     def max_abs_coeff(self) -> int:
         return max((abs(a) for a in self._c.values()), default=0)
 
@@ -208,12 +205,6 @@ class LaurentPoly:
         out._c = {e: _check64(a * n, "scale") for e, a in self._c.items()}
         return out
 
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: a for e, a in self._c.items()}
-        return out
-
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^-1 (negate every exponent)."""
         out = LaurentPoly.__new__(LaurentPoly)
@@ -240,10 +231,6 @@ _L_ONE = LaurentPoly({0: 1})
 def bar(p: LaurentPoly) -> LaurentPoly:
     """Ring involution v -> v^-1."""
     return p.bar()
-
-
-def v_power(k: int) -> LaurentPoly:
-    return LaurentPoly({k: 1})
 
 
 class QPoly:
@@ -531,9 +518,6 @@ def _sym(degree: int, half: tuple[int, ...]) -> SymLaurentPoly:
 
 _S_ZERO = SymLaurentPoly(-1)
 _S_ONE = SymLaurentPoly(0, (1,))
-
-#: v + v^-1, the scalar that multiplies a KL generator against itself.
-SYM_BETA = SymLaurentPoly(1, (1,))
 
 
 def sym_from_laurent(p: LaurentPoly) -> SymLaurentPoly:

@@ -16,4 +16,4 @@ def all_reduced_subwords(g: GroupTable, y: int) -> set[int]:
 
 def ccombo_from_column_row(col: HColumn, x: int) -> CCombo:
     """Row of the column as a KL-basis combination with Laurent values."""
-    return {z: col.store.poly(h).expand() for z, h in col.rows[x].items()}
+    return {z: col.store.poly(u).expand() for z, u in col.rows[x].items()}

@@ -8,10 +8,11 @@ from klbasis.checks import (
     check_p2,
     check_p3,
     check_strategy_invariance,
-    check_unimodal,
     check_w0_identity,
     column_summary,
+    failure_lines,
 )
+from klbasis import hecke
 from klbasis.hecke import DESCENT_STRATEGIES, PolyStore, column
 from klbasis.klbase import KLStore
 from klbasis.ring import LaurentPoly, SymLaurentPoly, qpoly_from_sym
@@ -77,8 +78,8 @@ class TestP3:
         coeffs = set()
         for y in range(wg.g.size):
             col = column(wg, y)
-            for h in col.distinct_handles():
-                coeffs.update(c for c in col.store.poly(h).half if c)
+            for u in col.store:
+                coeffs.update(c for c in col.store.poly(u).half if c)
         assert coeffs == {1, 2}
 
     def test_progress_records(self, wgraphs):
@@ -93,7 +94,7 @@ class TestUnimodal:
     def test_column_pass(self, wgraphs):
         wg = wgraphs("I2(9)")
         y = wg.g.size - 1
-        report = check_unimodal(column(wg, y))
+        report = check_p3(wg, [y], with_unimodality=True)
         assert report.passed
 
     def test_symmetric_half_to_q_coefficients(self):
@@ -161,23 +162,24 @@ class FlaggingStore(PolyStore):
 
     FLAGGED = {SymLaurentPoly(1, (1,)): "negative", SymLaurentPoly(0, (2,)): "unimodal"}
 
-    def nonnegative(self, h):
-        return self.FLAGGED.get(self.poly(h)) != "negative"
+    def nonnegative(self, u):
+        return self.FLAGGED.get(self.poly(u)) != "negative"
 
-    def unimodal(self, h):
-        return self.FLAGGED.get(self.poly(h)) != "unimodal"
+    def unimodal(self, u):
+        return self.FLAGGED.get(self.poly(u)) != "unimodal"
 
 
 class TestFailureLines:
-    def test_independent_of_the_descent(self, wgraphs):
+    def test_independent_of_the_descent(self, wgraphs, monkeypatch):
         """Every strategy reports the same failures, in (x, z) order,
         though the strategies fill their rows in different orders."""
         wg = wgraphs("H3")
+        monkeypatch.setattr(hecke, "PolyStore", FlaggingStore)
         orders_differ, flagged = False, 0
         for y in range(1, wg.g.size, 7):
             reports, orders = [], []
             for strategy in DESCENT_STRATEGIES:
-                col = column(wg, y, strategy, store=FlaggingStore())
+                col = column(wg, y, strategy)
                 info = column_summary(col)
                 reports.append((info["bad_negative"], info["bad_unimodal"]))
                 orders.append([(x, z) for x, row in enumerate(col.rows) for z in row
@@ -188,6 +190,22 @@ class TestFailureLines:
                 assert bad == sorted(bad)
             orders_differ |= any(o != orders[0] for o in orders)
         assert flagged and orders_differ
+
+    def test_lines_of_check_p3(self, wgraphs, monkeypatch):
+        """check_p3 reports a column's failures as failure_lines gives
+        them, the sweep's error-log lines: each negative entry, then each
+        entry that is not unimodal."""
+        monkeypatch.setattr(hecke, "PolyStore", FlaggingStore)
+        wg = wgraphs("H3")
+        y = 4
+        info = column_summary(column(wg, y))
+        assert info["bad_negative"] and info["bad_unimodal"]
+        lines = failure_lines(info)
+        assert lines == [
+            f"h({x},{y},{z}) = {p} has a negative coefficient" for x, z, p in info["bad_negative"]
+        ] + [f"h({x},{y},{z}) = {p} is not unimodal" for x, z, p in info["bad_unimodal"]]
+        report = check_p3(wg, [y], with_unimodality=True)
+        assert report.counterexamples == lines[:20]
 
     def test_sorted_under_a_planted_negative_mu(self, wgraphs):
         """One negated mu in the H3 W-graph, built as in

@@ -28,6 +28,7 @@ from klbasis.ring import (
     CoefficientOverflowError,
     LaurentPoly,
     MixedParityError,
+    NotSymmetricError,
     SymLaurentPoly,
     is_unimodal,
     qpoly_from_sym,
@@ -241,30 +242,44 @@ class TestColumns:
 
     def test_store_dedup(self, wgraphs):
         wg = wgraphs("I2(6)")
-        store = PolyStore()
-        col = column(wg, wg.g.w0, store=store)
-        # handle equality iff polynomial equality
+        col = column(wg, wg.g.w0)
+        store = col.store
+        # value equality iff polynomial equality
         seen = {}
         for row in col.rows:
-            for h in row.values():
-                p = store.poly(h)
-                assert seen.setdefault(p, h) == h
-        assert len(col.distinct_handles()) <= len(store)
+            for u in row.values():
+                p = store.poly(u)
+                assert seen.setdefault(p, u) == u
+        assert len(set(seen.values())) <= len(store)
 
     @pytest.mark.parametrize("name", ["H3", "B3"])
     def test_store_holds_no_intermediates(self, wgraphs, name):
         """The store holds row values and nothing else, no bmul or mu
-        images: with a store per column, and with one store shared by
-        every column of the group."""
+        images, column by column and over every column of the group; and
+        every row entry is the one int object the store keeps for its
+        value."""
         wg = wgraphs(name)
-        shared = PolyStore()
-        shared_handles = set()
+        stored, held = set(), set()
         for y in range(wg.g.size):
             col = column(wg, y)
-            assert col.distinct_handles() == set(range(len(col.store))), y
-            col = column(wg, y, store=shared)
-            shared_handles |= col.distinct_handles()
-        assert shared_handles == set(range(len(shared)))
+            values = [u for row in col.rows for u in row.values()]
+            assert set(col.store) == set(values), y
+            assert all(col.store.intern_packed(u) is u for u in values), y
+            stored |= set(col.store)
+            held |= set(values)
+        assert stored == held
+
+    @pytest.mark.parametrize("name", ["H3", "B3"])
+    def test_h_symmetry_by_value(self, wgraphs, name):
+        """h(x,y,z) = h(y^-1,x^-1,z^-1) on every triple, as packed values
+        of two columns computed separately, each with its own store."""
+        wg = wgraphs(name)
+        g = wg.g
+        cols = [column(wg, y) for y in range(g.size)]
+        for y, col in enumerate(cols):
+            for x in range(g.size):
+                transposed = cols[g.inv[x]].rows[g.inv[y]]
+                assert {g.inv[z]: u for z, u in transposed.items()} == col.rows[x], (x, y)
 
     def test_rows_follow_the_recursion_for_any_mu(self, wgraphs):
         """Every row is c_s (row sx) - sum mu(z, sx) (row z), recomputed
@@ -301,14 +316,48 @@ class TestColumns:
     @pytest.mark.parametrize("name", ["H3", "B3", "A4", "D4", "I2(7)"])
     def test_fewest_equals_first(self, wgraphs, name):
         """The default descent gives the rows of the first-descent oracle,
-        row by row, in every column; one store for both, so equal values
-        are equal handles."""
+        row by row, in every column, as packed values."""
         wg = wgraphs(name)
-        store = PolyStore()
         for y in range(wg.g.size):
-            fewest = column(wg, y, "fewest", store=store)
-            first = column(wg, y, "first", store=store)
+            fewest = column(wg, y, "fewest")
+            first = column(wg, y, "first")
             assert fewest.rows == first.rows, y
+
+    def test_entry_parity_is_checked(self, wgraphs):
+        """A planted edge between lengths of equal parity carries a value of
+        the wrong degree parity into a row; where it lands alone, the
+        per-entry parity check rejects it."""
+        wg = wgraphs("A3")
+        g = wg.g
+        z0, y0 = next((z, y) for y in range(g.size) for z in range(y)
+                      if g.lengths[y] - g.lengths[z] == 2 and g.lmask[z] & ~g.lmask[y])
+        lists = list(wg.mu_lists)
+        lists[y0] = tuple(sorted(lists[y0] + ((z0, 1),)))
+        bad = WGraph(g, tuple(lists))
+        raised = []
+        for y in range(g.size):
+            try:
+                column(bad, y)
+            except (NotSymmetricError, MixedParityError) as e:
+                raised.append(type(e))
+        assert NotSymmetricError in raised
+
+    def test_column_guards_images_and_carries(self, wgraphs):
+        """With every mu times 2^20, the image bound rejects a value that
+        still fits in 64 bits but whose mu-images would not; with every mu
+        times 2^25, the carry guard refuses the graph before any row."""
+        base = wgraphs("A3")
+        wg = planted_wgraph(base, lambda z, y, mu: mu << 20)
+        rejected = []
+        for y in range(base.size):
+            try:
+                column(wg, y)
+            except CoefficientOverflowError as e:
+                rejected.append(str(e))
+        assert any(m.endswith("would leave 64 bits in an image") and int(m.split()[1]) < I64
+                   for m in rejected), rejected
+        with pytest.raises(CoefficientOverflowError, match="sums could carry"):
+            column(planted_wgraph(base, lambda z, y, mu: mu << 25), 0)
 
     def test_cheapest_descent(self, wgraphs):
         """A left descent of each element with the fewest filtered
@@ -365,11 +414,11 @@ class TestPolyStore:
         wg = wgraphs("H3")
         for y in range(wg.g.size):
             store = column(wg, y).store
-            for h in range(len(store)):
-                p = store.poly(h)
-                assert store.max_abs(h) == p.max_abs_coeff(), (y, h)
-                assert store.nonnegative(h) == (p.min_coeff() >= 0), (y, h)
-                assert store.unimodal(h) == is_unimodal(qpoly_from_sym(p)), (y, h)
+            for u in store:
+                p = store.poly(u)
+                assert store.max_abs(u) == p.max_abs_coeff(), (y, u)
+                assert store.nonnegative(u) == (p.min_coeff() >= 0), (y, u)
+                assert store.unimodal(u) == is_unimodal(qpoly_from_sym(p)), (y, u)
 
 
 I64 = 1 << 63
@@ -405,7 +454,7 @@ class TestPackedStore:
         assume(p)
         n = -mu if negate else mu
         store = PolyStore()
-        u = store._values[store.intern(p)]
+        u = store.intern(p)
         assert store.poly(store.intern_packed(u * n)) == p.scaled(n)
         assert store.poly(store.intern_packed(bmul_packed(u))) == p.bmul()
         assert store.poly(store.intern_packed(bmul_packed(bmul_packed(u)))) == p.bmul().bmul()
@@ -413,7 +462,7 @@ class TestPackedStore:
     @given(wide_sym_polys())
     def test_bmul_wide(self, p):
         store = PolyStore()
-        u = store._values[store.intern(p)]
+        u = store.intern(p)
         image = p.bmul()
         if -I64 <= min(image.half) and max(image.half) < I64:
             assert store.poly(store.intern_packed(bmul_packed(u))) == image
@@ -433,8 +482,7 @@ class TestPackedStore:
             with pytest.raises(CoefficientOverflowError):
                 store.intern_packed(u)
         for u in (I64 - 1, -I64, (I64 - 1) << 2 * W, -I64 << W):
-            h = store.intern_packed(u)
-            assert pack(store.poly(h)) == u
+            assert pack(store.poly(store.intern_packed(u))) == u
         assert len(store) == 5  # one, and the four in range
 
     def test_carry_bound(self):
@@ -461,7 +509,7 @@ class TestPackedStore:
         # a scaled image past the guard would be read back wrongly, one
         # below it exactly
         store = PolyStore()
-        assert store.poly(store.intern_packed(store._values[store.one] * (limit - 1))).half == (
+        assert store.poly(store.intern_packed(store.one * (limit - 1))).half == (
             limit - 1,)
 
     @pytest.mark.parametrize("factor", [2, 3, 21, 1745])
@@ -475,9 +523,8 @@ class TestPackedStore:
             store.bound_images(factor)
             for c in (top, -top):
                 p = SymLaurentPoly(2 + odd, (1, c))  # v^(2+odd) + c v^odd + ...
-                h = store.intern(p)
-                images = [bmul_packed(store._values[h])] + [
-                    store._values[h] * n for n in (factor, -factor)]
+                u = store.intern(p)
+                images = [bmul_packed(u)] + [u * n for n in (factor, -factor)]
                 plain = PolyStore()
                 for image in images:
                     plain.intern_packed(image)  # in 64 bits
