@@ -102,19 +102,17 @@ def column_summary(col: HColumn, with_unimodality: bool = True) -> dict:
     """Scan one column once: negativity, optional unimodality, max
     coefficient, entry and distinct-polynomial counts.
 
-    The column's store holds exactly its distinct values, so each is
-    scanned once, through the store's figures, however many entries
-    share it."""
+    The column's store holds exactly its distinct values and folds each
+    into its figures once, when it is interned, however many entries
+    share it; the scan reads those figures."""
     st = col.store
-    bad_neg = [u for u in st if not st.nonnegative(u)]
-    bad_uni = [u for u in st if not st.unimodal(u)] if with_unimodality else []
     return {
         "y": col.y,
-        "max_coeff": max(map(st.max_abs, st)),
+        "max_coeff": st.max_abs,
         "entries": col.nonzero_entries(),
         "distinct": len(st),
-        "bad_negative": _locate(col, bad_neg),
-        "bad_unimodal": _locate(col, bad_uni),
+        "bad_negative": _locate(col, st.negative),
+        "bad_unimodal": _locate(col, st.not_unimodal) if with_unimodality else [],
     }
 
 

@@ -22,12 +22,13 @@ interned, and holds every value to a bound that keeps each of its images
 in 64 bits too (``PolyStore.bound_images``).  The recursion follows only
 the W-graph's descent-filtered edges, and the descent of each x is fixed
 once per group (``DESCENT_STRATEGIES``; by default the cheapest, see
-``klbase.WGraph``).  Columns for distinct y are independent and share
+``klbase.DescentTables``).  Columns for distinct y are independent and share
 nothing mutable.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import ge
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -237,19 +238,26 @@ class PolyStore:
     Rows hold the packed values themselves, each the one int object the
     store keeps for it, and ``column`` puts in only the finished row
     values; the bmul and mu images a row is built from are computed from
-    them as loose ints and never stored.  Iterating the store gives its
-    distinct values.  ``intern_packed`` reads each new value's slots
-    once: it raises MixedParityError if its exponents mix parities and
-    CoefficientOverflowError if a coefficient leaves signed 64 bits, or
-    if an image of the value could (``bound_images``), and records the
-    value's parity and the figures a column scan reads (``max_abs``,
-    ``nonnegative``, ``unimodal``).
+    them as loose ints and never stored.  The store keeps one dict per
+    degree parity, each mapping a value to itself, so that looking a value
+    up under the parity its entry must have is the parity check.
+    Iterating the store gives its distinct values.  ``_add`` reads each
+    new value's slots once: it raises MixedParityError if its exponents mix
+    parities, CoefficientOverflowError if a coefficient leaves signed 64
+    bits, or if an image of the value could (``bound_images``), and
+    NotSymmetricError if it is not of the parity asked for; then it folds
+    the value into the figures a column scan reads: ``max_abs``, the
+    largest |coefficient| held, and the values held that have a negative
+    coefficient (``negative``) or are not unimodal (``not_unimodal``).
     """
 
     def __init__(self):
-        # packed value -> (that int, degree parity, max_abs, nonnegative,
-        # unimodal); the first element is the one object all rows share
-        self._figures: dict[int, tuple[int, int, int, bool, bool]] = {}
+        # degree parity -> {packed value: that int}; the int is the one
+        # object all rows share
+        self._values: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.max_abs = 0
+        self.negative: list[int] = []
+        self.not_unimodal: list[int] = []
         # every value has max_abs below this; 2^63 + 1 bounds nothing more
         # than the signed 64 bits
         self._image_limit = _I64 + 1
@@ -262,7 +270,7 @@ class PolyStore:
         CoefficientOverflowError if a stored value breaks the bound."""
         limit = -(-_I64 // factor)  # max_abs * factor >= 2^63 iff max_abs >= limit
         if limit < self._image_limit:
-            if max(map(self.max_abs, self)) >= limit:
+            if self.max_abs >= limit:
                 raise CoefficientOverflowError(f"a stored value times {factor} leaves 64 bits")
             self._image_limit = limit
 
@@ -271,53 +279,57 @@ class PolyStore:
 
     def intern_packed(self, u: int) -> int:
         """The store's own int equal to u, interning u if it is new."""
-        return (self._figures.get(u) or self._add(u))[0]
+        even, odd = self._values
+        return even.get(u) or odd.get(u) or self._add(u)
 
-    def _add(self, u: int) -> tuple[int, int, int, bool, bool]:
-        """Check a value not yet held, store it and return its figures."""
+    def _add(self, u: int, parity: int | None = None, triple: tuple[int, int, int] = ()) -> int:
+        """Check a value not held under ``parity`` (under either parity
+        when None), store it and return it.  A value of the other parity is
+        h(triple), an entry of a row that must have ``parity``."""
         biased = _biased(u)
-        parity = len(biased) - 1 & 1
-        other = biased[parity ^ 1 :: 2]
+        own = len(biased) - 1 & 1
+        other = biased[own ^ 1 :: 2]
         if other.count(_I64) != len(other):
             raise MixedParityError("packed polynomial of mixed parity")
-        half = biased[parity::2]  # from the middle out, each plus 2^63
+        half = biased[own::2]  # from the middle out, each plus 2^63
         hi, lo = max(half, default=_I64) - _I64, min(half, default=_I64) - _I64
         max_abs = max(hi, -lo)
         if max_abs >= self._image_limit:
             raise CoefficientOverflowError(
                 f"coefficient {max_abs} would leave 64 bits in an image"
             )
+        if parity is not None and parity != own:
+            x, y, z = triple
+            raise NotSymmetricError(
+                f"h({x},{y},{z}) = {self.poly(u)} violates the l(x)+l(y)+l(z) "
+                "parity; this indicates a recursion bug"
+            )
+        self._values[own][u] = u
+        if max_abs > self.max_abs:
+            self.max_abs = max_abs
+        if lo < 0:
+            self.negative.append(u)
         # v^d p is unimodal in q iff its coefficients rise to the middle
-        unimodal = all(map(ge, half, half[1:]))
-        got = self._figures[u] = (u, parity, max_abs, lo >= 0, unimodal)
-        return got
+        if not all(map(ge, half, half[1:])):
+            self.not_unimodal.append(u)
+        return u
 
     def poly(self, u: int) -> SymLaurentPoly:
         biased = _biased(u)
         return SymLaurentPoly(len(biased) - 1, [c - _I64 for c in biased[::-2]])
 
-    def max_abs(self, u: int) -> int:
-        return self._figures[u][2]
-
-    def nonnegative(self, u: int) -> bool:
-        return self._figures[u][3]
-
-    def unimodal(self, u: int) -> bool:
-        """v^d p is unimodal in q, p the polynomial of u and d its degree."""
-        return self._figures[u][4]
-
     def __iter__(self) -> Iterator[int]:
-        return iter(self._figures)
+        return chain(*self._values)
 
     def __len__(self) -> int:
-        return len(self._figures)
+        return sum(map(len, self._values))
 
 
 # strategy name -> the chosen left descent of each element (-1 for the
 # identity); every strategy gives the same rows, "first" and "last" are
 # kept as oracles for the default
 DESCENT_STRATEGIES: dict[str, Callable[[WGraph], Sequence[int]]] = {
-    "fewest": lambda wg: wg.cheapest_descent,
+    "fewest": lambda wg: wg.tables.cheapest,
     "first": lambda wg: [(mask & -mask).bit_length() - 1 for mask in wg.g.lmask],
     "last": lambda wg: [mask.bit_length() - 1 for mask in wg.g.lmask],
 }
@@ -352,25 +364,29 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
 
     Row x is obtained from c_x = c_s c_{sx} - sum mu(z, sx) c_z with
     s the descent of x that the strategy chooses; both sums follow only
-    the W-graph's descent-filtered edges.  Every coefficient is kept in
+    the W-graph's descent-filtered edges (``klbase.DescentTables``), those
+    of mu = 1 apart from the rest.  Every coefficient is kept in
     symmetric form and checked against the parity l(x) + l(y) + l(z)
     mod 2.  The column's store holds exactly its distinct values.
     """
     g = wg.g
+    tables = wg.tables
     descent = DESCENT_STRATEGIES[strategy](wg)
     st = PolyStore()
-    max_mu, max_mu_sum = wg.mu_bounds
-    st.bound_images(max(2, max_mu))
-    check_carry_bound(g.size, max_mu_sum)
-    lmult, lengths, descent_edges = g.lmult, g.lengths, wg.descent_edges
-    figures, add = st._figures.get, st._add
+    st.bound_images(max(2, tables.max_mu))
+    check_carry_bound(g.size, tables.max_mu_sum)
+    lmult, lengths = g.lmult, g.lengths
+    get_even, get_odd = (values.get for values in st._values)
+    # lookups[p][l(z) & 1]: where an entry at z of a row of parity p is held
+    lookups = ((get_even, get_odd), (get_odd, get_even))
+    odd_length, add = [length & 1 for length in lengths], st._add
     rows: list[dict[int, int]] = [dict() for _ in range(g.size)]
     rows[0] = {y: st.one}
     ly = lengths[y]
     for x in range(1, g.size):
         s = descent[x]
         sx = lmult[x][s]
-        edges = descent_edges[s]
+        ones, others = tables.ones[s], tables.others[s]
         # z -> the packed sum so far; a sum that cancels is removed
         row: dict[int, int] = {}
         get = row.get
@@ -387,27 +403,35 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
                 row[t] = cur
             else:
                 del row[t]
-            for w, mu in edges[z]:
-                if cur := get(w, 0) + (u if mu == 1 else u * mu):
+            for w in ones[z]:
+                if cur := get(w, 0) + u:
+                    row[w] = cur
+                else:
+                    del row[w]
+            for w, mu in others[z]:
+                if cur := get(w, 0) + u * mu:
                     row[w] = cur
                 else:
                     del row[w]
         # ... minus mu(z, sx) c_z over the z below sx with s in L(z)
-        for z, mu in edges[sx]:
+        for z in ones[sx]:
             for w, u in rows[z].items():
-                if cur := get(w, 0) - (u if mu == 1 else u * mu):
+                if cur := get(w, 0) - u:
                     row[w] = cur
                 else:
                     del row[w]
+        for z, mu in others[sx]:
+            for w, u in rows[z].items():
+                if cur := get(w, 0) - u * mu:
+                    row[w] = cur
+                else:
+                    del row[w]
+        # entry z must have degree parity l(x) + l(y) + l(z): look it up
+        # under that parity only
         parity = (lengths[x] + ly) & 1
+        lookup = lookups[parity]
         for z, u in row.items():
-            f = figures(u) or add(u)
-            row[z] = f[0]
-            if f[1] != parity ^ (lengths[z] & 1):
-                raise NotSymmetricError(
-                    f"h({x},{y},{z}) = {st.poly(u)} violates the l(x)+l(y)+l(z) "
-                    "parity; this indicates a recursion bug"
-                )
+            row[z] = lookup[odd_length[z]](u) or add(u, parity ^ odd_length[z], (x, y, z))
         rows[x] = row
     return HColumn(g, y, rows, st)
 

@@ -23,9 +23,10 @@ coefficients, through those figures.  Sums cannot carry between slots:
 each column checks its mu-values once (``check_mu_carry``).  Queries
 return ``QPoly``, decoded once per distinct value.
 
-The W-graph, all the column engine reads, persists as CSR arrays in an
-``.npz`` (``save_wgraph``, ``load_wgraph``), so a resumed sweep loads it
-instead of rebuilding the table.
+The W-graph, all the column engine reads, is held as CSR arrays, and
+persists as those arrays in an ``.npz`` (``save_wgraph``,
+``load_wgraph``), so a resumed sweep loads it instead of rebuilding the
+table.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from __future__ import annotations
 import os
 import zipfile
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -262,89 +264,160 @@ class KLStore:
         return sorted(seen, key=QPoly.sort_key)
 
 
+def _csr(lists: Sequence[Sequence[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, z, mu) of the mu lists, in one pass over the flattened pairs."""
+    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum([len(edges) for edges in lists], out=offsets[1:])
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(lists)), np.int64, 2 * int(offsets[-1])
+    )
+    return offsets, flat[0::2].astype(np.int32), flat[1::2].copy()
+
+
+class DescentTables(NamedTuple):
+    """The W-graph as the column recursion reads it, per generator s.
+
+    - ``ones[s][z]``, for s not in L(z), the w < z with s in L(w) and
+      mu(w, z) = 1; ``others[s][z]`` the (w, mu(w, z)) with s in L(w) and
+      any other mu (mu > 1 on a W-graph), rare.  Together they are the
+      edges that both c_s c_z and the subtraction in
+      c_s c_{sx} = c_x + sum mu(z, sx) c_z follow (both empty for s in
+      L(z), where neither reads them).  Each w is the one int object the
+      tables share for that element, so the tables hold no int of their
+      own per edge;
+    - ``cheapest[x]``, the s in L(x) whose sx has the fewest such edges,
+      the lowest s on ties (-1 for the identity).  Any left descent of x
+      gives the same row (Kazhdan-Lusztig, Invent. Math. 53, 1979), so
+      this choice, fixed once per group, changes only the work;
+    - ``max_mu`` and ``max_mu_sum``, the largest |mu| and the largest sum
+      of |mu| over the edges into one element, which bound the images and
+      the sums of a column.
+    """
+
+    ones: tuple[tuple[tuple[int, ...], ...], ...]
+    others: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    cheapest: tuple[int, ...]
+    max_mu: int
+    max_mu_sum: int
+
+
 class WGraph:
     """Descent sets plus mu-labelled edges; the only data the structure
     constant recursion consumes besides group multiplication.
 
-    ``mu_lists[y]`` holds the (z, mu(z, y)) with z < y.  The column
-    recursion reads them only through views derived once per graph, on
-    first use, so that loading a graph costs no more than its lists:
-
-    - ``descent_edges[s][z]``, for s not in L(z), the (w, mu) of
-      ``mu_lists[z]`` with s in L(w): the edges that both c_s c_z and the
-      subtraction in c_s c_{sx} = c_x + sum mu(z, sx) c_z follow (empty
-      for s in L(z), where neither reads it);
-    - ``cheapest_descent[x]``, the s in L(x) whose sx has the fewest such
-      edges, the lowest s on ties.  Any left descent of x gives the same
-      row (Kazhdan-Lusztig, Invent. Math. 53, 1979), so this choice, fixed
-      once per group, changes only the work;
-    - ``mu_bounds``, the largest |mu| and the largest sum of |mu| over one
-      list, which bound the images and the sums of a column.
+    The edges are CSR arrays: the (z, mu(z, y)) with z < y are
+    ``z[offsets[y]:offsets[y + 1]]`` and ``mu[offsets[y]:offsets[y + 1]]``
+    (``offsets`` int64, ``z`` int32, ``mu`` int64), as in the saved file.
+    ``mu_in``, ``edges`` and ``mu_lists`` build tuples from them on
+    demand.  The column recursion reads the edges only through
+    ``tables``, built once per graph on first use, so that loading a graph
+    costs no more than its arrays.
     """
 
-    def __init__(self, g: GroupTable, mu_lists: tuple[tuple[tuple[int, int], ...], ...]):
+    def __init__(self, g: GroupTable, mu_lists: Sequence[Sequence[tuple[int, int]]]):
+        """The graph whose edges into y are the pairs (z, mu) of
+        mu_lists[y], taken as they are, unchecked."""
         self.g = g
-        self.mu_lists = mu_lists
+        self.offsets, self.z, self.mu = _csr(mu_lists)
+
+    @classmethod
+    def from_arrays(
+        cls, g: GroupTable, offsets: np.ndarray, z: np.ndarray, mu: np.ndarray
+    ) -> WGraph:
+        """The graph of these CSR arrays, taken as they are, unchecked."""
+        wg = cls.__new__(cls)
+        wg.g, wg.offsets, wg.z, wg.mu = g, offsets, z, mu
+        return wg
+
+    def __getstate__(self) -> dict:
+        # the tables are rebuilt where they are read: pickle keeps no int
+        # shared, so a pickled copy would hold one int per table entry
+        return {key: value for key, value in self.__dict__.items() if key != "tables"}
 
     @property
     def size(self) -> int:
         return self.g.size
 
     @cached_property
-    def descent_edges(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        lmask = self.g.lmask
-        return tuple(
-            tuple(
-                () if lmask[z] & bit else tuple([e for e in edges if lmask[e[0]] & bit])
-                for z, edges in enumerate(self.mu_lists)
-            )
-            for bit in (1 << s for s in range(self.g.rank))
-        )
+    def tables(self) -> DescentTables:
+        g, offsets, z, mu = self.g, self.offsets, self.z, self.mu
+        n, rank = g.size, g.rank
+        ids = list(range(n))  # the one int object of each element
 
-    @cached_property
-    def cheapest_descent(self) -> tuple[int, ...]:
-        g, edges = self.g, self.descent_edges
-        return (-1,) + tuple(
-            min(
-                (s for s in range(g.rank) if g.lmask[x] >> s & 1),
-                key=lambda s: len(edges[s][g.lmult[x][s]]),
-            )
-            for x in range(1, g.size)
-        )
+        def per_head(sel: np.ndarray, items: list) -> tuple:
+            # the items of the selected edges, one tuple per y
+            b = np.concatenate(([0], np.cumsum(sel)))[offsets].tolist()
+            return tuple([tuple(items[b[y]:b[y + 1]]) for y in range(n)])
 
-    @cached_property
-    def mu_bounds(self) -> tuple[int, int]:
-        """(largest |mu|, largest sum of |mu| over one mu list)."""
-        mus = [[abs(mu) for _, mu in edges] for edges in self.mu_lists]
-        return max(map(max, filter(None, mus)), default=0), max(map(sum, mus), default=0)
+        sizes = np.diff(offsets)
+        heads = np.repeat(np.arange(n), sizes)  # the y of each edge
+        lmask = np.array(g.lmask, dtype=np.int64)
+        tail_mask, head_mask = lmask[z], lmask[heads]
+        unit = mu == 1
+        ones, others, counts = [], [], np.empty((rank, n), dtype=np.int64)
+        for s in range(rank):
+            keep = (tail_mask >> s & 1 == 1) & (head_mask >> s & 1 == 0)
+            counts[s] = np.diff(np.concatenate(([0], np.cumsum(keep)))[offsets])
+            sel = keep & unit
+            ones.append(per_head(sel, [ids[w] for w in z[sel].tolist()]))
+            sel = keep & ~unit
+            pairs = zip(z[sel].tolist(), mu[sel].tolist())
+            others.append(per_head(sel, [(ids[w], m) for w, m in pairs]))
+        # cost[x, s]: the edges of sx for s in L(x), more than any otherwise
+        cost = counts[np.arange(rank), np.array(g.lmult, dtype=np.int64)]
+        descents = lmask[:, None] >> np.arange(rank) & 1
+        cheapest = np.where(descents == 1, cost, len(z) + 1).argmin(axis=1)
+        cheapest[0] = -1
+        # |mu| bounds in Python ints, exact for any int64 mu a planted graph
+        # may carry: every edge weighs one, plus |mu| - 1 off the unit ones
+        sums = sizes.tolist()
+        max_mu = 1 if len(z) else 0
+        rare = np.flatnonzero(~unit)
+        for y, m in zip(heads[rare].tolist(), mu[rare].tolist()):
+            sums[y] += abs(m) - 1
+            max_mu = max(max_mu, abs(m))
+        return DescentTables(
+            tuple(ones), tuple(others), tuple(cheapest.tolist()), max_mu, max(sums, default=0)
+        )
 
     def mu_in(self, y: int) -> tuple[tuple[int, int], ...]:
         """(z, mu(z, y)) pairs with z < y."""
-        return self.mu_lists[y]
+        a, b = self.offsets[y], self.offsets[y + 1]
+        return tuple(zip(self.z[a:b].tolist(), self.mu[a:b].tolist()))
+
+    @property
+    def mu_lists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``mu_in(y)`` for every y."""
+        return tuple(map(self.mu_in, range(self.size)))
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges as (x, y, mu) with x < y, ordered by (y, x)."""
-        for y in range(self.g.size):
-            for z, mu in self.mu_lists[y]:
-                yield z, y, mu
+        zs, mus, bounds = self.z.tolist(), self.mu.tolist(), self.offsets.tolist()
+        for y in range(self.size):
+            for i in range(bounds[y], bounds[y + 1]):
+                yield zs[i], y, mus[i]
 
     def edge_count(self) -> int:
-        return sum(len(t) for t in self.mu_lists)
+        return int(self.offsets[-1])
 
 
-def _checked_wgraph(g: GroupTable, lists: tuple[tuple[tuple[int, int], ...], ...]) -> WGraph:
-    """The W-graph of these mu lists, once every mu is at least one."""
-    for y, edges in enumerate(lists):
-        for z, mu in edges:
-            if mu < 1:
-                raise ValueError(f"nonpositive mu({z},{y}) = {mu}: edge-level positivity fails")
-    return WGraph(g, lists)
+def _checked_wgraph(g: GroupTable, offsets: np.ndarray, z: np.ndarray, mu: np.ndarray) -> WGraph:
+    """The W-graph of these CSR arrays, once every mu is at least one."""
+    bad = np.flatnonzero(mu < 1)
+    if bad.size:
+        i = int(bad[0])
+        y = int(np.searchsorted(offsets, i, side="right")) - 1
+        raise ValueError(
+            f"nonpositive mu({int(z[i])},{y}) = {int(mu[i])}: edge-level positivity fails"
+        )
+    return WGraph.from_arrays(g, offsets, z, mu)
 
 
 def build_wgraph(store: KLStore) -> WGraph:
     """Materialise the W-graph of the whole group from a KL store."""
     store.build_all()
-    return _checked_wgraph(store.g, tuple(store.mu_list(y) for y in range(store.g.size)))
+    g = store.g
+    return _checked_wgraph(g, *_csr([store.mu_list(y) for y in range(g.size)]))
 
 
 # -- the W-graph on disk ------------------------------------------------------
@@ -380,16 +453,12 @@ def _wgraph_digest(arrays: dict[str, np.ndarray]) -> str:
 def save_wgraph(wg: WGraph, path: str | os.PathLike) -> None:
     """Write the W-graph to path atomically: a temporary file beside it,
     then a rename, so a kill leaves either the whole file or none."""
-    lists = wg.mu_lists
-    count = wg.edge_count()
-    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum([len(edges) for edges in lists], out=offsets[1:])
     arrays = {
         "version": np.array(WGRAPH_VERSION, dtype=np.int64),
         "matrix": np.array(wg.g.matrix.entries, dtype=np.int64),
-        "offsets": offsets,
-        "z": np.fromiter((z for edges in lists for z, _ in edges), np.int32, count),
-        "mu": np.fromiter((mu for edges in lists for _, mu in edges), np.int64, count),
+        "offsets": wg.offsets,
+        "z": wg.z,
+        "mu": wg.mu,
     }
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -434,11 +503,7 @@ def load_wgraph(path: str | os.PathLike, g: GroupTable) -> WGraph | None:
         or (z >= np.repeat(np.arange(g.size), sizes)).any()
     ):
         return None
-    edges = list(zip(z.tolist(), mu.tolist()))
-    bounds = offsets.tolist()
-    return _checked_wgraph(
-        g, tuple(tuple(edges[bounds[y]:bounds[y + 1]]) for y in range(g.size))
-    )
+    return _checked_wgraph(g, offsets, z, mu)
 
 
 class ExtremalPairs:

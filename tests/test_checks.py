@@ -162,11 +162,14 @@ class FlaggingStore(PolyStore):
 
     FLAGGED = {SymLaurentPoly(1, (1,)): "negative", SymLaurentPoly(0, (2,)): "unimodal"}
 
-    def nonnegative(self, u):
-        return self.FLAGGED.get(self.poly(u)) != "negative"
-
-    def unimodal(self, u):
-        return self.FLAGGED.get(self.poly(u)) != "unimodal"
+    def _add(self, u, *args):
+        u = super()._add(u, *args)
+        flag = self.FLAGGED.get(self.poly(u))
+        if flag == "negative":
+            self.negative.append(u)
+        elif flag == "unimodal":
+            self.not_unimodal.append(u)
+        return u
 
 
 class TestFailureLines:

@@ -1,9 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from klbasis import hecke
 from klbasis.hecke import (
     DESCENT_STRATEGIES,
     W,
@@ -23,7 +25,7 @@ from klbasis.hecke import (
     tcombo_mult,
 )
 
-from oracles import ccombo_from_column_row
+from oracles import ccombo_from_column_row, cheapest_descent, descent_edges
 from klbasis.ring import (
     CoefficientOverflowError,
     LaurentPoly,
@@ -361,25 +363,45 @@ class TestColumns:
 
     def test_cheapest_descent(self, wgraphs):
         """A left descent of each element with the fewest filtered
-        subtraction edges, the lowest on ties; the filtered lists are the
-        mu-list entries with s in L(w), for s not in L(z)."""
+        subtraction edges, the lowest on ties, as the oracle picks it;
+        not always the first descent."""
         wg = wgraphs("H3")
         g = wg.g
-        for s in range(g.rank):
-            for z in range(g.size):
-                want = () if g.lmask[z] >> s & 1 else tuple(
-                    (w, mu) for w, mu in wg.mu_in(z) if g.lmask[w] >> s & 1)
-                assert wg.descent_edges[s][z] == want
+        edges = descent_edges(wg)
+        assert wg.tables.cheapest == cheapest_descent(wg, edges)
+
         def cost(x, s):
-            return len(wg.descent_edges[s][g.lmult[x][s]])
+            return len(edges[s][g.lmult[x][s]])
 
         for x in range(1, g.size):
-            s = wg.cheapest_descent[x]
+            s = wg.tables.cheapest[x]
             descents = [t for t in range(g.rank) if g.lmask[x] >> t & 1]
             assert s in descents
             assert all((cost(x, s), s) <= (cost(x, t), t) for t in descents)
-        assert any(wg.cheapest_descent[x] != DESCENT_STRATEGIES["first"](wg)[x]
-                   for x in range(1, g.size))
+        assert any(wg.tables.cheapest[x] != DESCENT_STRATEGIES["first"](wg)[x]
+                   for x in range(1, wg.size))
+
+    @pytest.mark.parametrize("interned", [False, True])
+    def test_wrong_parity_names_its_triple(self, wgraphs, monkeypatch, interned):
+        """Row 0 planted with v + v^-1 in place of 1, a value of the wrong
+        degree parity, new to the store or already held under the other
+        parity: row 1, c_s c_y with s not in L(y), carries it unchanged
+        into entry sy, which names its (x, y, z)."""
+
+        class OddOne(PolyStore):
+            def __init__(self):
+                super().__init__()
+                self.one = self.intern_packed(1 << W) if interned else 1 << W
+
+        wg = wgraphs("B3")
+        g = wg.g
+        y = next(y for y in range(1, g.size) if not g.lmask[1] & g.lmask[y])
+        true_row = column(wg, y).rows[1]
+        monkeypatch.setattr(hecke, "PolyStore", OddOne)
+        with pytest.raises(NotSymmetricError, match=r"violates the l\(x\)\+l\(y\)\+l\(z\)") as e:
+            column(wg, y)
+        x_, y_, z_ = map(int, re.match(r"h\((\d+),(\d+),(\d+)\)", str(e.value)).groups())
+        assert (x_, y_) == (1, y) and z_ in true_row
 
 
 class TestPolyStore:
@@ -400,25 +422,39 @@ class TestPolyStore:
         p = SymLaurentPoly(2 * (len(half) - 1) + odd, half)
         assume(p)
         store = PolyStore()
-        assert store.unimodal(store.intern(p)) == is_unimodal(qpoly_from_sym(p))
+        u = store.intern(p)
+        assert (u not in store.not_unimodal) == is_unimodal(qpoly_from_sym(p))
 
     def test_scan_figures(self):
         store = PolyStore()
+        assert (store.max_abs, store.negative, store.not_unimodal) == (1, [], [])
         h = store.intern(SymLaurentPoly(3, (2, -5)))
-        assert store.max_abs(h) == 5
-        assert not store.nonnegative(h)
-        assert store.nonnegative(store.one) and store.unimodal(store.one)
-        assert store.max_abs(store.one) == 1
+        assert store.max_abs == 5
+        assert store.negative == [h]
+        assert store.intern(SymLaurentPoly(3, (2, -5))) is h
+        assert store.intern(SymLaurentPoly(0, (3,))) and store.max_abs == 5
+        assert store.negative == [h] and len(store) == 3
 
-    def test_scan_figures_match_every_h3_handle(self, wgraphs):
-        wg = wgraphs("H3")
+    @pytest.mark.parametrize("name, mu_of", [
+        ("H3", None), ("B3", None), ("H3", lambda z, y, mu: -mu if (z + y) % 5 == 0 else mu),
+    ], ids=["H3", "B3", "H3-negated"])
+    def test_aggregates_match_every_value(self, wgraphs, name, mu_of):
+        """In every column, the store's figures are those recomputed from
+        the polynomials it holds: on the real graphs, and on an H3 graph
+        with some mu negated, whose columns hold negative and non-unimodal
+        values."""
+        wg = wgraphs(name) if mu_of is None else planted_wgraph(wgraphs(name), mu_of)
+        flagged = 0
         for y in range(wg.g.size):
             store = column(wg, y).store
-            for u in store:
-                p = store.poly(u)
-                assert store.max_abs(u) == p.max_abs_coeff(), (y, u)
-                assert store.nonnegative(u) == (p.min_coeff() >= 0), (y, u)
-                assert store.unimodal(u) == is_unimodal(qpoly_from_sym(p)), (y, u)
+            polys = {u: store.poly(u) for u in store}
+            assert store.max_abs == max(p.max_abs_coeff() for p in polys.values()), y
+            assert sorted(store.negative) == sorted(
+                u for u, p in polys.items() if p.min_coeff() < 0), y
+            assert sorted(store.not_unimodal) == sorted(
+                u for u, p in polys.items() if not is_unimodal(qpoly_from_sym(p))), y
+            flagged += len(store.negative) + len(store.not_unimodal)
+        assert bool(flagged) == (mu_of is not None)
 
 
 I64 = 1 << 63

@@ -1,3 +1,5 @@
+import os
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -16,7 +18,12 @@ from klbasis.klbase import (
 )
 from klbasis.ring import W, CoefficientOverflowError, QPoly
 
-from oracles import all_reduced_subwords
+from oracles import all_reduced_subwords, table_problems
+
+SMALL_PRESETS = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "H3",
+    "I2(2)", "I2(5)", "I2(8)", "I2(13)",
+]
 
 ONE = QPoly.one()
 ZERO = QPoly.zero()
@@ -135,6 +142,59 @@ class TestWGraph:
             for x in range(g.size):
                 if g.lengths[x] < g.lengths[y]:
                     assert store.mu(x, y) == listed.get(x, 0)
+
+
+    def test_lists_are_taken_unchecked(self, wgraphs, monkeypatch):
+        """A mu = 0 edge passes WGraph(g, lists), which checks nothing;
+        build_wgraph refuses it."""
+        wg = wgraphs("B3")
+        z, y, _ = next(e for e in wg.edges() if e[1] > 10)
+        lists = [tuple((w, 0 if w == z else m) for w, m in edges) if i == y else edges
+                 for i, edges in enumerate(wg.mu_lists)]
+        assert (z, y, 0) in WGraph(wg.g, lists).edges()
+        store = KLStore(wg.g)
+        store.build_all()
+        monkeypatch.setattr(store, "mu_list", lambda w: lists[w])
+        with pytest.raises(ValueError, match=rf"nonpositive mu\({z},{y}\) = 0"):
+            build_wgraph(store)
+
+    @pytest.mark.parametrize("name", ["A3", "H3"])
+    def test_pickle_round_trip(self, wgraphs, name):
+        """A pickled graph comes back equal, without its tables, which it
+        rebuilds equal, one int object per element again."""
+        wg = wgraphs(name)
+        wg.tables
+        data = pickle.dumps(wg)
+        assert b"DescentTables" not in data
+        copy = pickle.loads(data)
+        assert "tables" not in vars(copy)
+        assert copy.g.matrix.entries == wg.g.matrix.entries
+        for a, b in zip(csr_of(copy), csr_of(wg)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert copy.mu_lists == wg.mu_lists
+        assert copy.tables == wg.tables
+        assert table_problems(copy) == []
+
+    @pytest.mark.parametrize("name", SMALL_PRESETS)
+    def test_tables_match_the_oracles(self, wgraphs, name):
+        """The per-descent tables hold the descent-filtered edges, the
+        cheapest descent and the mu bounds of the oracles, each element as
+        one shared int."""
+        assert table_problems(wgraphs(name)) == []
+
+    def test_tables_of_a_planted_graph(self, wgraphs):
+        """mu-values other than one, negative or larger, go to ``others``
+        and into the bounds."""
+        base = wgraphs("H3")
+        wg = WGraph(base.g, [tuple((z, (-1) ** z * (1 + (z + y) % 3)) for z, mu in edges)
+                             for y, edges in enumerate(base.mu_lists)])
+        assert table_problems(wg) == []
+        assert wg.tables.max_mu == 3 and any(map(any, wg.tables.others))
+
+    @pytest.mark.skipif(not os.environ.get("RUN_H4_EXTENDED"),
+                        reason="H4 P table: about a minute; set RUN_H4_EXTENDED=1")
+    def test_tables_match_the_oracles_h4(self, groups):
+        assert table_problems(build_wgraph(KLStore(groups("H4")))) == []
 
 
 class TestExtremalPairs:
@@ -328,10 +388,6 @@ class TestPackedTable:
                 check_mu_carry(mus)
 
 
-SMALL_PRESETS = [
-    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "H3",
-    "I2(2)", "I2(5)", "I2(8)", "I2(13)",
-]
 
 
 def npz_arrays(path):
@@ -349,17 +405,34 @@ def rewrite(path, rehash=True, **changes):
     np.savez(path, **arrays)
 
 
+def csr_of(wg):
+    return wg.offsets, wg.z, wg.mu
+
+
 class TestSavedWGraph:
     @pytest.mark.parametrize("name", SMALL_PRESETS)
     def test_round_trip_equals_build(self, wgraphs, tmp_path, name):
+        """The graph built from the P table, its saved and loaded copy, and
+        the graphs made from its mu lists and from its arrays all read the
+        same edges, through every accessor."""
         built = wgraphs(name)
+        g = built.g
         path = tmp_path / "wgraph.npz"
         save_wgraph(built, path)
-        loaded = load_wgraph(path, built.g)
-        assert loaded is not None and loaded.g is built.g
-        assert loaded.mu_lists == built.mu_lists
-        assert list(loaded.edges()) == list(built.edges())
+        loaded = load_wgraph(path, g)
+        assert loaded is not None and loaded.g is g
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wgraph.npz"]
+        into = [[] for _ in range(g.size)]
+        for x, y, mu in built.edges():
+            into[y].append((x, mu))
+        lists = tuple(map(tuple, into))
+        for wg in (loaded, WGraph(g, lists), WGraph.from_arrays(g, *csr_of(built))):
+            assert wg.mu_lists == built.mu_lists == lists
+            assert [wg.mu_in(y) for y in range(g.size)] == list(lists)
+            assert list(wg.edges()) == list(built.edges())
+            assert wg.edge_count() == built.edge_count() == sum(map(len, lists))
+            for a, b in zip(csr_of(wg), csr_of(built)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.fixture
     def saved(self, wgraphs, tmp_path):
@@ -470,10 +543,8 @@ class TestSavedWGraph:
             load_wgraph(path, wg.g)
         # build_wgraph refuses the same edge with the same message
         z, y, _ = list(wg.edges())[3]
-        lists = list(wg.mu_lists)
-        lists[y] = tuple((w, 0 if w == z else m) for w, m in lists[y])
         with pytest.raises(ValueError, match=rf"nonpositive mu\({z},{y}\) = 0"):
-            klbase._checked_wgraph(wg.g, tuple(lists))
+            klbase._checked_wgraph(wg.g, wg.offsets, wg.z, mu)
 
     def test_kill_during_write_leaves_no_file(self, saved, monkeypatch):
         wg, path = saved
