@@ -13,7 +13,6 @@ from .ring import (
     qpoly_from_sym,
     sym_from_laurent,
 )
-from .numberfield import AlgebraicReal, NumberField, field_for_labels
 from .coxeter import (
     CoxeterMatrix,
     GroupTable,

@@ -10,7 +10,9 @@ A fresh run builds the W-graph from the P table and saves it as
 wgraph.npz in the output directory; a resumed run loads that file (and
 builds and saves the graph only when the file is missing, damaged or for
 another group), skips the columns both logs carry, keeps only their
-failures and continues the cumulative maximum from the log.
+failures and continues the cumulative maximum from the log.  cycltable
+and cprod also read the graph from that file when it is valid, and build
+it from the P table otherwise.
 With ``--store-budget`` each column's newly seen structure constants go to
 an append-only sidecar, h_polynomials_by_column, before its log lines, so
 a resumed run rebuilds the global list and writes the same h_polynomials
@@ -328,12 +330,19 @@ def _element_id(g: GroupTable, token: str) -> int:
     return x
 
 
+def _saved_or_built_wgraph(cfg: RunConfig, g: GroupTable) -> WGraph:
+    """The W-graph a positivity run saved in the output directory, or,
+    when that file cannot be used, one built from the P table."""
+    wg = load_wgraph(Path(cfg.outdir) / WGRAPH_FILE, g)
+    return build_wgraph(KLStore(g)) if wg is None else wg
+
+
 def cmd_cycltable(cfg: RunConfig) -> int:
     if len(cfg.args) != 1:
         raise SystemExit("cycltable needs exactly one element id: the fixed y")
     g = cfg.load_group()
     y = _element_id(g, cfg.args[0])
-    wg = build_wgraph(KLStore(g))
+    wg = _saved_or_built_wgraph(cfg, g)
     col = column(wg, y, cfg.strategy)
     for x in range(g.size):
         row = col.row_polys(x)
@@ -349,7 +358,7 @@ def cmd_cprod(cfg: RunConfig) -> int:
     g = cfg.load_group()
     x = _element_id(g, cfg.args[0])
     y = _element_id(g, cfg.args[1])
-    wg = build_wgraph(KLStore(g))
+    wg = _saved_or_built_wgraph(cfg, g)
     col = column(wg, y, cfg.strategy)
     print(f"{x}[{g.word_str(x)}]: " + format_combo(g, col.row_polys(x).items()))
     return 0

@@ -1,23 +1,24 @@
 """Finite Coxeter groups: enumeration, lengths, descent sets, Bruhat order.
 
-A group is built from its Coxeter matrix.  Element identity during the
-build is decided through the exact root system: a positive root is a
-vector of AlgebraicReal coordinates over the simple roots, and an element
-is determined by the set of positive roots it sends negative.  Ids are
-assigned by breadth-first search in ShortLex order over generator indices,
-so id 0 is the identity and ids are sorted by length.  After the build the
-inversion bitsets are discarded; what remains are O(|W| * rank) transition
-tables, descent masks, lengths and inverses.
+A group is built from its Coxeter matrix with integers only.  The
+connected components of the Coxeter graph are classified first: the
+matrix is of finite type exactly when each one is A_n, B_n, D_n, E6-E8,
+F4, H3, H4 or I2(m), and |W| is the product of their orders, so an
+infinite or oversized group is refused before any enumeration.  The
+elements are then enumerated as the cosets of the trivial subgroup by HLT
+coset enumeration on the presentation <S | (s t)^m(s,t)>, and renumbered
+by breadth-first search in ShortLex order over generator indices, so id 0
+is the identity and ids are sorted by length.  What remains are
+O(|W| * rank) transition tables, descent masks, lengths and inverses.
 """
 
 from __future__ import annotations
 
 import re
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-from .numberfield import field_for_labels
 
 MAX_RANK = 8
 
@@ -87,13 +88,6 @@ class CoxeterMatrix:
             m[i][i + 1] = m[i + 1][i] = lab
         return cls(m)
 
-    def labels(self) -> set[int]:
-        return {
-            self.entries[i][j]
-            for i in range(self.rank)
-            for j in range(i + 1, self.rank)
-        }
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CoxeterMatrix) and self.entries == other.entries
 
@@ -138,30 +132,83 @@ def preset_matrix(name: str) -> tuple[CoxeterMatrix, str]:
     raise ValueError(f"no preset for {name!r}")
 
 
-def _check_finite(matrix: CoxeterMatrix, field) -> None:
-    """Positive-definiteness of the cosine matrix via exact leading
-    principal minors (Gaussian pivots)."""
-    n = matrix.rank
-    B = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                B[i][j] = field.from_rational(2)
-            else:
-                B[i][j] = -field.two_cos_pi_over(matrix.entries[i][j])
-    work = [row[:] for row in B]
-    for i in range(n):
-        pivot = work[i][i]
-        if pivot.sign() <= 0:
-            raise InfiniteTypeError(
-                "cosine matrix is not positive definite; the group is not finite"
-            )
-        for r in range(i + 1, n):
-            factor = work[r][i] / pivot
-            if factor.is_zero():
-                continue
-            for c in range(i, n):
-                work[r][c] = work[r][c] - factor * work[i][c]
+# orders of the exceptional components: E6-E8 keyed by the sorted arm
+# lengths at the branch point, F4, H3 and H4 by their labels along the
+# path, read from the end nearer the label above 3
+_EXCEPTIONAL_ORDERS = {
+    (1, 2, 2): 51840,
+    (1, 2, 3): 2903040,
+    (1, 2, 4): 696729600,
+    (3, 4, 3): 1152,
+    (5, 3): 120,
+    (5, 3, 3): 14400,
+}
+
+
+def group_order(matrix: CoxeterMatrix) -> int:
+    """|W|, the product of the orders of the connected components of the
+    Coxeter graph (edges where m(s, t) >= 3).  Each component must be one
+    of A_n, B_n, D_n, E6-E8, F4, H3, H4 or I2(m); any other raises
+    InfiniteTypeError."""
+    n, m = matrix.rank, matrix.entries
+    nbrs = [[t for t in range(n) if t != s and m[s][t] >= 3] for s in range(n)]
+    seen: set[int] = set()
+    order = 1
+    for root in range(n):
+        if root in seen:
+            continue
+        comp = [root]
+        seen.add(root)
+        for s in comp:
+            for t in nbrs[s]:
+                if t not in seen:
+                    seen.add(t)
+                    comp.append(t)
+        order *= _component_order(comp, nbrs, m)
+    return order
+
+
+def _component_order(comp: list[int], nbrs: list[list[int]], m) -> int:
+    k = len(comp)
+    labels = [m[s][t] for s in comp for t in nbrs[s] if s < t]
+    if len(labels) != k - 1:
+        raise InfiniteTypeError("the Coxeter graph has a cycle; the group is not finite")
+    if k <= 2:
+        return 2 * max(labels, default=1)  # A1 or I2(m)
+    branch = [s for s in comp if len(nbrs[s]) > 2]
+    heavy = any(lab > 3 for lab in labels)
+    if branch:
+        if heavy or len(branch) > 1 or len(nbrs[branch[0]]) > 3:
+            raise InfiniteTypeError(f"a component of rank {k} is not of finite type")
+        shape = tuple(sorted(_arm_length(branch[0], t, nbrs) for t in nbrs[branch[0]]))
+        if shape[:2] == (1, 1):
+            return 2 ** (k - 1) * factorial(k)  # D_k
+    elif not heavy:
+        return factorial(k + 1)  # A_k
+    else:
+        end = next(s for s in comp if len(nbrs[s]) == 1)
+        path = [end, nbrs[end][0]]
+        while len(path) < k:
+            path.append(next(t for t in nbrs[path[-1]] if t != path[-2]))
+        shape = tuple(m[s][t] for s, t in zip(path, path[1:]))
+        if shape[-1] > 3:
+            shape = shape[::-1]
+        if shape == (4,) + (3,) * (k - 2):
+            return 2**k * factorial(k)  # B_k
+    if shape in _EXCEPTIONAL_ORDERS:
+        return _EXCEPTIONAL_ORDERS[shape]
+    raise InfiniteTypeError(f"a component of rank {k} is not of finite type")
+
+
+def _arm_length(centre: int, first: int, nbrs: list[list[int]]) -> int:
+    """Vertices on the arm of a tree that leaves ``centre`` through
+    ``first``, when every vertex past ``centre`` has at most two
+    neighbours."""
+    prev, cur, length = centre, first, 1
+    while len(nbrs[cur]) == 2:
+        prev, cur = cur, next(t for t in nbrs[cur] if t != prev)
+        length += 1
+    return length
 
 
 class GroupTable:
@@ -180,7 +227,6 @@ class GroupTable:
         rmult: list[list[int]],
         parent: list[int],
         lastgen: list[int],
-        num_pos_roots: int,
     ):
         self.matrix = matrix
         self.name = name
@@ -190,20 +236,16 @@ class GroupTable:
         self.rmult = rmult
         self.parent = parent
         self.lastgen = lastgen
-        self.num_pos_roots = num_pos_roots
 
         size, n = self.size, self.rank
-        # inverses by folding the reversed ShortLex word through rmult
-        inv = [0] * size
-        for x in range(size):
-            w = self.word(x)
-            y = 0
-            for s in reversed(w):
-                y = rmult[y][s]
-            inv[x] = y
-        self.inv = inv
-
-        self.lmult = [[inv[rmult[inv[x]][s]] for s in range(n)] for x in range(size)]
+        # x = parent[x] * lastgen[x], so s x = (s parent[x]) lastgen[x] and
+        # x^-1 = lastgen[x] parent[x]^-1; both read rows of smaller ids
+        self.lmult = lmult = [rmult[0][:]]
+        self.inv = inv = [0]
+        for x in range(1, size):
+            p, t = parent[x], lastgen[x]
+            lmult.append([rmult[z][t] for z in lmult[p]])
+            inv.append(lmult[inv[p]][t])
 
         self.rmask = [0] * size
         self.lmask = [0] * size
@@ -226,6 +268,7 @@ class GroupTable:
         full = (1 << n) - 1
         if self.lmask[self.w0] != full or self.rmask[self.w0] != full:
             raise AssertionError("longest element must have full descent sets")
+        self.num_pos_roots = lengths[self.w0]
 
         self._np_lmult: dict[int, np.ndarray] = {}
         self._bruhat_masks: dict[int, int] = {0: 1}
@@ -349,144 +392,137 @@ class GroupTable:
         return f"GroupTable({self.name}, size={self.size})"
 
 
+def _coset_table(matrix: CoxeterMatrix, limit: int) -> list[list[int]]:
+    """Coset table of the trivial subgroup, one column per generator, by
+    HLT coset enumeration on the Coxeter presentation (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 5).
+    Generators are involutions, so each entry is made in both directions
+    and the relators are the ``(s t)^m(s,t)``.  Coincident cosets are
+    merged through a union-find, ``alive[c] == c`` for a live coset; dead
+    rows are left in the table.  Raises RuntimeError rather than define
+    more than ``limit`` cosets."""
+    n, m = matrix.rank, matrix.entries
+    table: list[list[int]] = [[-1] for _ in range(n)]
+    relators = [
+        (table[s], table[t]) * m[s][t] for s in range(n) for t in range(s + 1, n)
+    ]
+    alive = [0]
+
+    def rep(c: int) -> int:
+        r = c
+        while alive[r] != r:
+            r = alive[r]
+        while alive[c] != r:
+            alive[c], c = r, alive[c]
+        return r
+
+    def define(col: list[int], c: int) -> None:
+        d = len(alive)
+        if d >= limit:
+            raise RuntimeError(f"coset enumeration passed its limit of {limit} cosets")
+        alive.append(d)
+        for other in table:
+            other.append(-1)
+        col[c] = d
+        col[d] = c
+
+    def coincidence(a: int, b: int) -> None:
+        queue: list[int] = []
+
+        def merge(k: int, l: int) -> None:
+            k, l = rep(k), rep(l)
+            if k != l:
+                k, l = min(k, l), max(k, l)
+                alive[l] = k
+                queue.append(l)
+
+        merge(a, b)
+        for dead in queue:
+            for col in table:
+                d = col[dead]
+                if d < 0:
+                    continue
+                col[d] = -1
+                mu, nu = rep(dead), rep(d)
+                if col[mu] >= 0:
+                    merge(nu, col[mu])
+                elif col[nu] >= 0:
+                    merge(mu, col[nu])
+                else:
+                    col[mu] = nu
+                    col[nu] = mu
+
+    c = 0
+    while c < len(alive):
+        for rel in relators:
+            if alive[c] != c:
+                break
+            # scan c under rel: forward to f after i letters, backward to
+            # b before the last len(rel) - j; fill the gap between them
+            f, i, b, j = c, 0, c, len(rel)
+            while True:
+                while i < j and rel[i][f] >= 0:
+                    f = rel[i][f]
+                    i += 1
+                while j > i and rel[j - 1][b] >= 0:
+                    b = rel[j - 1][b]
+                    j -= 1
+                if j == i:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                if j == i + 1:
+                    rel[i][f] = b
+                    rel[i][b] = f
+                    break
+                define(rel[i], f)
+        # from rank 2 on the relators fill every column; at rank 1 this does
+        if alive[c] == c:
+            for col in table:
+                if col[c] < 0:
+                    define(col, c)
+        c += 1
+    return table
+
+
 def build_group(matrix: CoxeterMatrix, name: str | None = None, max_size: int = 1_000_000) -> GroupTable:
     """Enumerate the finite Coxeter group of the given matrix.
 
-    Raises InfiniteTypeError for non-finite type and GroupTooLargeError if
-    the enumeration would exceed max_size elements.
+    Raises InfiniteTypeError for non-finite type, and GroupTooLargeError,
+    before any enumeration, if the group has more than max_size elements.
     """
     n = matrix.rank
-    field = field_for_labels(matrix.labels())
-    _check_finite(matrix, field)
+    order = group_order(matrix)
+    if order > max_size:
+        raise GroupTooLargeError(
+            f"group of order {order} exceeds max_size={max_size}; raise the bound to proceed"
+        )
+    table = _coset_table(matrix, 8 * order + 64)
 
-    # Gram matrix with (alpha_s, alpha_s) = 2
-    B = [
-        [
-            field.from_rational(2)
-            if i == j
-            else -field.two_cos_pi_over(matrix.entries[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    zero = field.zero
-    one = field.one
-
-    def reflect(coords: tuple, s: int) -> tuple:
-        # sigma_s(beta) = beta - B(beta, alpha_s) * alpha_s
-        inner = zero
-        for i in range(n):
-            if coords[i]:
-                inner = inner + coords[i] * B[i][s]
-        out = list(coords)
-        out[s] = out[s] - inner
-        return tuple(out)
-
-    simple = []
-    for s in range(n):
-        coords = [zero] * n
-        coords[s] = one
-        simple.append(tuple(coords))
-
-    roots: dict[tuple, int] = {}
-    order: list[tuple] = []
-    for r in simple:
-        if r not in roots:
-            roots[r] = len(order)
-            order.append(r)
-    queue = list(order)
-    while queue:
-        r = queue.pop()
-        for s in range(n):
-            img = reflect(r, s)
-            if img not in roots:
-                roots[img] = len(order)
-                order.append(img)
-                queue.append(img)
-
-    def root_sign(coords: tuple) -> int:
-        for c in coords:
-            sg = c.sign()
-            if sg:
-                return sg
-        raise AssertionError("zero vector in root system")
-
-    pos_roots = [r for r in order if root_sign(r) > 0]
-    pos_index = {r: i for i, r in enumerate(pos_roots)}
-    if 2 * len(pos_roots) != len(order):
-        raise AssertionError("root system is not symmetric under negation")
-
-    # action of each generator on positive roots; alpha_s itself flips sign
-    perms: list[list[int]] = []
-    alpha_bit: list[int] = []
-    for s in range(n):
-        perm = [0] * len(pos_roots)
-        for i, r in enumerate(pos_roots):
-            img = reflect(r, s)
-            if img in pos_index:
-                perm[i] = pos_index[img]
-            else:
-                neg = tuple(-c for c in img)
-                if pos_index[neg] != i:
-                    raise AssertionError("generator negates a non-simple root")
-                perm[i] = i
-        perms.append(perm)
-        alpha_bit.append(pos_index[simple[s]])
-
-    # BFS over inversion bitsets: N(xs) from N(x)
+    # ShortLex ids: breadth-first from the identity, generators in index order
+    ids = {0: 0}
+    cosets = [0]
     lengths = [0]
     parent = [0]
     lastgen = [-1]
-    rmult: list[list[int]] = [[-1] * n]
-    seen: dict[int, int] = {0: 0}
-    inversions = [0]
-
-    head = 0
-    while head < len(lengths):
-        x = head
-        head += 1
-        nx = inversions[x]
+    rmult: list[list[int]] = []
+    for x, c in enumerate(cosets):
+        row = []
         for s in range(n):
-            if rmult[x][s] >= 0:
-                continue
-            abit = 1 << alpha_bit[s]
-            perm = perms[s]
-            out = abit if not nx & abit else 0
-            rem = nx & ~abit
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                out |= 1 << perm[b.bit_length() - 1]
-            if out in seen:
-                y = seen[out]
-            else:
-                y = len(lengths)
-                if y >= max_size:
-                    raise GroupTooLargeError(
-                        f"group exceeds max_size={max_size}; raise the bound to proceed"
-                    )
-                seen[out] = y
+            d = table[s][c]
+            y = ids.get(d)
+            if y is None:
+                y = ids[d] = len(cosets)
+                cosets.append(d)
                 lengths.append(lengths[x] + 1)
                 parent.append(x)
                 lastgen.append(s)
-                rmult.append([-1] * n)
-                inversions.append(out)
-                if lengths[y] != out.bit_count():
-                    raise AssertionError("length does not match inversion count")
-            rmult[x][s] = y
-            rmult[y][s] = x
+            row.append(y)
+        rmult.append(row)
+    if len(cosets) != order:
+        raise AssertionError(f"enumerated {len(cosets)} elements, expected {order}")
 
-    return GroupTable(
-        matrix,
-        name or f"rank{n}",
-        lengths,
-        rmult,
-        parent,
-        lastgen,
-        num_pos_roots=len(pos_roots),
-    )
-
+    return GroupTable(matrix, name or f"rank{n}", lengths, rmult, parent, lastgen)
 
 def group_from_name(name: str, max_size: int = 1_000_000) -> GroupTable:
     matrix, canonical = preset_matrix(name)

@@ -98,14 +98,6 @@ class DihedralProduct:
     def to_id_map(self, g: GroupTable) -> dict[int, SymLaurentPoly]:
         return {DihedralWord.ending_in(2, j).element(g): p for j, p in self.terms.items()}
 
-    def graded_coefficient_sums(self) -> dict[int, int]:
-        """Coefficient sums per degree, giving v^d c_j degree j + d."""
-        out: dict[int, int] = {}
-        for j, p in self.terms.items():
-            for e, c in p.expand().items():
-                out[j + e] = out.get(j + e, 0) + c
-        return {d: c for d, c in out.items() if c}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, DihedralProduct) and self.terms == other.terms
 

@@ -486,10 +486,6 @@ class SymLaurentPoly:
     def max_abs_coeff(self) -> int:
         return max((abs(a) for a in self._half), default=0)
 
-    def min_coeff(self) -> int:
-        vals = [a for a in self._half if a] or [0]
-        return min(vals)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SymLaurentPoly)

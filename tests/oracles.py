@@ -1,9 +1,16 @@
 """Brute-force oracles the tests hold the package to; nothing in the
 package calls them."""
 
-from klbasis.coxeter import GroupTable
+import itertools
+import math
+
+import numpy as np
+
+from klbasis.coxeter import CoxeterMatrix, GroupTable
+from klbasis.dihedral import DihedralProduct
 from klbasis.hecke import CCombo, HColumn
 from klbasis.klbase import WGraph
+from klbasis.ring import SymLaurentPoly
 
 
 def all_reduced_subwords(g: GroupTable, y: int) -> set[int]:
@@ -13,6 +20,116 @@ def all_reduced_subwords(g: GroupTable, y: int) -> set[int]:
     for s in g.word(y):
         reachable |= {g.rmult[x][s] for x in reachable}
     return reachable
+
+
+def gram_positive_definite(matrix: CoxeterMatrix) -> bool:
+    """Finite type by the float Gram matrix -cos(pi / m(s, t)): its least
+    eigenvalue is positive.  For a finite type that eigenvalue is
+    1 - cos(pi / h), h the largest Coxeter number of a component, which is
+    above 0.005 while h <= 30; affine types give 0 up to rounding.  The
+    float decides only an eigenvalue at least 1e-6 away from 0; closer
+    than that, the matrix must be singular by the exact determinant."""
+    gram = -np.cos(np.pi / np.array(matrix.entries, dtype=float))
+    least = np.linalg.eigvalsh(gram)[0]
+    if abs(least) >= 1e-6:
+        return bool(least > 0)
+    if any(gram_determinant(matrix)[1]):
+        raise ArithmeticError(f"least eigenvalue {least} of a nonsingular Gram matrix")
+    return False
+
+
+def cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients (ascending) of the n-th cyclotomic polynomial: x^n - 1
+    divided exactly by the cyclotomic polynomials of the proper divisors."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = cyclotomic(d)  # monic
+            out = [0] * (len(num) - len(den) + 1)
+            for i in range(len(out) - 1, -1, -1):
+                c = out[i] = num[i + len(den) - 1]
+                for j, e in enumerate(den):
+                    num[i + j] -= c * e
+            assert not any(num), n
+            num = out
+    return tuple(num)
+
+
+def two_cos_multiple(k: int) -> list[int]:
+    """p_k with 2cos(k t) = p_k(2cos t), that is x^k + x^-k = p_k(x + 1/x):
+    p_0 = 2, p_1 = y, p_(j+1) = y p_j - p_(j-1)."""
+    prev, cur = [2], [0, 1]
+    if k == 0:
+        return prev
+    for _ in range(k - 1):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def cos_minimal_poly(n: int) -> tuple[int, ...]:
+    """Minimal polynomial (ascending, monic) of 2cos(pi/n) over Q: the
+    palindromic cyclotomic polynomial of 2n, of degree 2k, divided by x^k
+    and written in y = x + 1/x."""
+    if n == 1:
+        return (2, 1)  # 2cos(pi) = -2
+    if n == 2:
+        return (0, 1)  # 2cos(pi/2) = 0
+    phi = cyclotomic(2 * n)
+    k = (len(phi) - 1) // 2
+    out = [0] * (k + 1)
+    out[0] = phi[k]
+    for j in range(1, k + 1):
+        for i, c in enumerate(two_cos_multiple(j)):
+            out[i] += phi[k + j] * c
+    return tuple(out)
+
+
+def gram_determinant(matrix: CoxeterMatrix) -> tuple[int, tuple[int, ...]]:
+    """(N, c): the determinant of twice the Gram matrix is exactly
+    sum c[i] theta^i, theta = 2cos(pi/N), N the lcm of the labels.  The
+    entries -2cos(pi/m) = -p_(N/m)(theta) lie in Z[theta], and so does the
+    determinant, expanded by minors over column subsets with no division;
+    it is 0 exactly when every c[i] is."""
+    n = matrix.rank
+    labels = [matrix.entries[i][j] for i in range(n) for j in range(i + 1, n)]
+    big = math.lcm(*labels)
+    f = cos_minimal_poly(big)
+    d = len(f) - 1
+
+    def reduce(c: list[int]) -> list[int]:
+        c = c + [0] * (d - len(c))
+        for i in range(len(c) - 1, d - 1, -1):  # f is monic
+            for j, e in enumerate(f):
+                c[i - d + j] -= c[i] * e
+        return c[:d]
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return reduce(out)
+
+    entry = [
+        [reduce([2]) if i == j else reduce([-c for c in two_cos_multiple(big // m)])
+         for j, m in enumerate(row)]
+        for i, row in enumerate(matrix.entries)
+    ]
+    # minor[S]: determinant of the last |S| rows on the columns in S
+    minor = {0: reduce([1])}
+    for r in range(1, n + 1):
+        row = entry[n - r]
+        for cols in itertools.combinations(range(n), r):
+            total = [0] * d
+            for pos, j in enumerate(cols):
+                rest = minor[sum(1 << c for c in cols) & ~(1 << j)]
+                for i, x in enumerate(mul(row[j], rest)):
+                    total[i] += -x if pos % 2 else x
+            minor[sum(1 << c for c in cols)] = total
+    return big, tuple(minor[(1 << n) - 1])
 
 
 def ccombo_from_column_row(col: HColumn, x: int) -> CCombo:
@@ -77,3 +194,18 @@ def table_problems(wg: WGraph) -> list[str]:
                 if shared.setdefault(w, w) is not w:
                     problems.append(f"element {w} held as two int objects")
     return problems
+
+
+def graded_coefficient_sums(prod: DihedralProduct) -> dict[int, int]:
+    """Coefficient sums of a dihedral product per degree, giving v^d c_j
+    degree j + d."""
+    out: dict[int, int] = {}
+    for j, p in prod.terms.items():
+        for e, c in p.expand().items():
+            out[j + e] = out.get(j + e, 0) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def min_coeff(p: SymLaurentPoly) -> int:
+    """The smallest nonzero coefficient of p, 0 when p is zero."""
+    return min((c for _, c in p.expand().items() if c), default=0)

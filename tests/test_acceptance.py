@@ -2,8 +2,9 @@
 with its measurements (run with -s to see them on success).
 
 Criterion 10, the full 14400-column sweep of the largest group, is gated
-behind RUN_H4_EXTENDED=1; it needs on the order of days of CPU in pure
-Python and is excluded from routine runs.  Everything else is desk scale.
+behind RUN_H4_EXTENDED=1; measured on a 2-vCPU machine it needs 8-18
+CPU-hours in pure Python and is excluded from routine runs.  Everything
+else is desk scale.
 """
 
 import os
@@ -194,7 +195,7 @@ def test_criterion_09_h4_extremal_count():
 
 @pytest.mark.skipif(
     not os.environ.get("RUN_H4_EXTENDED"),
-    reason="multi-day run; set RUN_H4_EXTENDED=1 to enable",
+    reason="8-18 CPU-hour run; set RUN_H4_EXTENDED=1 to enable",
 )
 def test_criterion_10_h4_extended_run(tmp_path):
     rc = main(["positivity", "--group", "H4", "--outdir", str(tmp_path)])

@@ -13,7 +13,7 @@ from klbasis import cli, klbase
 from klbasis.cli import main
 from klbasis.coxeter import group_from_name
 from klbasis.hecke import c_in_t_basis, c_to_t, tcombo_mult
-from klbasis.klbase import KLStore, load_wgraph
+from klbasis.klbase import KLStore, load_wgraph, save_wgraph
 from klbasis.ring import LaurentPoly
 
 
@@ -523,6 +523,47 @@ class TestProductCommands:
             f"{g.w0}[{g.word_str(g.w0)}] -> v^-3 + 2v^-1 + 2v + v^3"
         )
         assert wanted in out
+
+    PRODUCTS = [["cycltable", "40"], ["cprod", "17", "40"]]
+
+    @staticmethod
+    def built_output(args, outdir, capsys, monkeypatch):
+        """Stdout of the command in outdir, which must build the P table."""
+        built = []
+
+        def store(g):
+            built.append(g.name)
+            return KLStore(g)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "KLStore", store)
+            assert run([*args, "--group", "B3"], outdir) == 0
+        assert built == ["B3"]
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", PRODUCTS, ids=["cycltable", "cprod"])
+    def test_saved_wgraph_replaces_the_p_table(self, tmp_path, capsys, monkeypatch, wgraphs, args):
+        fresh = self.built_output(args, tmp_path / "fresh", capsys, monkeypatch)
+        saved = tmp_path / "saved"
+        saved.mkdir()
+        save_wgraph(wgraphs("B3"), saved / cli.WGRAPH_FILE)
+
+        def no_store(g):
+            raise AssertionError("built the P table beside a valid wgraph.npz")
+
+        monkeypatch.setattr(cli, "KLStore", no_store)
+        assert run([*args, "--group", "B3"], saved) == 0
+        assert capsys.readouterr().out == fresh
+
+    @pytest.mark.parametrize("args", PRODUCTS, ids=["cycltable", "cprod"])
+    def test_unusable_wgraph_is_built(self, tmp_path, capsys, monkeypatch, wgraphs, args):
+        fresh = self.built_output(args, tmp_path / "fresh", capsys, monkeypatch)
+        corrupt = tmp_path / "corrupt"
+        corrupt.mkdir()
+        save_wgraph(wgraphs("B3"), corrupt / cli.WGRAPH_FILE)
+        path = corrupt / cli.WGRAPH_FILE
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert self.built_output(args, corrupt, capsys, monkeypatch) == fresh
 
     def test_bad_ids_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

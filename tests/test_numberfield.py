@@ -1,9 +1,14 @@
-import math
-from fractions import Fraction
+"""The exact arithmetic in Z[2cos(pi/N)] behind the Gram oracle of
+``tests/oracles.py``: minimal polynomials and Gram determinants."""
 
+import math
+
+import numpy as np
 import pytest
 
-from klbasis.numberfield import NumberField, cos_minimal_poly, field_for_labels
+from klbasis.coxeter import CoxeterMatrix, preset_matrix
+
+from oracles import cos_minimal_poly, gram_determinant, gram_positive_definite
 
 
 def test_minimal_polys():
@@ -22,40 +27,35 @@ def test_theta_satisfies_minpoly_numerically(N):
     assert abs(sum(c * theta**i for i, c in enumerate(poly))) < 1e-9
 
 
-def test_field_arithmetic_golden():
-    F = NumberField(5)
-    phi = F.theta()
-    assert (phi * phi - phi - F.one).is_zero()
-    inv = F.one / phi
-    assert (phi - F.one - inv).is_zero()  # phi - 1 = 1/phi
+@pytest.mark.parametrize("name", ["A1", "A4", "B3", "D5", "F4", "H3", "H4", "I2(7)", "I2(30)"])
+def test_gram_determinant_matches_float(name):
+    matrix = preset_matrix(name)[0]
+    big, coeffs = gram_determinant(matrix)
+    theta = 2 * math.cos(math.pi / big)
+    exact = sum(c * theta**i for i, c in enumerate(coeffs))
+    twice_gram = -2 * np.cos(np.pi / np.array(matrix.entries, dtype=float))
+    assert exact > 0
+    assert abs(exact - np.linalg.det(twice_gram)) < 1e-9
 
 
-def test_cos_values_in_joint_field():
-    F = field_for_labels([5, 3, 3])
-    assert F.N == 15 and F.degree == 4
-    for m in (2, 3, 5, 15):
-        c = F.two_cos_pi_over(m)
-        assert abs(float(c) - 2 * math.cos(math.pi / m)) < 1e-9
+def test_gram_determinant_of_cartan_types():
+    """Twice the Gram matrix of a simply laced or B type is its Cartan
+    matrix: determinant n + 1 for A_n, 2 for B_n, 4 for D_n, 1 for F4."""
+    for name, det in [("A1", 2), ("A5", 6), ("B4", 2), ("D6", 4), ("F4", 1)]:
+        coeffs = gram_determinant(preset_matrix(name)[0])[1]
+        assert coeffs[0] == det and not any(coeffs[1:]), name
 
 
-def test_signs_and_order():
-    F = NumberField(5)
-    phi = F.theta()
-    one = F.one
-    assert phi.sign() == 1
-    assert (-phi).sign() == -1
-    assert (phi - one).sign() == 1        # phi > 1
-    assert (phi - F.from_rational(2)).sign() == -1
-    assert F.from_rational(0).sign() == 0
-    assert phi > one
-    # tight comparison: phi vs 1.618 = 809/500
-    close = F.from_rational(Fraction(809, 500))
-    assert (phi - close).sign() == (1 if 2 * math.cos(math.pi / 5) > 1.618 else -1)
-
-
-def test_rational_field_degenerate():
-    F = field_for_labels([3, 2])
-    assert F.degree == 1
-    x = F.from_rational(Fraction(3, 4))
-    assert (x + x).sign() == 1
-    assert (x - x).is_zero()
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]]),  # affine A2
+        CoxeterMatrix.chain(3, [4, 4]),  # affine B2
+        CoxeterMatrix.chain(3, [6, 3]),  # affine G2
+        CoxeterMatrix.chain(5, [3, 3, 4, 3]),  # affine F4
+    ],
+    ids=["affine-A2", "affine-B2", "affine-G2", "affine-F4"],
+)
+def test_affine_gram_determinant_is_exactly_zero(matrix):
+    assert not any(gram_determinant(matrix)[1])
+    assert not gram_positive_definite(matrix)
