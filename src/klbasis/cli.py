@@ -3,20 +3,25 @@
 Commands: klplist (distinct KL polynomials), decrklpol (monotonicity for
 fixed y), positivity (structure-constant sweep with checkpointed progress
 log), cycltable / cprod (product tables), triangle (dihedral coefficient
-tables).  The positivity run appends ``y: maxcoeff = N`` lines (cumulative
-maximum) to positivity_log, per-column maxima to positivity_verbose_log,
-and failures to error_log, each column's failures before its log lines.
+tables).  Bad group input (an unknown name, a matrix file that is missing,
+malformed or of infinite type, too high a rank, too large a group) ends
+any command with one line, ``klbasis: <message>``, and exit status 1.
+
+Each positivity column appends to up to four files, keyed by y, in this
+order: with ``--store-budget``, its newly seen structure constants to the
+sidecar h_polynomials_by_column; its failures to error_log; a
+``y: maxcoeff = N`` line (cumulative maximum) to positivity_log; and its
+own maximum and counts to positivity_verbose_log.  A column is done when
+both logs carry it, and under ``--store-budget`` the sidecar as well.
+Every run rewrites each file (through a temporary file and a rename) to
+the lines of its done columns, sorted by y, and sweeps the rest: a fresh
+run is the case where no column is done, and ``--resume`` ends with the
+files of an uninterrupted run.
 A fresh run builds the W-graph from the P table and saves it as
 wgraph.npz in the output directory; a resumed run loads that file (and
 builds and saves the graph only when the file is missing, damaged or for
-another group), skips the columns both logs carry, keeps only their
-failures and continues the cumulative maximum from the log.  cycltable
-and cprod also read the graph from that file when it is valid, and build
-it from the P table otherwise.
-With ``--store-budget`` each column's newly seen structure constants go to
-an append-only sidecar, h_polynomials_by_column, before its log lines, so
-a resumed run rebuilds the global list and writes the same h_polynomials
-as an uninterrupted one.
+another group).  cycltable and cprod also read the graph from that file
+when it is valid, and build it from the P table otherwise.
 """
 
 from __future__ import annotations
@@ -25,18 +30,12 @@ import argparse
 import os
 import sys
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .checks import (
-    CheckReport,
-    check_p2,
-    column_summary,
-    failure_lines,
-)
+from .checks import CheckReport, check_p2, column_summary, failure_lines
 from .coxeter import CoxeterMatrix, GroupTable, build_group, preset_matrix
 from .dihedral import format_triangle, triangle_table
-from .hecke import DESCENT_STRATEGIES, column, format_combo
+from .hecke import column, format_combo
 from .klbase import KLStore, WGraph, build_wgraph, load_wgraph, save_wgraph
 
 POSITIVITY_LOG = "positivity_log"
@@ -46,58 +45,68 @@ H_COLUMNS = "h_polynomials_by_column"
 WGRAPH_FILE = "wgraph.npz"
 
 
-@dataclass
-class RunConfig:
-    group: str | None = None
-    matrix_file: str | None = None
-    command: str = ""
-    y_range: tuple[int, int] | None = None
-    strategy: str = "fewest"
-    threads: int = 1
-    outdir: str = "."
-    resume: bool = False
-    store_budget: int = 0  # distinct h-polynomials kept for the global list; 0 disables
-    args: list[str] = field(default_factory=list)
+def _log_y(line: str) -> int:
+    """The y of a log line 'y: maxcoeff = N ...', whose N must read too."""
+    ystr, rest = line.split(": maxcoeff = ", 1)
+    int(rest.split()[0])
+    return int(ystr)
 
-    def load_group(self) -> GroupTable:
-        if self.matrix_file:
-            text = Path(self.matrix_file).read_text()
-            name = Path(self.matrix_file).stem
-            return build_group(CoxeterMatrix.from_text(text), name)
-        if not self.group:
+
+# the append-only files of a positivity sweep, in the order a column
+# appends to them, each with how to read the y of one of its lines
+SWEEP_FILES = (
+    (H_COLUMNS, lambda line: int(line.split(":", 1)[0])),  # 'y: p1; p2; ...'
+    (ERROR_LOG, lambda line: int(line.split(",", 2)[1])),  # 'h(x,y,z) = ...'
+    (POSITIVITY_LOG, _log_y),
+    (VERBOSE_LOG, _log_y),
+)
+
+
+def _load_group(ns: argparse.Namespace) -> GroupTable:
+    try:
+        if ns.matrix:
+            path = Path(ns.matrix)
+            return build_group(CoxeterMatrix.from_text(path.read_text()), path.stem)
+        if not ns.group:
             raise SystemExit("no group given: use --group NAME or --matrix FILE")
-        matrix, name = preset_matrix(self.group)
-        return build_group(matrix, name)
-
-    def resolve_range(self, size: int) -> range:
-        if self.y_range is None:
-            return range(size)
-        lo, hi = self.y_range
-        if not (0 <= lo <= hi < size):
-            raise SystemExit(f"--range {lo}:{hi} outside 0..{size - 1}")
-        return range(lo, hi + 1)
+        return build_group(*preset_matrix(ns.group))
+    except (OSError, ValueError) as err:
+        raise SystemExit(f"klbasis: {err}")
 
 
-def _outpath(cfg: RunConfig, name: str) -> Path:
-    out = Path(cfg.outdir)
+def _outpath(ns: argparse.Namespace, name: str) -> Path:
+    out = Path(ns.outdir)
     out.mkdir(parents=True, exist_ok=True)
     return out / name
 
 
-def _emit_report(cfg: RunConfig, report: CheckReport) -> None:
+def _emit_report(ns: argparse.Namespace, report: CheckReport) -> None:
     print(report.to_text())
-    with open(_outpath(cfg, "checks.jsonl"), "a") as fh:
+    with open(_outpath(ns, "checks.jsonl"), "a") as fh:
         fh.write(report.to_json() + "\n")
 
 
-def cmd_klplist(cfg: RunConfig) -> int:
+def _wgraph(g: GroupTable, path: Path, load: bool = True, save: bool = False) -> WGraph:
+    """The W-graph saved at path, or, when it is not to be loaded or that
+    file cannot be used, one built from the P table (and saved at path).
+    The P table is needed only to extract the graph and is dropped at once,
+    so neither this process nor a sweep's pool workers hold it."""
+    wg = load_wgraph(path, g) if load else None
+    if wg is None:
+        wg = build_wgraph(KLStore(g))
+        if save:
+            save_wgraph(wg, path)
+    return wg
+
+
+def cmd_klplist(ns: argparse.Namespace) -> int:
     """Distinct KL polynomials, sorted by (degree, coefficients); re-checks
     non-negativity along the way."""
-    g = cfg.load_group()
+    g = _load_group(ns)
     store = KLStore(g)
     polys = store.distinct_polynomials()
     bad = [p for p in polys if any(c < 0 for c in p.coeffs)]
-    path = _outpath(cfg, "klplist")
+    path = _outpath(ns, "klplist")
     with open(path, "w") as fh:
         fh.write(f"group {g.name}: {len(polys)} distinct polynomials\n")
         for p in polys:
@@ -110,27 +119,11 @@ def cmd_klplist(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_decrklpol(cfg: RunConfig) -> int:
-    g = cfg.load_group()
+def cmd_decrklpol(ns: argparse.Namespace) -> int:
+    g = _load_group(ns)
     report = check_p2(KLStore(g))
-    _emit_report(cfg, report)
+    _emit_report(ns, report)
     return 0 if report.passed else 1
-
-
-def _parse_log(path: Path) -> dict[int, tuple[int, str]]:
-    """Complete 'y: maxcoeff = N ...' lines of an existing progress log,
-    as {y: (N, line)}.  A torn trailing line is dropped."""
-    out: dict[int, tuple[int, str]] = {}
-    if path.exists():
-        raw = path.read_bytes().decode()
-        for line in raw.split("\n")[:-1]:
-            try:
-                ystr, rest = line.split(":", 1)
-                n = int(rest.split("=", 1)[1].split()[0])
-                out[int(ystr)] = (n, line)
-            except (ValueError, IndexError):
-                continue
-    return out
 
 
 def _complete_lines(path: Path) -> list[str]:
@@ -139,96 +132,75 @@ def _complete_lines(path: Path) -> list[str]:
     return path.read_bytes().decode().split("\n")[:-1] if path.exists() else []
 
 
-def _error_y(line: str) -> int:
-    """The y of an error line 'h(x,y,z) = ...'."""
-    return int(line.split("(", 1)[1].split(",", 2)[1])
+def _lines_by_y(path: Path, y_of) -> dict[int, list[str]]:
+    """Complete lines of a sweep file, grouped by their y in file order; a
+    line whose y cannot be read is dropped."""
+    out: dict[int, list[str]] = {}
+    for line in _complete_lines(path):
+        try:
+            out.setdefault(y_of(line), []).append(line)
+        except (ValueError, IndexError):
+            continue
+    return out
 
 
-def _h_columns(path: Path) -> dict[int, str]:
-    """Complete 'y: p1; p2; ...' lines of the structure-constant sidecar,
-    as {y: line}.  A torn trailing line is dropped."""
-    return {int(line.split(":", 1)[0]): line for line in _complete_lines(path)}
-
-
-def _column_info(wg: WGraph, y: int, strategy: str, budget: int) -> dict:
+def _column_info(wg: WGraph, y: int, budget: int) -> dict:
     """Column y, scanned; with a budget, also its distinct polynomials."""
-    col = column(wg, y, strategy)
+    col = column(wg, y)
     info = column_summary(col, with_unimodality=True)
     if budget:
         info["polys"] = sorted(str(col.store.poly(u)) for u in col.store)
     return info
 
 
-# (wg, strategy, budget) inside a pool worker, set once by its initializer;
-# never set in the parent process
+# (wg, budget) inside a pool worker, set once by its initializer; never set
+# in the parent process
 _pool_job: tuple = ()
 
 
-def _init_pool_worker(wg: WGraph, strategy: str, budget: int) -> None:
+def _init_pool_worker(wg: WGraph, budget: int) -> None:
     global _pool_job
-    _pool_job = (wg, strategy, budget)
+    _pool_job = (wg, budget)
 
 
 def _pool_column(y: int) -> dict:
-    wg, strategy, budget = _pool_job
-    return _column_info(wg, y, strategy, budget)
+    wg, budget = _pool_job
+    return _column_info(wg, y, budget)
 
 
-def cmd_positivity(cfg: RunConfig) -> int:
+def cmd_positivity(ns: argparse.Namespace) -> int:
     """Per-y structure-constant sweep with non-negativity and unimodality
-    checks, an append-only progress log and kill-safe resume."""
-    g = cfg.load_group()
-    ys = cfg.resolve_range(g.size)
+    checks, append-only logs and kill-safe resume."""
+    g = _load_group(ns)
+    lo, hi = ns.range or (0, g.size - 1)
+    if not 0 <= lo <= hi < g.size:
+        raise SystemExit(f"--range {lo}:{hi} outside 0..{g.size - 1}")
+    budget = ns.store_budget
+    wg = _wgraph(g, _outpath(ns, WGRAPH_FILE), load=ns.resume, save=True)
+    paths = {name: _outpath(ns, name) for name, _ in SWEEP_FILES}
 
-    log_path = _outpath(cfg, POSITIVITY_LOG)
-    verbose_path = _outpath(cfg, VERBOSE_LOG)
-    error_path = _outpath(cfg, ERROR_LOG)
+    # a kill can land between a column's appends, so it is done only when
+    # both logs carry it, and under a budget the sidecar too; each file is
+    # rewritten to the lines of the done columns, through a temporary file
+    # and a rename, so a kill during the rewrite loses no line of them
+    kept = {name: _lines_by_y(paths[name], y_of) if ns.resume else {} for name, y_of in SWEEP_FILES}
+    done = kept[POSITIVITY_LOG].keys() & kept[VERBOSE_LOG].keys()
+    if budget:
+        done &= kept[H_COLUMNS].keys()
+    for name, path in paths.items():
+        tmp = path.with_name(name + ".tmp")
+        tmp.write_text("".join(line + "\n" for y in sorted(done) for line in kept[name].get(y, ())))
+        os.replace(tmp, path)
+    cum = max((int(kept[POSITIVITY_LOG][y][-1].split("= ", 1)[1]) for y in done), default=0)
+    global_polys = {
+        p
+        for y in done
+        for line in kept[H_COLUMNS].get(y, ())
+        for p in line.split(":", 1)[1].strip().split("; ")
+        if p
+    }
 
-    h_columns_path = _outpath(cfg, H_COLUMNS)
-    budget = cfg.store_budget
-    global_polys: set[str] = set()
-
-    done: set[int] = set()
-    cum = 0
-    if cfg.resume:
-        main_lines = _parse_log(log_path)
-        verbose_lines = _parse_log(verbose_path)
-        h_lines = _h_columns(h_columns_path)
-        # a kill can land between the appends, so a column counts as done
-        # only when both logs carry its line, and under a budget the
-        # sidecar too; rewrite each file to exactly the surviving lines
-        done = set(main_lines) & set(verbose_lines)
-        if budget:
-            done &= set(h_lines)
-        log_path.write_text("".join(main_lines[y][1] + "\n" for y in sorted(done)))
-        verbose_path.write_text(
-            "".join(verbose_lines[y][1] + "\n" for y in sorted(done))
-        )
-        cum = max((main_lines[y][0] for y in done), default=0)
-        # error lines of a column not done belong to a run it will redo
-        error_path.write_text(
-            "".join(line + "\n" for line in _complete_lines(error_path) if _error_y(line) in done)
-        )
-        kept = [h_lines[y] for y in sorted(done) if y in h_lines]
-        h_columns_path.write_text("".join(line + "\n" for line in kept))
-        for line in kept:
-            global_polys.update(p for p in line.split(":", 1)[1].strip().split("; ") if p)
-    else:
-        log_path.write_text("")
-        verbose_path.write_text("")
-        error_path.write_text("")
-        h_columns_path.write_text("")
-
-    # the P table is needed only to extract the graph: drop it at once, so
-    # neither this process nor the pool workers hold it during the sweep; a
-    # resume loads the graph a fresh run saved, and rebuilds it only when
-    # that file cannot be used
-    wgraph_path = _outpath(cfg, WGRAPH_FILE)
-    wg = load_wgraph(wgraph_path, g) if cfg.resume else None
-    if wg is None:
-        wg = build_wgraph(KLStore(g))
-        save_wgraph(wg, wgraph_path)
-    todo = [y for y in ys if y not in done]
+    todo = [y for y in range(lo, hi + 1) if y not in done]
     failures = 0
 
     def handle(info: dict) -> None:
@@ -236,44 +208,43 @@ def cmd_positivity(cfg: RunConfig) -> int:
         y = info["y"]
         cum = max(cum, info["max_coeff"])
         problems = failure_lines(info)
-        # the sidecar and error lines go first: a column is done only once
-        # both logs carry its line, so a kill can never leave it done
-        # without them
-        if budget:
-            new = [p for p in info["polys"] if p not in global_polys]
-            global_polys.update(new)
-            with open(h_columns_path, "a") as fh:
-                fh.write(f"{y}: " + "; ".join(new) + "\n")
-        if problems:
-            failures += len(problems)
-            with open(error_path, "a") as fh:
-                for line in problems:
-                    fh.write(line + "\n")
-        with open(log_path, "a") as fh:
-            fh.write(f"{y}: maxcoeff = {cum}\n")
-        with open(verbose_path, "a") as fh:
-            fh.write(
+        failures += len(problems)
+        new = [p for p in info.get("polys", ()) if p not in global_polys]
+        global_polys.update(new)
+        lines = {
+            H_COLUMNS: [f"{y}: " + "; ".join(new)] if budget else [],
+            ERROR_LOG: problems,
+            POSITIVITY_LOG: [f"{y}: maxcoeff = {cum}"],
+            VERBOSE_LOG: [
                 f"{y}: maxcoeff = {info['max_coeff']} entries = {info['entries']}"
-                f" distinct = {info['distinct']}\n"
-            )
+                f" distinct = {info['distinct']}"
+            ],
+        }
+        # in table order: the sidecar and error lines go before the logs,
+        # so a kill can never leave the column done without them
+        for name, _ in SWEEP_FILES:
+            if lines[name]:
+                with open(paths[name], "a") as fh:
+                    fh.write("".join(line + "\n" for line in lines[name]))
         if budget and len(global_polys) > budget:
             raise SystemExit(
                 f"distinct-polynomial store exceeded budget {budget}; "
                 "rerun with a larger --store-budget or without it"
             )
 
-    if cfg.threads <= 1:
+    if ns.threads <= 1:
         for y in todo:
-            handle(_column_info(wg, y, cfg.strategy, budget))
+            handle(_column_info(wg, y, budget))
     else:
-        _run_pool(wg, todo, cfg, handle)
+        _run_pool(wg, todo, ns.threads, budget, handle)
 
     if budget and global_polys:
-        with open(_outpath(cfg, "h_polynomials"), "w") as fh:
+        with open(_outpath(ns, "h_polynomials"), "w") as fh:
             fh.write(f"group {g.name}: {len(global_polys)} distinct structure constants\n")
             for p in sorted(global_polys):
                 fh.write(p + "\n")
 
+    error_path = paths[ERROR_LOG]
     report = CheckReport(
         "positivity",
         g.name,
@@ -282,11 +253,11 @@ def cmd_positivity(cfg: RunConfig) -> int:
     )
     if failures:
         report.counterexamples.append(f"{failures} failures written to {error_path}")
-    _emit_report(cfg, report)
+    _emit_report(ns, report)
     return 0 if failures == 0 and error_path.stat().st_size == 0 else 1
 
 
-def _run_pool(wg: WGraph, todo: list[int], cfg: RunConfig, handle) -> None:
+def _run_pool(wg: WGraph, todo: list[int], threads: int, budget: int, handle) -> None:
     """Ordered collector over a process pool: results are applied in
     ascending y regardless of completion order, so logs are deterministic.
     Each worker receives the W-graph once, through its initializer (under
@@ -295,14 +266,14 @@ def _run_pool(wg: WGraph, todo: list[int], cfg: RunConfig, handle) -> None:
     submitted, so the workers never run far ahead of the logs.  When
     ``handle`` raises (a --store-budget abort, say), the columns not yet
     started are cancelled rather than run to completion."""
-    window = 4 * cfg.threads
+    window = 4 * threads
     pending: dict[int, dict] = {}
     futures: dict = {}
     next_i = submitted = 0
     with ProcessPoolExecutor(
-        max_workers=cfg.threads,
+        max_workers=threads,
         initializer=_init_pool_worker,
-        initargs=(wg, cfg.strategy, cfg.store_budget),
+        initargs=(wg, budget),
     ) as pool:
         try:
             while next_i < len(todo):
@@ -330,47 +301,37 @@ def _element_id(g: GroupTable, token: str) -> int:
     return x
 
 
-def _saved_or_built_wgraph(cfg: RunConfig, g: GroupTable) -> WGraph:
-    """The W-graph a positivity run saved in the output directory, or,
-    when that file cannot be used, one built from the P table."""
-    wg = load_wgraph(Path(cfg.outdir) / WGRAPH_FILE, g)
-    return build_wgraph(KLStore(g)) if wg is None else wg
-
-
-def cmd_cycltable(cfg: RunConfig) -> int:
-    if len(cfg.args) != 1:
+def cmd_cycltable(ns: argparse.Namespace) -> int:
+    if len(ns.args) != 1:
         raise SystemExit("cycltable needs exactly one element id: the fixed y")
-    g = cfg.load_group()
-    y = _element_id(g, cfg.args[0])
-    wg = _saved_or_built_wgraph(cfg, g)
-    col = column(wg, y, cfg.strategy)
+    g = _load_group(ns)
+    y = _element_id(g, ns.args[0])
+    col = column(_wgraph(g, Path(ns.outdir) / WGRAPH_FILE), y)
     for x in range(g.size):
         row = col.row_polys(x)
         if row:
-            line = f"{x}[{g.word_str(x)}]: " + format_combo(g, row.items())
-            print(line)
+            print(f"{x}[{g.word_str(x)}]: " + format_combo(g, row.items()))
     return 0
 
 
-def cmd_cprod(cfg: RunConfig) -> int:
-    if len(cfg.args) != 2:
+def cmd_cprod(ns: argparse.Namespace) -> int:
+    if len(ns.args) != 2:
         raise SystemExit("cprod needs exactly two element ids: x and y")
-    g = cfg.load_group()
-    x = _element_id(g, cfg.args[0])
-    y = _element_id(g, cfg.args[1])
-    wg = _saved_or_built_wgraph(cfg, g)
-    col = column(wg, y, cfg.strategy)
+    g = _load_group(ns)
+    x = _element_id(g, ns.args[0])
+    y = _element_id(g, ns.args[1])
+    col = column(_wgraph(g, Path(ns.outdir) / WGRAPH_FILE), y)
     print(f"{x}[{g.word_str(x)}]: " + format_combo(g, col.row_polys(x).items()))
     return 0
 
 
-def cmd_triangle(cfg: RunConfig) -> int:
-    if len(cfg.args) < 2:
+def cmd_triangle(ns: argparse.Namespace) -> int:
+    if len(ns.args) < 2:
         raise SystemExit("triangle needs: m (or 'inf') and k [rows] [side]")
-    m = None if cfg.args[0] in ("inf", "infinite") else int(cfg.args[0])
-    k = int(cfg.args[1])
-    rows = int(cfg.args[2]) if len(cfg.args) > 2 else (m if m else 8)
-    side = cfg.args[3] if len(cfg.args) > 3 else "same"
+    m = None if ns.args[0] in ("inf", "infinite") else int(ns.args[0])
+    k = int(ns.args[1])
+    rows = int(ns.args[2]) if len(ns.args) > 2 else (m if m else 8)
+    side = ns.args[3] if len(ns.args) > 3 else "same"
     print(format_triangle(triangle_table(m, k, side, rows), k))
     return 0
 
@@ -401,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--matrix", help="file with rank then upper-triangle labels")
     ap.add_argument("--range", type=_parse_range, default=None, metavar="LO:HI",
                     help="inclusive range of y ids for positivity")
-    ap.add_argument("--strategy", choices=tuple(DESCENT_STRATEGIES), default="fewest",
-                    help="left descent of each x that the column recursion uses")
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--resume", action="store_true",
                     help="skip y values already in positivity_log")
@@ -414,19 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        group=ns.group,
-        matrix_file=ns.matrix,
-        command=ns.command,
-        y_range=ns.range,
-        strategy=ns.strategy,
-        threads=max(1, ns.threads),
-        outdir=ns.outdir,
-        resume=ns.resume,
-        store_budget=ns.store_budget,
-        args=ns.args,
-    )
-    return COMMANDS[ns.command](cfg)
+    return COMMANDS[ns.command](ns)
 
 
 if __name__ == "__main__":

@@ -67,11 +67,6 @@ class DihedralWord:
         a, b = self.first, 3 - self.first
         return tuple(a if i % 2 == 0 else b for i in range(self.length))
 
-    def last(self) -> int | None:
-        if self.length == 0:
-            return None
-        return self.letters()[-1]
-
     def element(self, g: GroupTable) -> int:
         return g.element_of_word([l - 1 for l in self.letters()])
 
@@ -91,9 +86,6 @@ class DihedralProduct:
         self.side = side
         self.i = i
         self.k = k
-
-    def words(self) -> dict[DihedralWord, SymLaurentPoly]:
-        return {DihedralWord.ending_in(2, j): p for j, p in self.terms.items()}
 
     def to_id_map(self, g: GroupTable) -> dict[int, SymLaurentPoly]:
         return {DihedralWord.ending_in(2, j).element(g): p for j, p in self.terms.items()}

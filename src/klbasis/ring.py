@@ -139,10 +139,6 @@ class LaurentPoly:
     def one() -> "LaurentPoly":
         return _L_ONE
 
-    @staticmethod
-    def term(coeff: int, exp: int) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff})
-
     def coeff(self, e: int) -> int:
         return self._c.get(e, 0)
 

@@ -248,6 +248,31 @@ class TestFailingSweep:
         for name in LOGS:
             assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
 
+    @pytest.mark.parametrize("name", [cli.H_COLUMNS, *LOGS])
+    def test_resume_after_kill_during_rewrite(self, tmp_path, failing_scan, monkeypatch, name):
+        """Killed halfway through writing one of the files a resume
+        rewrites, a further resume still fails and ends with the logs of
+        an uninterrupted run."""
+        reference = tmp_path / "reference"
+        cut = tmp_path / "cut"
+        assert main(["positivity", "--group", "B2", "--outdir", str(reference)]) == 1
+        assert main(["positivity", "--group", "B2", "--outdir", str(cut)]) == 1
+        write_text = Path.write_text
+
+        def killed(path, data, *args, **kwargs):
+            if path.name.startswith(name):
+                write_text(path, data[: len(data) // 2], *args, **kwargs)
+                raise SimulatedKill
+            return write_text(path, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", killed)
+        with pytest.raises(SimulatedKill):
+            main(["positivity", "--group", "B2", "--outdir", str(cut), "--resume"])
+        monkeypatch.setattr(Path, "write_text", write_text)
+        assert main(["positivity", "--group", "B2", "--outdir", str(cut), "--resume"]) == 1
+        for log in LOGS:
+            assert (cut / log).read_bytes() == (reference / log).read_bytes(), log
+
 
 def fork_pool(monkeypatch):
     """Pin the sweep's pool to the fork start method, which carries a
@@ -500,6 +525,69 @@ class TestWGraphFile:
         )
         assert proc.returncode == 0, proc.stderr
         self.assert_logs(cut, reference)
+
+
+class TestFreshRun:
+    """A run without --resume counts no column as done, whatever another
+    run left in its directory."""
+
+    @pytest.mark.parametrize("budget", [[], ["--store-budget", "100000"]], ids=["plain", "budget"])
+    def test_other_runs_files_are_ignored(self, tmp_path, budget):
+        sweep = ["positivity", "--group", "A3", "--range", "5:17", *budget]
+        empty, used = tmp_path / "empty", tmp_path / "used"
+        assert main([*sweep, "--outdir", str(empty)]) == 0
+        # a sidecar, logs of another range and a W-graph of another group,
+        # with an error line for a column of the range
+        other = ["positivity", "--group", "B3", "--range", "0:30", "--store-budget", "100000"]
+        assert main([*other, "--outdir", str(used)]) == 0
+        with open(used / cli.ERROR_LOG, "a") as fh:
+            fh.write("h(0,7,7) = -v has a negative coefficient\n")
+        assert main([*sweep, "--outdir", str(used)]) == 0
+        names = (*LOGS, cli.H_COLUMNS, cli.WGRAPH_FILE) + (("h_polynomials",) if budget else ())
+        for name in names:
+            assert (used / name).read_bytes() == (empty / name).read_bytes(), name
+
+
+E7_MATRIX = "7\n2 3 2 2 2 2\n2 3 2 2 2\n3 2 2 2\n3 2 2\n3 2\n3\n"
+RANK_9_MATRIX = "9\n" + "".join(" ".join(["2"] * k) + "\n" for k in range(8, 0, -1))
+
+
+class TestBadGroupInput:
+    """Bad group input ends the command with one line and exit status 1,
+    not with a Python stack."""
+
+    @pytest.mark.parametrize(
+        "matrix, group, message",
+        [
+            ("3\n3 3\n3\n", None, "the group is not finite"),
+            (None, "Z9", "unrecognised group name 'Z9'"),
+            (E7_MATRIX, None, "group of order 2903040 exceeds max_size"),
+            (RANK_9_MATRIX, None, "rank 9 exceeds supported bound 8"),
+        ],
+        ids=["affine A2", "Z9", "E7", "rank 9"],
+    )
+    def test_one_line_and_exit_1(self, tmp_path, matrix, group, message):
+        if matrix is None:
+            where = ["--group", group]
+        else:
+            (tmp_path / "matrix.txt").write_text(matrix)
+            where = ["--matrix", str(tmp_path / "matrix.txt")]
+        env = dict(os.environ)
+        src = str(Path(klbasis.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "klbasis", "positivity", *where,
+             "--outdir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("klbasis: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    def test_missing_matrix_file(self, tmp_path):
+        with pytest.raises(SystemExit, match="^klbasis: .*nowhere.txt"):
+            run(["positivity", "--matrix", str(tmp_path / "nowhere.txt")], tmp_path)
 
 
 class TestProductCommands:
