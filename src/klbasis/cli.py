@@ -13,10 +13,11 @@ sidecar h_polynomials_by_column; its failures to error_log; a
 ``y: maxcoeff = N`` line (cumulative maximum) to positivity_log; and its
 own maximum and counts to positivity_verbose_log.  A column is done when
 both logs carry it, and under ``--store-budget`` the sidecar as well.
-Every run rewrites each file (through a temporary file and a rename) to
-the lines of its done columns, sorted by y, and sweeps the rest: a fresh
-run is the case where no column is done, and ``--resume`` ends with the
-files of an uninterrupted run.
+Every run first rewrites each file (through a temporary file and a
+rename) to the lines of its done columns, sorted by y, then loads or
+builds the W-graph and sweeps the rest: a fresh run is the case where no
+column is done, and ``--resume`` ends with the files of an uninterrupted
+run.
 A fresh run builds the W-graph from the P table and saves it as
 wgraph.npz in the output directory; a resumed run loads that file (and
 builds and saves the graph only when the file is missing, damaged or for
@@ -45,20 +46,25 @@ H_COLUMNS = "h_polynomials_by_column"
 WGRAPH_FILE = "wgraph.npz"
 
 
-def _log_y(line: str) -> int:
-    """The y of a log line 'y: maxcoeff = N ...', whose N must read too."""
+def _sidecar_line(line: str) -> tuple[int, list[str]]:
+    """(y, [p1, p2, ...]) of a sidecar line 'y: p1; p2; ...'."""
+    ystr, rest = line.split(":", 1)
+    return int(ystr), [p for p in rest.strip().split("; ") if p]
+
+
+def _log_line(line: str) -> tuple[int, int]:
+    """(y, N) of a log line 'y: maxcoeff = N ...'."""
     ystr, rest = line.split(": maxcoeff = ", 1)
-    int(rest.split()[0])
-    return int(ystr)
+    return int(ystr), int(rest.split()[0])
 
 
 # the append-only files of a positivity sweep, in the order a column
-# appends to them, each with how to read the y of one of its lines
+# appends to them, each with how to read the y and the value of one line
 SWEEP_FILES = (
-    (H_COLUMNS, lambda line: int(line.split(":", 1)[0])),  # 'y: p1; p2; ...'
-    (ERROR_LOG, lambda line: int(line.split(",", 2)[1])),  # 'h(x,y,z) = ...'
-    (POSITIVITY_LOG, _log_y),
-    (VERBOSE_LOG, _log_y),
+    (H_COLUMNS, _sidecar_line),
+    (ERROR_LOG, lambda line: (int(line.split(",", 2)[1]), line)),  # 'h(x,y,z) = ...'
+    (POSITIVITY_LOG, _log_line),
+    (VERBOSE_LOG, _log_line),
 )
 
 
@@ -68,7 +74,7 @@ def _load_group(ns: argparse.Namespace) -> GroupTable:
             path = Path(ns.matrix)
             return build_group(CoxeterMatrix.from_text(path.read_text()), path.stem)
         if not ns.group:
-            raise SystemExit("no group given: use --group NAME or --matrix FILE")
+            raise ValueError("no group given: use --group NAME or --matrix FILE")
         return build_group(*preset_matrix(ns.group))
     except (OSError, ValueError) as err:
         raise SystemExit(f"klbasis: {err}")
@@ -86,17 +92,11 @@ def _emit_report(ns: argparse.Namespace, report: CheckReport) -> None:
         fh.write(report.to_json() + "\n")
 
 
-def _wgraph(g: GroupTable, path: Path, load: bool = True, save: bool = False) -> WGraph:
-    """The W-graph saved at path, or, when it is not to be loaded or that
-    file cannot be used, one built from the P table (and saved at path).
-    The P table is needed only to extract the graph and is dropped at once,
-    so neither this process nor a sweep's pool workers hold it."""
-    wg = load_wgraph(path, g) if load else None
-    if wg is None:
-        wg = build_wgraph(KLStore(g))
-        if save:
-            save_wgraph(wg, path)
-    return wg
+def _wgraph(g: GroupTable, path: Path) -> WGraph:
+    """The W-graph saved at path, or, when that file cannot be used, one
+    built from the P table (which is dropped at once)."""
+    wg = load_wgraph(path, g)
+    return wg if wg is not None else build_wgraph(KLStore(g))
 
 
 def cmd_klplist(ns: argparse.Namespace) -> int:
@@ -127,20 +127,20 @@ def cmd_decrklpol(ns: argparse.Namespace) -> int:
 
 
 def _complete_lines(path: Path) -> list[str]:
-    """Complete lines of an existing file; a torn trailing line is
-    dropped."""
+    """Complete lines of an existing file; a torn trailing line is dropped."""
     return path.read_bytes().decode().split("\n")[:-1] if path.exists() else []
 
 
-def _lines_by_y(path: Path, y_of) -> dict[int, list[str]]:
-    """Complete lines of a sweep file, grouped by their y in file order; a
-    line whose y cannot be read is dropped."""
-    out: dict[int, list[str]] = {}
+def _lines_by_y(path: Path, read) -> dict[int, list[tuple[str, object]]]:
+    """Complete lines of a sweep file with their values, grouped by their y
+    in file order; a line that cannot be read is dropped."""
+    out: dict[int, list[tuple[str, object]]] = {}
     for line in _complete_lines(path):
         try:
-            out.setdefault(y_of(line), []).append(line)
+            y, value = read(line)
         except (ValueError, IndexError):
             continue
+        out.setdefault(y, []).append((line, value))
     return out
 
 
@@ -176,29 +176,32 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
     if not 0 <= lo <= hi < g.size:
         raise SystemExit(f"--range {lo}:{hi} outside 0..{g.size - 1}")
     budget = ns.store_budget
-    wg = _wgraph(g, _outpath(ns, WGRAPH_FILE), load=ns.resume, save=True)
     paths = {name: _outpath(ns, name) for name, _ in SWEEP_FILES}
 
     # a kill can land between a column's appends, so it is done only when
     # both logs carry it, and under a budget the sidecar too; each file is
     # rewritten to the lines of the done columns, through a temporary file
-    # and a rename, so a kill during the rewrite loses no line of them
-    kept = {name: _lines_by_y(paths[name], y_of) if ns.resume else {} for name, y_of in SWEEP_FILES}
+    # and a rename, so a kill during the rewrite loses no line of them.
+    # The rewrite comes before the W-graph build, so a fresh run killed
+    # there leaves no other run's column for a resume to count as done.
+    kept = {name: _lines_by_y(paths[name], read) if ns.resume else {} for name, read in SWEEP_FILES}
     done = kept[POSITIVITY_LOG].keys() & kept[VERBOSE_LOG].keys()
     if budget:
         done &= kept[H_COLUMNS].keys()
     for name, path in paths.items():
         tmp = path.with_name(name + ".tmp")
-        tmp.write_text("".join(line + "\n" for y in sorted(done) for line in kept[name].get(y, ())))
+        tmp.write_text("".join(line + "\n" for y in sorted(done) for line, _ in kept[name].get(y, ())))
         os.replace(tmp, path)
-    cum = max((int(kept[POSITIVITY_LOG][y][-1].split("= ", 1)[1]) for y in done), default=0)
-    global_polys = {
-        p
-        for y in done
-        for line in kept[H_COLUMNS].get(y, ())
-        for p in line.split(":", 1)[1].strip().split("; ")
-        if p
-    }
+    cum = max((kept[POSITIVITY_LOG][y][-1][1] for y in done), default=0)
+    global_polys = {p for y in done for _, polys in kept[H_COLUMNS].get(y, ()) for p in polys}
+
+    # the P table is needed only to extract the graph and is dropped at
+    # once, so neither this process nor a sweep's pool workers hold it
+    wg_path = _outpath(ns, WGRAPH_FILE)
+    wg = load_wgraph(wg_path, g) if ns.resume else None
+    if wg is None:
+        wg = build_wgraph(KLStore(g))
+        save_wgraph(wg, wg_path)
 
     todo = [y for y in range(lo, hi + 1) if y not in done]
     failures = 0

@@ -531,21 +531,58 @@ class TestFreshRun:
     """A run without --resume counts no column as done, whatever another
     run left in its directory."""
 
-    @pytest.mark.parametrize("budget", [[], ["--store-budget", "100000"]], ids=["plain", "budget"])
-    def test_other_runs_files_are_ignored(self, tmp_path, budget):
+    BUDGET = ["--store-budget", "100000"]
+
+    def sweeps(self, tmp_path, budget):
+        """The A3 sweep, its files in an empty directory, and a directory
+        holding a B3 run's files: a sidecar, logs of another range and a
+        W-graph of another group, with an error line for a column of the
+        range."""
         sweep = ["positivity", "--group", "A3", "--range", "5:17", *budget]
         empty, used = tmp_path / "empty", tmp_path / "used"
         assert main([*sweep, "--outdir", str(empty)]) == 0
-        # a sidecar, logs of another range and a W-graph of another group,
-        # with an error line for a column of the range
-        other = ["positivity", "--group", "B3", "--range", "0:30", "--store-budget", "100000"]
+        other = ["positivity", "--group", "B3", "--range", "0:30", *self.BUDGET]
         assert main([*other, "--outdir", str(used)]) == 0
         with open(used / cli.ERROR_LOG, "a") as fh:
             fh.write("h(0,7,7) = -v has a negative coefficient\n")
-        assert main([*sweep, "--outdir", str(used)]) == 0
+        return [*sweep, "--outdir", str(used)], empty, used
+
+    @staticmethod
+    def assert_files(got, want, budget):
         names = (*LOGS, cli.H_COLUMNS, cli.WGRAPH_FILE) + (("h_polynomials",) if budget else ())
         for name in names:
-            assert (used / name).read_bytes() == (empty / name).read_bytes(), name
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    @pytest.mark.parametrize("budget", [[], BUDGET], ids=["plain", "budget"])
+    def test_other_runs_files_are_ignored(self, tmp_path, budget):
+        sweep, empty, used = self.sweeps(tmp_path, budget)
+        assert main(sweep) == 0
+        self.assert_files(used, empty, budget)
+
+    @pytest.mark.parametrize("when", ["building", "after saving"])
+    def test_resume_after_kill_around_the_wgraph(self, tmp_path, monkeypatch, when):
+        """Killed while it builds the W-graph or just after saving it, a
+        fresh run has already dropped the other run's lines, so a resume
+        counts none of its columns as done."""
+        sweep, empty, used = self.sweeps(tmp_path, self.BUDGET)
+        save = cli.save_wgraph
+
+        def build_killed(store):
+            raise SimulatedKill
+
+        def save_killed(wg, path):
+            save(wg, path)
+            raise SimulatedKill
+
+        if when == "building":
+            monkeypatch.setattr(cli, "build_wgraph", build_killed)
+        else:
+            monkeypatch.setattr(cli, "save_wgraph", save_killed)
+        with pytest.raises(SimulatedKill):
+            main(sweep)
+        monkeypatch.undo()
+        assert main([*sweep, "--resume"]) == 0
+        self.assert_files(used, empty, self.BUDGET)
 
 
 E7_MATRIX = "7\n2 3 2 2 2 2\n2 3 2 2 2\n3 2 2 2\n3 2 2\n3 2\n3\n"
@@ -563,12 +600,13 @@ class TestBadGroupInput:
             (None, "Z9", "unrecognised group name 'Z9'"),
             (E7_MATRIX, None, "group of order 2903040 exceeds max_size"),
             (RANK_9_MATRIX, None, "rank 9 exceeds supported bound 8"),
+            (None, None, "no group given"),
         ],
-        ids=["affine A2", "Z9", "E7", "rank 9"],
+        ids=["affine A2", "Z9", "E7", "rank 9", "no group"],
     )
     def test_one_line_and_exit_1(self, tmp_path, matrix, group, message):
         if matrix is None:
-            where = ["--group", group]
+            where = ["--group", group] if group else []
         else:
             (tmp_path / "matrix.txt").write_text(matrix)
             where = ["--matrix", str(tmp_path / "matrix.txt")]
