@@ -29,7 +29,7 @@ print(f"built {g.name} and its W-graph in {time.perf_counter()-start:.2f}s "
 for report in (
     check_p1(store),
     check_p2(store),
-    check_p3(wg, with_unimodality=True),
+    check_p3(wg),
     check_w0_identity(store, wg),
     check_strategy_invariance(wg),
 ):

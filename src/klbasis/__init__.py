@@ -8,10 +8,8 @@ from .ring import (
     NotSymmetricError,
     QPoly,
     SymLaurentPoly,
-    bar,
     is_unimodal,
     qpoly_from_sym,
-    sym_from_laurent,
 )
 from .coxeter import (
     CoxeterMatrix,
@@ -27,10 +25,8 @@ from .hecke import (
     HColumn,
     NoSolutionError,
     PolyStore,
-    bar_h,
     c_in_t_basis,
     c_in_t_basis_oracle,
-    c_mult_gen,
     column,
     t_inverse,
     t_mult_gen,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .coxeter import GroupTable
 from .hecke import DESCENT_STRATEGIES, HColumn, column
@@ -140,15 +140,10 @@ def failure_lines(info: dict) -> list[str]:
     ] + [f"h({x},{y},{z}) = {p} is not unimodal" for x, z, p in info["bad_unimodal"]]
 
 
-def check_p3(
-    wg: WGraph,
-    y_range: Iterable[int] | None = None,
-    progress: Callable[[dict], None] | None = None,
-    with_unimodality: bool = False,
-) -> CheckReport:
+def check_p3(wg: WGraph, y_range: Iterable[int] | None = None) -> CheckReport:
     """Build each column in the range and assert every structure constant
-    has non-negative coefficients; tracks the running maximum coefficient
-    and emits one progress record per y."""
+    has non-negative coefficients and is unimodal, as the positivity
+    sweep does; tracks the maximum coefficient."""
     g = wg.g
     report = CheckReport("p3", g.name)
     ys = range(g.size) if y_range is None else y_range
@@ -156,15 +151,12 @@ def check_p3(
     triples = 0
     columns = 0
     for y in ys:
-        info = column_summary(column(wg, y), with_unimodality=with_unimodality)
+        info = column_summary(column(wg, y))
         columns += 1
         triples += info["entries"]
         max_coeff = max(max_coeff, info["max_coeff"])
         for line in failure_lines(info):
             report.record_failure(line)
-        if progress is not None:
-            info["cumulative_max"] = max_coeff
-            progress(info)
     report.counters.update(columns=columns, triples=triples, max_coeff=max_coeff)
     return report
 

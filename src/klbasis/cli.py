@@ -5,7 +5,8 @@ fixed y), positivity (structure-constant sweep with checkpointed progress
 log), cycltable / cprod (product tables), triangle (dihedral coefficient
 tables).  Bad group input (an unknown name, a matrix file that is missing,
 malformed or of infinite type, too high a rank, too large a group) ends
-any command with one line, ``klbasis: <message>``, and exit status 1.
+any command with one line, ``klbasis: <message>``, and exit status 1, as
+do bad triangle arguments.
 
 Each positivity column appends to up to four files, keyed by y, in this
 order: with ``--store-budget``, its newly seen structure constants to the
@@ -331,11 +332,15 @@ def cmd_cprod(ns: argparse.Namespace) -> int:
 def cmd_triangle(ns: argparse.Namespace) -> int:
     if len(ns.args) < 2:
         raise SystemExit("triangle needs: m (or 'inf') and k [rows] [side]")
-    m = None if ns.args[0] in ("inf", "infinite") else int(ns.args[0])
-    k = int(ns.args[1])
-    rows = int(ns.args[2]) if len(ns.args) > 2 else (m if m else 8)
-    side = ns.args[3] if len(ns.args) > 3 else "same"
-    print(format_triangle(triangle_table(m, k, side, rows), k))
+    try:
+        m = None if ns.args[0] in ("inf", "infinite") else int(ns.args[0])
+        k = int(ns.args[1])
+        rows = int(ns.args[2]) if len(ns.args) > 2 else (m if m else 8)
+        side = ns.args[3] if len(ns.args) > 3 else "same"
+        table = triangle_table(m, k, side, rows)
+    except ValueError as err:
+        raise SystemExit(f"klbasis: {err}")
+    print(format_triangle(table, k))
     return 0
 
 

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 MAX_RANK = 8
+MAX_SIZE = 1_000_000
 
 
 class InfiniteTypeError(ValueError):
@@ -275,7 +276,6 @@ class GroupTable:
         self._level_masks: list[int] | None = None
         self._lmask_superset: dict[int, int] | None = None
         self._rmask_superset: dict[int, int] | None = None
-        self._caches: dict[str, dict] = {}
 
     # -- words ------------------------------------------------------------
 
@@ -300,19 +300,6 @@ class GroupTable:
         return x
 
     # -- Bruhat order -------------------------------------------------------
-
-    def bruhat_leq(self, x: int, y: int) -> bool:
-        """Descent recursion: pick s in L(y); x <= y iff min(x, sx) <= sy."""
-        while True:
-            if x == y or x == 0:
-                return True
-            if self.lengths[x] >= self.lengths[y]:
-                return False
-            ly = self.lmask[y]
-            s = (ly & -ly).bit_length() - 1
-            if self.lmask[x] >> s & 1:
-                x = self.lmult[x][s]
-            y = self.lmult[y][s]
 
     def _lmult_array(self, s: int) -> np.ndarray:
         if s not in self._np_lmult:
@@ -383,10 +370,6 @@ class GroupTable:
         """Ids of elements covered by y in Bruhat order."""
         mask = self.bruhat_mask(y) & self.level_mask(self.lengths[y] - 1)
         return self.mask_to_ids(mask)
-
-    def cache(self, key: str) -> dict:
-        """Named scratch cache shared by modules that memoise per group."""
-        return self._caches.setdefault(key, {})
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, size={self.size})"
@@ -485,17 +468,17 @@ def _coset_table(matrix: CoxeterMatrix, limit: int) -> list[list[int]]:
     return table
 
 
-def build_group(matrix: CoxeterMatrix, name: str | None = None, max_size: int = 1_000_000) -> GroupTable:
+def build_group(matrix: CoxeterMatrix, name: str | None = None) -> GroupTable:
     """Enumerate the finite Coxeter group of the given matrix.
 
     Raises InfiniteTypeError for non-finite type, and GroupTooLargeError,
-    before any enumeration, if the group has more than max_size elements.
+    before any enumeration, if the group has more than MAX_SIZE elements.
     """
     n = matrix.rank
     order = group_order(matrix)
-    if order > max_size:
+    if order > MAX_SIZE:
         raise GroupTooLargeError(
-            f"group of order {order} exceeds max_size={max_size}; raise the bound to proceed"
+            f"group of order {order} exceeds the supported {MAX_SIZE} elements"
         )
     table = _coset_table(matrix, 8 * order + 64)
 
@@ -524,7 +507,7 @@ def build_group(matrix: CoxeterMatrix, name: str | None = None, max_size: int = 
 
     return GroupTable(matrix, name or f"rank{n}", lengths, rmult, parent, lastgen)
 
-def group_from_name(name: str, max_size: int = 1_000_000) -> GroupTable:
+def group_from_name(name: str) -> GroupTable:
     matrix, canonical = preset_matrix(name)
-    return build_group(matrix, canonical, max_size=max_size)
+    return build_group(matrix, canonical)
 

@@ -1,10 +1,12 @@
 """Hecke algebra operations over the group ring Z[v, v^-1].
 
 Two layers live here.  The t-basis layer (TCombo: sparse element id ->
-LaurentPoly maps) implements generator multiplication, the bar involution
-and the triangular bar-solve that reconstructs the Kazhdan-Lusztig basis
-from its defining properties; it is the independent oracle against which
-the P-polynomial recursion is checked.  The column layer computes, for a
+LaurentPoly maps) implements generator multiplication, inverses and the
+triangular bar-solve that reconstructs the Kazhdan-Lusztig basis from its
+defining properties; it is the independent oracle against which the
+P-polynomial recursion is checked.  The bar involution itself, and
+products in the Kazhdan-Lusztig basis by a generator, live with the
+tests' oracles (``tests/oracles.py``).  The column layer computes, for a
 fixed y, every product c_x * c_y by induction on l(x), with the
 structure constants interned in a deduplicating store of symmetric
 Laurent polynomials.  The store holds only the structure constants
@@ -49,11 +51,9 @@ from .ring import (
 )
 
 TCombo = dict[int, LaurentPoly]
-CCombo = dict[int, LaurentPoly]
 
 _L_ONE = LaurentPoly.one()
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
-_BETA = LaurentPoly({1: 1, -1: 1})  # v + v^-1
 
 
 class NoSolutionError(RuntimeError):
@@ -90,32 +90,23 @@ def t_mult_gen(g: GroupTable, s: int, u: TCombo) -> TCombo:
 def t_inverse(g: GroupTable, z: int) -> TCombo:
     """t_z^-1 in the t-basis, by induction on length via
     t_s^-1 = t_s - (v - v^-1) t_e."""
-    cache: dict[int, TCombo] = g.cache("t_inverse")
-    if z in cache:
-        return cache[z]
+    return _t_inverse(g, z, {0: {0: _L_ONE}})
+
+
+def _t_inverse(g: GroupTable, z: int, known: dict[int, TCombo]) -> TCombo:
+    """t_z^-1, read from ``known`` (the t-inverses found so far, the
+    identity's among them) or derived from its parent's and added there."""
     chain = []
-    while z not in cache:
-        if z == 0:
-            cache[0] = {0: _L_ONE}
-            break
+    while z not in known:
         chain.append(z)
         z = g.parent[z]
     for w in reversed(chain):
-        s = g.lastgen[w]
         # t_w = t_parent * t_s, so t_w^-1 = t_s^-1 * t_parent^-1
-        prev = cache[g.parent[w]]
-        out = t_mult_gen(g, s, prev)
+        prev = known[g.parent[w]]
+        out = t_mult_gen(g, g.lastgen[w], prev)
         combo_add_scaled(out, prev, -_V_MINUS_VINV)
-        cache[w] = out
-    return cache[chain[0]] if chain else cache[0]
-
-
-def bar_h(g: GroupTable, u: TCombo) -> TCombo:
-    """The bar involution: coefficients bar'ed, t_y -> (t_{y^-1})^-1."""
-    out: TCombo = {}
-    for y, p in u.items():
-        combo_add_scaled(out, t_inverse(g, g.inv[y]), p.bar())
-    return out
+        known[w] = out
+    return known[chain[0]] if chain else known[z]
 
 
 def tcombo_mult(g: GroupTable, a: TCombo, b: TCombo) -> TCombo:
@@ -146,10 +137,11 @@ def c_in_t_basis_oracle(g: GroupTable, y: int) -> TCombo:
     """Reconstruct c_y directly from the defining properties: the unique
     bar-invariant element t_y + corrections with coefficients in
     v^-1 Z[v^-1].  Independent of the P-polynomial recursion."""
+    known: dict[int, TCombo] = {0: {0: _L_ONE}}
     u: TCombo = {y: _L_ONE}
     # residual r = bar(u) - u, updated incrementally as corrections land
     r: TCombo = {}
-    combo_add_scaled(r, t_inverse(g, g.inv[y]), _L_ONE)
+    combo_add_scaled(r, _t_inverse(g, g.inv[y], known), _L_ONE)
     _add_term(r, y, -_L_ONE)
     ly = g.lengths[y]
     by_level: dict[int, list[int]] = {}
@@ -164,7 +156,7 @@ def c_in_t_basis_oracle(g: GroupTable, y: int) -> TCombo:
                 raise NoSolutionError(f"residual at {x} is not antisymmetric: {gamma}")
             delta = LaurentPoly({e: c for e, c in gamma.items() if e < 0})
             _add_term(u, x, delta)
-            tinv = t_inverse(g, g.inv[x])
+            tinv = _t_inverse(g, g.inv[x], known)
             bar_delta = delta.bar()
             for w, p in tinv.items():
                 _add_term(r, w, p * bar_delta)
@@ -174,30 +166,6 @@ def c_in_t_basis_oracle(g: GroupTable, y: int) -> TCombo:
     if any(p for p in r.values()):
         raise NoSolutionError("bar-solve left a nonzero residual")
     return u
-
-
-def c_mult_gen(wg: WGraph, s: int, u: CCombo) -> CCombo:
-    """c_s * u in the KL basis: (v + v^-1) c_w when sw < w, otherwise
-    c_{sw} plus the mu-edge terms below w."""
-    g = wg.g
-    out: CCombo = {}
-    for w, p in u.items():
-        if g.lmask[w] >> s & 1:
-            _add_term(out, w, p * _BETA)
-        else:
-            _add_term(out, g.lmult[w][s], p)
-            for z, mu in wg.mu_in(w):
-                if g.lmask[z] >> s & 1:
-                    _add_term(out, z, p.scaled(mu))
-    return out
-
-
-def c_to_t(store: KLStore, u: CCombo) -> TCombo:
-    """Expand a KL-basis combination into the t-basis."""
-    out: TCombo = {}
-    for y, p in u.items():
-        combo_add_scaled(out, c_in_t_basis(store, y), p)
-    return out
 
 
 def pack(p: SymLaurentPoly) -> int:
@@ -390,7 +358,8 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
         # z -> the packed sum so far; a sum that cancels is removed
         row: dict[int, int] = {}
         get = row.get
-        # c_s * c_{sx}, as in c_mult_gen ...
+        # c_s * c_{sx}: (v + v^-1) c_z for s in L(z), otherwise c_{sz}
+        # plus the mu-edges below z ...
         for z, u in rows[sx].items():
             t = lmult[z][s]
             if t < z:  # s in L(z): (v + v^-1) c_z

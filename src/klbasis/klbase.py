@@ -16,10 +16,10 @@ the recursion is int shifts, additions and multiply-adds, and each
 distinct value is stored once: all pairs with equal P share one int
 object.  A value's slots are read once, when it is first seen
 (``ring._biased``), which checks the signed 64-bit bound and records its
-degree, its leading coefficient (the mu-value when the degree is the
-largest allowed) and whether it has a negative coefficient.  Every stored
-pair is still held to the degree bound and scanned for negative
-coefficients, through those figures.  Sums cannot carry between slots:
+degree and its leading coefficient (the mu-value when the degree is the
+largest allowed).  Every stored pair is still held to the degree bound,
+through those figures; ``checks.check_p1`` scans the table for negative
+coefficients.  Sums cannot carry between slots:
 each column checks its mu-values once (``check_mu_carry``).  Queries
 return ``QPoly``, decoded once per distinct value.
 
@@ -74,26 +74,20 @@ class KLStore:
         self.g = g
         # canonical extremal pair (x, y), keyed y * |W| + x -> packed P
         self._P: dict[int, int] = {}
-        # packed P -> (that int, degree, leading coefficient, has a negative
-        # coefficient); the first element is the one object all pairs share
-        self._values: dict[int, tuple[int, int, int, bool]] = {}
+        # packed P -> (that int, degree, leading coefficient); the first
+        # element is the one object all pairs share
+        self._values: dict[int, tuple[int, int, int]] = {}
         self._decoded: dict[int, QPoly] = {}
         self._mu: dict[int, tuple[tuple[int, int], ...]] = {}
         self._next_column = 0
-        self.negative_pairs: list[tuple[int, int]] = []
 
     # -- packed values ------------------------------------------------------
 
-    def _intern(self, u: int) -> tuple[int, int, int, bool]:
+    def _intern(self, u: int) -> tuple[int, int, int]:
         got = self._values.get(u)
         if got is None:
             biased = _biased(u)  # raises CoefficientOverflowError
-            got = self._values[u] = (
-                u,
-                len(biased) - 1,
-                biased[-1] - _I64 if biased else 0,
-                min(biased, default=_I64) < _I64,
-            )
+            got = self._values[u] = (u, len(biased) - 1, biased[-1] - _I64 if biased else 0)
         return got
 
     def _decode(self, u: int) -> QPoly:
@@ -170,18 +164,14 @@ class KLStore:
                 d = ly - lengths[x]
                 if iy == y and inv[x] < x:
                     # P_{x,y} = P_{x^-1,y}, stored earlier in this column
-                    _, deg, lead, _ = values[table[y * n + inv[x]]]
+                    _, deg, lead = values[table[y * n + inv[x]]]
                 else:
-                    u, deg, lead, negative = self._intern(
-                        self._recurrence(x, y, s, sy, below, mus)
-                    )
+                    u, deg, lead = self._intern(self._recurrence(x, y, s, sy, below, mus))
                     if 2 * deg > d - 1:
                         raise AssertionError(
                             f"degree bound violated for P_{{{x},{y}}} in {g.name}: "
                             f"{self._decode(u)}"
                         )
-                    if negative:
-                        self.negative_pairs.append((x, y))
                     table[y * n + x] = u
                 # mu(x, y) is the coefficient of q^((d-1)/2), the largest
                 # degree the bound allows
@@ -217,21 +207,6 @@ class KLStore:
         if y >= self._next_column:
             self.build_upto(g.lengths[y])
         return self._decode(self._packed(x, y, self._below(y)))
-
-    def mu(self, x: int, y: int) -> int:
-        """Coefficient of degree (l(y)-l(x)-1)/2 in P_{x,y}; zero for even
-        length difference."""
-        g = self.g
-        d = g.lengths[y] - g.lengths[x]
-        if d <= 0 or d % 2 == 0:
-            return 0
-        if not g.bruhat_mask(y) >> x & 1:
-            return 0
-        if d == 1:
-            return 1
-        if g.lmask[y] & ~g.lmask[x] or g.rmask[y] & ~g.rmask[x]:
-            return 0  # non-extremal pairs lose the top-degree window
-        return self.kl_polynomial(x, y).coeff((d - 1) >> 1)
 
     def mu_list(self, y: int) -> tuple[tuple[int, int], ...]:
         """All (z, mu(z, y)) with nonzero mu, sorted by z."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add as _add
 from struct import Struct
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -224,11 +224,6 @@ _L_ZERO = LaurentPoly()
 _L_ONE = LaurentPoly({0: 1})
 
 
-def bar(p: LaurentPoly) -> LaurentPoly:
-    """Ring involution v -> v^-1."""
-    return p.bar()
-
-
 class QPoly:
     """Polynomial in q with integer coefficients, stored densely from the
     constant term up.  The leading coefficient is nonzero unless the
@@ -386,18 +381,6 @@ class SymLaurentPoly:
     def one() -> "SymLaurentPoly":
         return _S_ONE
 
-    @classmethod
-    def from_upper(cls, coeffs: Mapping[int, int]) -> "SymLaurentPoly":
-        """Build from {exponent >= 0: coefficient}; exponents must share a
-        parity."""
-        nz = {e: a for e, a in coeffs.items() if a}
-        if not nz:
-            return _S_ZERO
-        if len({e & 1 for e in nz}) > 1:
-            raise MixedParityError("upper coefficients of mixed parity")
-        d = max(nz)
-        return cls(d, [nz.get(e, 0) for e in range(d, -1, -2)])
-
     @property
     def degree(self) -> int:
         return self._d
@@ -405,9 +388,6 @@ class SymLaurentPoly:
     @property
     def half(self) -> tuple[int, ...]:
         return self._half
-
-    def parity(self) -> int:
-        return self._d & 1
 
     def is_zero(self) -> bool:
         return self._d < 0
@@ -510,22 +490,6 @@ def _sym(degree: int, half: tuple[int, ...]) -> SymLaurentPoly:
 
 _S_ZERO = SymLaurentPoly(-1)
 _S_ONE = SymLaurentPoly(0, (1,))
-
-
-def sym_from_laurent(p: LaurentPoly) -> SymLaurentPoly:
-    """Compress a palindromic single-parity Laurent polynomial.
-
-    Raises NotSymmetricError if p != bar(p), MixedParityError if the
-    exponents do not share one parity.  Round-trips exactly with
-    ``SymLaurentPoly.expand``.
-    """
-    if p.is_zero():
-        return _S_ZERO
-    if p != p.bar():
-        raise NotSymmetricError(f"{p} is not bar-symmetric")
-    if len({e & 1 for e, _ in p.items()}) > 1:
-        raise MixedParityError(f"{p} has exponents of both parities")
-    return SymLaurentPoly.from_upper({e: a for e, a in p.items() if e >= 0})
 
 
 def qpoly_from_sym(h: SymLaurentPoly) -> QPoly:

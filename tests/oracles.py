@@ -1,5 +1,5 @@
-"""Brute-force oracles the tests hold the package to; nothing in the
-package calls them."""
+"""Brute-force oracles and reference operations the tests hold the
+package to; nothing in the package calls them."""
 
 import itertools
 import math
@@ -8,9 +8,92 @@ import numpy as np
 
 from klbasis.coxeter import CoxeterMatrix, GroupTable
 from klbasis.dihedral import DihedralProduct
-from klbasis.hecke import CCombo, HColumn
-from klbasis.klbase import WGraph
-from klbasis.ring import SymLaurentPoly
+from klbasis.hecke import HColumn, TCombo, _add_term, c_in_t_basis, combo_add_scaled, t_inverse
+from klbasis.klbase import KLStore, WGraph
+from klbasis.ring import LaurentPoly, MixedParityError, NotSymmetricError, SymLaurentPoly
+
+CCombo = dict[int, LaurentPoly]
+
+_BETA = LaurentPoly({1: 1, -1: 1})  # v + v^-1
+
+
+def bruhat_leq(g: GroupTable, x: int, y: int) -> bool:
+    """Descent recursion: pick s in L(y); x <= y iff min(x, sx) <= sy."""
+    while True:
+        if x == y or x == 0:
+            return True
+        if g.lengths[x] >= g.lengths[y]:
+            return False
+        ly = g.lmask[y]
+        s = (ly & -ly).bit_length() - 1
+        if g.lmask[x] >> s & 1:
+            x = g.lmult[x][s]
+        y = g.lmult[y][s]
+
+
+def kl_mu(store: KLStore, x: int, y: int) -> int:
+    """Coefficient of degree (l(y)-l(x)-1)/2 in P_{x,y}; zero for even
+    length difference."""
+    g = store.g
+    d = g.lengths[y] - g.lengths[x]
+    if d <= 0 or d % 2 == 0:
+        return 0
+    if not g.bruhat_mask(y) >> x & 1:
+        return 0
+    if d == 1:
+        return 1
+    if g.lmask[y] & ~g.lmask[x] or g.rmask[y] & ~g.rmask[x]:
+        return 0  # non-extremal pairs lose the top-degree window
+    return store.kl_polynomial(x, y).coeff((d - 1) >> 1)
+
+
+def sym_from_laurent(p: LaurentPoly) -> SymLaurentPoly:
+    """Compress a palindromic single-parity Laurent polynomial.
+
+    Raises NotSymmetricError if p != bar(p), MixedParityError if the
+    exponents do not share one parity.  Round-trips exactly with
+    ``SymLaurentPoly.expand``.
+    """
+    if p.is_zero():
+        return SymLaurentPoly.zero()
+    if p != p.bar():
+        raise NotSymmetricError(f"{p} is not bar-symmetric")
+    if len({e & 1 for e, _ in p.items()}) > 1:
+        raise MixedParityError(f"{p} has exponents of both parities")
+    d = p.degree()
+    return SymLaurentPoly(d, [p.coeff(e) for e in range(d, -1, -2)])
+
+
+def bar_h(g: GroupTable, u: TCombo) -> TCombo:
+    """The bar involution: coefficients bar'ed, t_y -> (t_{y^-1})^-1."""
+    out: TCombo = {}
+    for y, p in u.items():
+        combo_add_scaled(out, t_inverse(g, g.inv[y]), p.bar())
+    return out
+
+
+def c_mult_gen(wg: WGraph, s: int, u: CCombo) -> CCombo:
+    """c_s * u in the KL basis: (v + v^-1) c_w when sw < w, otherwise
+    c_{sw} plus the mu-edge terms below w."""
+    g = wg.g
+    out: CCombo = {}
+    for w, p in u.items():
+        if g.lmask[w] >> s & 1:
+            _add_term(out, w, p * _BETA)
+        else:
+            _add_term(out, g.lmult[w][s], p)
+            for z, mu in wg.mu_in(w):
+                if g.lmask[z] >> s & 1:
+                    _add_term(out, z, p.scaled(mu))
+    return out
+
+
+def c_to_t(store: KLStore, u: CCombo) -> TCombo:
+    """Expand a KL-basis combination into the t-basis."""
+    out: TCombo = {}
+    for y, p in u.items():
+        combo_add_scaled(out, c_in_t_basis(store, y), p)
+    return out
 
 
 def all_reduced_subwords(g: GroupTable, y: int) -> set[int]:

@@ -12,7 +12,7 @@ import klbasis
 from klbasis import cli, klbase
 from klbasis.cli import main
 from klbasis.coxeter import group_from_name
-from klbasis.hecke import c_in_t_basis, c_to_t, tcombo_mult
+from klbasis.hecke import c_in_t_basis, tcombo_mult
 from klbasis.klbase import KLStore, load_wgraph, save_wgraph
 from klbasis.ring import LaurentPoly
 
@@ -598,7 +598,7 @@ class TestBadGroupInput:
         [
             ("3\n3 3\n3\n", None, "the group is not finite"),
             (None, "Z9", "unrecognised group name 'Z9'"),
-            (E7_MATRIX, None, "group of order 2903040 exceeds max_size"),
+            (E7_MATRIX, None, "group of order 2903040 exceeds the supported 1000000 elements"),
             (RANK_9_MATRIX, None, "rank 9 exceeds supported bound 8"),
             (None, None, "no group given"),
         ],
@@ -708,6 +708,28 @@ class TestTriangleCommand:
         assert run(["triangle", "inf", "3", "5"], tmp_path) == 0
         out = capsys.readouterr().out
         assert "i=5" in out
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["x", "3"], "invalid literal for int()"),
+            (["1", "1"], "finite tables need"),
+            (["9", "6", "8", "diagonal"], "side must be one of"),
+        ],
+        ids=["not a number", "m below 2", "unknown side"],
+    )
+    def test_bad_arguments_one_line_and_exit_1(self, tmp_path, args, message):
+        env = dict(os.environ)
+        src = str(Path(klbasis.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "klbasis", "triangle", *args, "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("klbasis: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
 
 class TestMatrixInput:

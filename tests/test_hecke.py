@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import re
 
@@ -6,16 +7,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from klbasis import hecke
+from klbasis.coxeter import group_from_name
 from klbasis.hecke import (
     DESCENT_STRATEGIES,
     W,
     PolyStore,
-    bar_h,
     bmul_packed,
     c_in_t_basis,
     c_in_t_basis_oracle,
-    c_mult_gen,
-    c_to_t,
     check_carry_bound,
     column,
     combo_add_scaled,
@@ -25,7 +24,15 @@ from klbasis.hecke import (
     tcombo_mult,
 )
 
-from oracles import ccombo_from_column_row, cheapest_descent, descent_edges, min_coeff
+from oracles import (
+    bar_h,
+    c_mult_gen,
+    c_to_t,
+    ccombo_from_column_row,
+    cheapest_descent,
+    descent_edges,
+    min_coeff,
+)
 from klbasis.ring import (
     CoefficientOverflowError,
     LaurentPoly,
@@ -116,6 +123,15 @@ class TestCInT:
         store = stores(name)
         for y in range(g.size):
             assert c_in_t_basis_oracle(g, y) == c_in_t_basis(store, y)
+
+    def test_oracle_leaves_the_group_as_it_found_it(self):
+        """The bar-solve keeps its t-inverses to itself: a pickled copy of
+        the group is no larger after the oracle has run on every element."""
+        g = group_from_name("B3")
+        before = len(pickle.dumps(g))
+        for y in range(g.size):
+            c_in_t_basis_oracle(g, y)
+        assert len(pickle.dumps(g)) == before
 
 
 class TestCMult:

@@ -10,12 +10,12 @@ from klbasis.ring import (
     NotSymmetricError,
     QPoly,
     SymLaurentPoly,
-    bar,
     is_unimodal,
     _biased,
     qpoly_from_sym,
-    sym_from_laurent,
 )
+
+from oracles import sym_from_laurent
 
 
 def L(d):
@@ -55,18 +55,18 @@ def sym_pairs(draw):
 
 class TestLaurent:
     def test_bar_examples(self):
-        assert bar(L({1: 1})) == L({-1: 1})
-        assert bar(L({1: 1, -1: 1})) == L({1: 1, -1: 1})
-        assert bar(L({3: 2, -1: -1})) == L({-3: 2, 1: -1})
+        assert L({1: 1}).bar() == L({-1: 1})
+        assert L({1: 1, -1: 1}).bar() == L({1: 1, -1: 1})
+        assert L({3: 2, -1: -1}).bar() == L({-3: 2, 1: -1})
 
     @given(laurents)
     def test_bar_involutive(self, p):
-        assert bar(bar(p)) == p
+        assert p.bar().bar() == p
 
     @given(laurents, laurents)
     def test_bar_additive_multiplicative(self, p, q):
-        assert bar(p + q) == bar(p) + bar(q)
-        assert bar(p * q) == bar(p) * bar(q)
+        assert (p + q).bar() == p.bar() + q.bar()
+        assert (p * q).bar() == p.bar() * q.bar()
 
     def test_arithmetic(self):
         v = LaurentPoly({1: 1})
