@@ -3,10 +3,14 @@
 Commands: klplist (distinct KL polynomials), decrklpol (monotonicity for
 fixed y), positivity (structure-constant sweep with checkpointed progress
 log), cycltable / cprod (product tables), triangle (dihedral coefficient
-tables).  Bad group input (an unknown name, a matrix file that is missing,
-malformed or of infinite type, too high a rank, too large a group) ends
-any command with one line, ``klbasis: <message>``, and exit status 1, as
-do bad triangle arguments.
+tables).  Every argument error ends the command with one line,
+``klbasis: <message>``, and exit status 1: bad group input (an unknown
+name, a matrix file that is missing, malformed or of infinite type, too
+high a rank, too large a group), a wrong number of command arguments, an
+element id that is not an integer or not in the group, a --range outside
+the group and bad triangle arguments.  Errors argparse itself finds (an
+unknown command or option, a --range that is not LO:HI) print its usage
+and exit with status 2.
 
 Each positivity column appends to up to four files, keyed by y, in this
 order: with ``--store-budget``, its newly seen structure constants to the
@@ -175,7 +179,7 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
     g = _load_group(ns)
     lo, hi = ns.range or (0, g.size - 1)
     if not 0 <= lo <= hi < g.size:
-        raise SystemExit(f"--range {lo}:{hi} outside 0..{g.size - 1}")
+        raise SystemExit(f"klbasis: --range {lo}:{hi} outside 0..{g.size - 1}")
     budget = ns.store_budget
     paths = {name: _outpath(ns, name) for name, _ in SWEEP_FILES}
 
@@ -299,15 +303,15 @@ def _element_id(g: GroupTable, token: str) -> int:
     try:
         x = int(token)
     except ValueError:
-        raise SystemExit(f"element id must be an integer, got {token!r}")
+        raise SystemExit(f"klbasis: element id must be an integer, got {token!r}")
     if not 0 <= x < g.size:
-        raise SystemExit(f"element id {x} outside 0..{g.size - 1}")
+        raise SystemExit(f"klbasis: element id {x} outside 0..{g.size - 1}")
     return x
 
 
 def cmd_cycltable(ns: argparse.Namespace) -> int:
     if len(ns.args) != 1:
-        raise SystemExit("cycltable needs exactly one element id: the fixed y")
+        raise SystemExit("klbasis: cycltable needs exactly one element id: the fixed y")
     g = _load_group(ns)
     y = _element_id(g, ns.args[0])
     col = column(_wgraph(g, Path(ns.outdir) / WGRAPH_FILE), y)
@@ -320,7 +324,7 @@ def cmd_cycltable(ns: argparse.Namespace) -> int:
 
 def cmd_cprod(ns: argparse.Namespace) -> int:
     if len(ns.args) != 2:
-        raise SystemExit("cprod needs exactly two element ids: x and y")
+        raise SystemExit("klbasis: cprod needs exactly two element ids: x and y")
     g = _load_group(ns)
     x = _element_id(g, ns.args[0])
     y = _element_id(g, ns.args[1])
@@ -331,7 +335,7 @@ def cmd_cprod(ns: argparse.Namespace) -> int:
 
 def cmd_triangle(ns: argparse.Namespace) -> int:
     if len(ns.args) < 2:
-        raise SystemExit("triangle needs: m (or 'inf') and k [rows] [side]")
+        raise SystemExit("klbasis: triangle needs: m (or 'inf') and k [rows] [side]")
     try:
         m = None if ns.args[0] in ("inf", "infinite") else int(ns.args[0])
         k = int(ns.args[1])

@@ -15,6 +15,7 @@ O(|W| * rank) transition tables, descent masks, lengths and inverses.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -220,6 +221,15 @@ class GroupTable:
     build and safe to share across workers.
     """
 
+    # the tables live in slots: the cached properties below read the
+    # instance __dict__, which on CPython 3.11 makes every later load of
+    # an attribute kept there about three times slower, and the P
+    # recursion loads these in its innermost loop
+    __slots__ = (
+        "matrix", "name", "rank", "size", "lengths", "rmult", "parent", "lastgen",
+        "lmult", "inv", "rmask", "lmask", "w0", "num_pos_roots", "_bruhat_masks", "__dict__",
+    )
+
     def __init__(
         self,
         matrix: CoxeterMatrix,
@@ -271,11 +281,7 @@ class GroupTable:
             raise AssertionError("longest element must have full descent sets")
         self.num_pos_roots = lengths[self.w0]
 
-        self._np_lmult: dict[int, np.ndarray] = {}
         self._bruhat_masks: dict[int, int] = {0: 1}
-        self._level_masks: list[int] | None = None
-        self._lmask_superset: dict[int, int] | None = None
-        self._rmask_superset: dict[int, int] | None = None
 
     # -- words ------------------------------------------------------------
 
@@ -301,17 +307,17 @@ class GroupTable:
 
     # -- Bruhat order -------------------------------------------------------
 
-    def _lmult_array(self, s: int) -> np.ndarray:
-        if s not in self._np_lmult:
-            self._np_lmult[s] = np.array([self.lmult[x][s] for x in range(self.size)], dtype=np.int64)
-        return self._np_lmult[s]
+    @cached_property
+    def _lmult_arrays(self) -> np.ndarray:
+        """Left multiplication as one int64 row per generator: [s][x] = s x."""
+        return np.ascontiguousarray(np.array(self.lmult, dtype=np.int64).T)
 
     def _permute_bitmask(self, mask: int, s: int) -> int:
         """{s*x : x in mask} as a bitmask, via a vectorised permutation."""
         nbytes = (self.size + 7) // 8
         raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
         bits = np.unpackbits(raw, bitorder="little")[: self.size]
-        out = bits[self._lmult_array(s)]
+        out = bits[self._lmult_arrays[s]]
         return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
 
     def bruhat_mask(self, y: int) -> int:
@@ -337,34 +343,38 @@ class GroupTable:
         bits = np.unpackbits(raw, bitorder="little")[: self.size]
         return np.nonzero(bits)[0]
 
-    def level_mask(self, length: int) -> int:
-        if self._level_masks is None:
-            levels = [0] * (self.lengths[self.w0] + 1)
-            for x in range(self.size):
-                levels[self.lengths[x]] |= 1 << x
-            self._level_masks = levels
-        if 0 <= length < len(self._level_masks):
-            return self._level_masks[length]
-        return 0
+    @cached_property
+    def _level_masks(self) -> list[int]:
+        levels = [0] * (self.lengths[self.w0] + 1)
+        for x in range(self.size):
+            levels[self.lengths[x]] |= 1 << x
+        return levels
 
-    def descent_superset_mask(self, side: str, dmask: int) -> int:
-        """Bitmask of elements whose left (or right) descent set contains
-        dmask; precomputed by a subset-sum sweep over descent sets."""
-        attr = "_lmask_superset" if side == "left" else "_rmask_superset"
-        table = getattr(self, attr)
-        if table is None:
-            source = self.lmask if side == "left" else self.rmask
-            n = self.rank
-            table = {T: 0 for T in range(1 << n)}
-            for x, d in enumerate(source):
+    def level_mask(self, length: int) -> int:
+        levels = self._level_masks
+        return levels[length] if 0 <= length < len(levels) else 0
+
+    @cached_property
+    def _descent_supersets(self) -> dict[str, list[int]]:
+        """Per side, [T] = bitmask of the elements whose descent set on
+        that side contains T, by a subset-sum sweep over descent sets."""
+        n = self.rank
+        out = {}
+        for side, descents in (("left", self.lmask), ("right", self.rmask)):
+            table = out[side] = [0] * (1 << n)
+            for x, d in enumerate(descents):
                 table[d] |= 1 << x
             for s in range(n):
                 bit = 1 << s
                 for T in range(1 << n):
                     if not T & bit:
                         table[T] |= table[T | bit]
-            setattr(self, attr, table)
-        return table[dmask]
+        return out
+
+    def descent_superset_mask(self, side: str, dmask: int) -> int:
+        """Bitmask of elements whose left (or right) descent set contains
+        dmask."""
+        return self._descent_supersets[side][dmask]
 
     def covers(self, y: int) -> np.ndarray:
         """Ids of elements covered by y in Bruhat order."""

@@ -13,8 +13,10 @@ multiples of v + v^-1).
 The infinite-group products follow a closed form: a pyramid of 1-2-...-2-1
 coefficients for the same side and a (v + v^-1) band for the opposite
 side.  In the finite group the same recursion is run with the column of
-the longest element absorbing everything that crosses it, which is also
-how the integer triangle tables are produced.
+the longest element absorbing everything that crosses it.  The integer
+triangle tables are read off the rows of that one recursion: the part
+below the longest element, each coefficient an integer c on the same side
+and c(v + v^-1) on the opposite side, stored as c.
 """
 
 from __future__ import annotations
@@ -80,12 +82,8 @@ class DihedralProduct:
     Keys are result lengths j; for a finite group the key m stands for the
     longest element.  Values are symmetric Laurent coefficients."""
 
-    def __init__(self, terms: dict[int, SymLaurentPoly], m: int | None, side: str, i: int, k: int):
+    def __init__(self, terms: dict[int, SymLaurentPoly]):
         self.terms = {j: p for j, p in terms.items() if p}
-        self.m = m
-        self.side = side
-        self.i = i
-        self.k = k
 
     def to_id_map(self, g: GroupTable) -> dict[int, SymLaurentPoly]:
         return {DihedralWord.ending_in(2, j).element(g): p for j, p in self.terms.items()}
@@ -125,7 +123,7 @@ def infinite_product(side: str, i: int, k: int) -> DihedralProduct:
     else:
         for j in range(abs(k - i) + 1, k + i, 2):
             terms[j] = _BETA
-    return DihedralProduct(terms, None, side, i, k)
+    return DihedralProduct(terms)
 
 
 def _sides_letters(k: int, side: str) -> int:
@@ -149,12 +147,11 @@ def finite_product(m: int, side: str, i: int, k: int) -> DihedralProduct:
         raise InvalidIndexError("m must be at least 2")
     if not 0 < i <= m or not 0 < k <= m:
         raise InvalidIndexError("factor lengths must lie in 1..m")
-    last = _sides_letters(k, side)
-    rows = _product_rows(m, k, last, i)
-    return DihedralProduct(rows[i], m, side, i, k)
+    rows = _product_rows(m, k, _sides_letters(k, side), i)
+    return DihedralProduct(rows[i])
 
 
-def _product_rows(m: int, k: int, last: int, upto: int) -> list[dict[int, SymLaurentPoly]]:
+def _product_rows(m: int | None, k: int, last: int, upto: int) -> list[dict[int, SymLaurentPoly]]:
     """Rows 0..upto of the product recursion; row i is the expansion of
     the product with the length-i left factor ending in ``last``."""
     rows: list[dict[int, SymLaurentPoly]] = [{k: _ONE}]
@@ -202,12 +199,14 @@ def triangle_table(
 ) -> list[dict[int, int]]:
     """Integer coefficient rows of the product recursion.
 
-    Row i comes from row i-1 by the j-1/j+1 rule minus row i-2, run in the
-    half-plane j > 0 (terms falling into column 0 are omitted) and, for
-    finite m, inside the strip j < m.  Same-side tables start from 1s at
-    k-1 and k+1; opposite-side tables are the integer parts of the
-    (v + v^-1) multiples and start from a single 1 at k.  Returned as one
-    sparse {column: coefficient} dict per row, rows 1..rows.
+    Row i is row i of the recursion behind ``finite_product`` (for m =
+    None, the same recursion in the infinite group) inside the strip
+    j < m; the products never reach column 0.  Each coefficient there is
+    an integer c on the same side and c(v + v^-1) on the opposite side,
+    and the table holds c: same-side tables start from 1s at k-1 and k+1,
+    opposite-side tables from a single 1 at k (those inside the strip).
+    Returned as one sparse {column: coefficient} dict per row, rows
+    1..rows.
     """
     if side not in SIDES:
         raise InvalidIndexError(f"side must be one of {SIDES}")
@@ -215,33 +214,12 @@ def triangle_table(
         raise InvalidIndexError("k and rows must be positive")
     if m is not None and (m < 2 or k > m or rows > m):
         raise InvalidIndexError("finite tables need 0 < k <= m and rows <= m")
-
-    def keep(j: int) -> bool:
-        return j >= 1 and (m is None or j <= m - 1)
-
-    if side == "same":
-        # at k = m the first multiplication is already absorbed by the
-        # longest element, so nothing enters the strip
-        if m is not None and k == m:
-            first = {}
-        else:
-            first = {j: 1 for j in (k - 1, k + 1) if keep(j)}
-    else:
-        first = {k: 1} if keep(k) else {}
-    table = [first]
-    for i in range(2, rows + 1):
-        prev1 = table[-1]
-        prev2 = table[-2] if i >= 3 else {}
-        cols = {j + 1 for j in prev1} | {j - 1 for j in prev1} | set(prev2)
-        row: dict[int, int] = {}
-        for j in sorted(cols):
-            if not keep(j):
-                continue
-            c = prev1.get(j - 1, 0) + prev1.get(j + 1, 0) - prev2.get(j, 0)
-            if c:
-                row[j] = c
-        table.append(row)
-    return table
+    degree = 0 if side == "same" else 1
+    products = _product_rows(m, k, _sides_letters(k, side), rows)
+    return [
+        {j: p.coeff(degree) for j, p in sorted(row.items()) if m is None or j < m}
+        for row in products[1:]
+    ]
 
 
 def format_triangle(table: list[dict[int, int]], k: int) -> str:
@@ -277,10 +255,11 @@ def crosscheck_dihedral(m: int, g: GroupTable | None = None) -> CheckReport:
         col = column(wg, y)
         for side in SIDES:
             last = _sides_letters(k, side)
+            rows = _product_rows(m, k, last, m)
             for i in range(1, m + 1):
                 x = DihedralWord.ending_in(last, i).element(g)
                 got = {z: col.store.poly(h) for z, h in col.rows[x].items()}
-                want = finite_product(m, side, i, k).to_id_map(g)
+                want = DihedralProduct(rows[i]).to_id_map(g)
                 products += 1
                 if got != want:
                     report.record_failure(

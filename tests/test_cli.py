@@ -628,6 +628,37 @@ class TestBadGroupInput:
             run(["positivity", "--matrix", str(tmp_path / "nowhere.txt")], tmp_path)
 
 
+class TestBadArguments:
+    """A bad element id, argument count or --range ends the command with
+    one line and exit status 1, as bad group input does."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["cprod", "zero", "1", "--group", "A2"], "element id must be an integer, got 'zero'"),
+            (["cprod", "0", "99", "--group", "A2"], "element id 99 outside 0..5"),
+            (["cprod", "1", "--group", "A2"], "cprod needs exactly two element ids"),
+            (["cycltable", "--group", "A2"], "cycltable needs exactly one element id"),
+            (["triangle", "3"], "triangle needs: m (or 'inf') and k"),
+            (["positivity", "--group", "A2", "--range", "0:99"], "--range 0:99 outside 0..5"),
+        ],
+        ids=["id not a number", "id outside", "cprod count", "cycltable count",
+             "triangle count", "range outside"],
+    )
+    def test_one_line_and_exit_1(self, tmp_path, args, message):
+        env = dict(os.environ)
+        src = str(Path(klbasis.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "klbasis", *args, "--outdir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("klbasis: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+
 class TestProductCommands:
     def test_cprod_identity(self, tmp_path, capsys):
         assert run(["cprod", "0", "4", "--group", "A2"], tmp_path) == 0
@@ -698,6 +729,65 @@ class TestProductCommands:
             run(["cprod", "zero", "1", "--group", "A2"], tmp_path)
 
 
+# stdout of `klbasis triangle ARGS`, line by line
+TRIANGLE_OUTPUTS = {
+    ("9", "6", "8"): (
+        "       j=1  j=2  j=3  j=4  j=5  j=6  j=7  j=8",
+        "i=1      .    .    .    .    1    .    1    .",
+        "i=2      .    .    .    1    .    2    .    1",
+        "i=3      .    .    1    .    2    .    2    .",
+        "i=4      .    1    .    2    .    2    .    1",
+        "i=5      1    .    2    .    2    .    1    .",
+        "i=6      .    2    .    2    .    1    .    .",
+        "i=7      1    .    2    .    1    .    .    .",
+        "i=8      .    1    .    1    .    .    .    .",
+    ),
+    ("9", "6", "9", "opposite"): (
+        "       j=1  j=2  j=3  j=4  j=5  j=6  j=7  j=8",
+        "i=1      .    .    .    .    .    1    .    .",
+        "i=2      .    .    .    .    1    .    1    .",
+        "i=3      .    .    .    1    .    1    .    1",
+        "i=4      .    .    1    .    1    .    1    .",
+        "i=5      .    1    .    1    .    1    .    .",
+        "i=6      1    .    1    .    1    .    .    .",
+        "i=7      .    1    .    1    .    .    .    .",
+        "i=8      .    .    1    .    .    .    .    .",
+        "i=9      .    .    .    .    .    .    .    .",
+    ),
+    ("5", "5", "5"): (
+        "       j=5",
+        "i=1      .",
+        "i=2      .",
+        "i=3      .",
+        "i=4      .",
+        "i=5      .",
+    ),
+    ("inf", "3", "5"): (
+        "       j=1  j=2  j=3  j=4  j=5  j=6  j=7  j=8",
+        "i=1      .    1    .    1    .    .    .    .",
+        "i=2      1    .    2    .    1    .    .    .",
+        "i=3      .    2    .    2    .    1    .    .",
+        "i=4      1    .    2    .    2    .    1    .",
+        "i=5      .    1    .    2    .    2    .    1",
+    ),
+    ("inf", "3", "5", "opposite"): (
+        "       j=1  j=2  j=3  j=4  j=5  j=6  j=7",
+        "i=1      .    .    1    .    .    .    .",
+        "i=2      .    1    .    1    .    .    .",
+        "i=3      1    .    1    .    1    .    .",
+        "i=4      .    1    .    1    .    1    .",
+        "i=5      .    .    1    .    1    .    1",
+    ),
+    ("inf", "1", "4", "same"): (
+        "       j=1  j=2  j=3  j=4  j=5",
+        "i=1      .    1    .    .    .",
+        "i=2      1    .    1    .    .",
+        "i=3      .    1    .    1    .",
+        "i=4      .    .    1    .    1",
+    ),
+}
+
+
 class TestTriangleCommand:
     def test_matches_module(self, tmp_path, capsys):
         assert run(["triangle", "9", "6", "8"], tmp_path) == 0
@@ -708,6 +798,11 @@ class TestTriangleCommand:
         assert run(["triangle", "inf", "3", "5"], tmp_path) == 0
         out = capsys.readouterr().out
         assert "i=5" in out
+
+    @pytest.mark.parametrize("args", list(TRIANGLE_OUTPUTS), ids=" ".join)
+    def test_whole_output(self, tmp_path, capsys, args):
+        assert run(["triangle", *args], tmp_path) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in TRIANGLE_OUTPUTS[args])
 
     @pytest.mark.parametrize(
         "args, message",
