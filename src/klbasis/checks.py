@@ -102,9 +102,9 @@ def column_summary(col: HColumn, with_unimodality: bool = True) -> dict:
     """Scan one column once: negativity, optional unimodality, max
     coefficient, entry and distinct-polynomial counts.
 
-    The column's store holds exactly its distinct values and folds each
-    into its figures once, when it is interned, however many entries
-    share it; the scan reads those figures."""
+    The column's store holds exactly its distinct values and has folded
+    each into its figures once, in the batches it checks them in, however
+    many entries share it; the scan reads those figures."""
     st = col.store
     return {
         "y": col.y,

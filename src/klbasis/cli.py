@@ -8,9 +8,10 @@ tables).  Every argument error ends the command with one line,
 name, a matrix file that is missing, malformed or of infinite type, too
 high a rank, too large a group), a wrong number of command arguments, an
 element id that is not an integer or not in the group, a --range outside
-the group and bad triangle arguments.  Errors argparse itself finds (an
-unknown command or option, a --range that is not LO:HI) print its usage
-and exit with status 2.
+the group, a --threads below 1, a --store-budget below 0 and bad triangle
+arguments; so does a sweep that outgrows its --store-budget.  Errors
+argparse itself finds (an unknown command or option, a --range that is
+not LO:HI) print its usage and exit with status 2.
 
 Each positivity column appends to up to four files, keyed by y, in this
 order: with ``--store-budget``, its newly seen structure constants to the
@@ -236,7 +237,7 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
                     fh.write("".join(line + "\n" for line in lines[name]))
         if budget and len(global_polys) > budget:
             raise SystemExit(
-                f"distinct-polynomial store exceeded budget {budget}; "
+                f"klbasis: distinct-polynomial store exceeded budget {budget}; "
                 "rerun with a larger --store-budget or without it"
             )
 
@@ -385,6 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
+    if ns.threads < 1:
+        raise SystemExit(f"klbasis: --threads {ns.threads} is below 1")
+    if ns.store_budget < 0:
+        raise SystemExit(f"klbasis: --store-budget {ns.store_budget} is below 0")
     return COMMANDS[ns.command](ns)
 
 

@@ -19,20 +19,23 @@ v + v^-1 (``bmul_packed``) and by the mu-values, are int arithmetic on
 stored values: summands, never stored.  Slots are wide enough that these
 sums cannot carry, each summand weighed by its factor
 (``check_carry_bound``, once per column).  The store checks the signed
-64-bit bound and the single degree parity of each value once, when it is
-interned, and holds every value to a bound that keeps each of its images
-in 64 bits too (``PolyStore.bound_images``).  The recursion follows only
-the W-graph's descent-filtered edges, and the descent of each x is fixed
-once per group (``DESCENT_STRATEGIES``; by default the cheapest, see
-``klbase.DescentTables``).  Columns for distinct y are independent and share
-nothing mutable.
+64-bit bound and the single degree parity of its new values in numpy
+batches, before any column returns (``PolyStore.settle``), and holds
+every value to a bound that keeps each of its images in 64 bits too
+(``PolyStore.bound_images``); the first value in interning order that
+fails raises what a check of that value alone would raise.  The
+recursion follows only the W-graph's descent-filtered edges, and the
+descent of each x is fixed once per group (``DESCENT_STRATEGIES``; by
+default the cheapest, see ``klbase.DescentTables``).  Columns for
+distinct y are independent and share nothing mutable.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import ge
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .coxeter import GroupTable
 from .klbase import KLStore, WGraph
@@ -48,9 +51,16 @@ from .ring import (
     NotSymmetricError,
     SymLaurentPoly,
     _biased,
+    _biased_slots,
 )
 
 TCombo = dict[int, LaurentPoly]
+
+# the most values PolyStore.settle checks in one set of numpy arrays.  On
+# long H4 columns (up to 51 slots a value) chunks of 256 check as fast as
+# chunks of 512 and add about 0.6 MB to the column's peak memory, against
+# 0.9 MB for chunks of 1024; smaller chunks pay more per value
+SETTLE_CHUNK = 256
 
 _L_ONE = LaurentPoly.one()
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
@@ -209,13 +219,23 @@ class PolyStore:
     them as loose ints and never stored.  The store keeps one dict per
     degree parity, each mapping a value to itself, so that looking a value
     up under the parity its entry must have is the parity check.
-    Iterating the store gives its distinct values.  ``_add`` reads each
-    new value's slots once: it raises MixedParityError if its exponents mix
-    parities, CoefficientOverflowError if a coefficient leaves signed 64
-    bits, or if an image of the value could (``bound_images``), and
-    NotSymmetricError if it is not of the parity asked for; then it folds
-    the value into the figures a column scan reads: ``max_abs``, the
-    largest |coefficient| held, and the values held that have a negative
+    Iterating the store gives its distinct values.
+
+    ``column`` holds each new value at once under the parity its entry
+    must have (``hold``), and ``settle`` checks the values held since, in
+    interning order, in numpy chunks of at most ``SETTLE_CHUNK``: it raises
+    CoefficientOverflowError if a coefficient leaves signed 64 bits, or if
+    an image of the value could (``bound_images``), MixedParityError if
+    its exponents mix parities, and NotSymmetricError if it is not of the
+    parity it is held under.  ``column`` settles whenever a chunk is full
+    and before it returns; ``intern`` and ``intern_packed`` settle at once.
+    The first failure in interning order raises what a check of that value
+    alone would raise, and the store drops it and every value held after
+    it: every value before it is a carry-free sum of values that passed, so
+    it is the value that checking each value as it is interned would have
+    rejected first.  ``settle`` folds the values that pass, in interning
+    order, into the figures a column scan reads: ``max_abs``, the largest
+    |coefficient| held, and the values held that have a negative
     coefficient (``negative``) or are not unimodal (``not_unimodal``).
     """
 
@@ -223,6 +243,9 @@ class PolyStore:
         # degree parity -> {packed value: that int}; the int is the one
         # object all rows share
         self._values: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        # (value, parity it is held under or -1 for either, its (x, y, z)
+        # or ()) of each value held since the last settle, in order
+        self._pending: list[tuple[int, int, tuple]] = []
         self.max_abs = 0
         self.negative: list[int] = []
         self.not_unimodal: list[int] = []
@@ -236,6 +259,7 @@ class PolyStore:
         so that its images under bmul (factor 2) and under scaling by any
         |mu| <= factor stay in signed 64 bits.  Raises
         CoefficientOverflowError if a stored value breaks the bound."""
+        self.settle()
         limit = -(-_I64 // factor)  # max_abs * factor >= 2^63 iff max_abs >= limit
         if limit < self._image_limit:
             if self.max_abs >= limit:
@@ -246,41 +270,90 @@ class PolyStore:
         return self.intern_packed(pack(p))
 
     def intern_packed(self, u: int) -> int:
-        """The store's own int equal to u, interning u if it is new."""
+        """The store's own int equal to u, interning and checking u if it
+        is new."""
         even, odd = self._values
-        return even.get(u) or odd.get(u) or self._add(u)
+        if u not in even and u not in odd:
+            self._pending.append((u, -1, ()))
+        self.settle()
+        return even[u] if u in even else odd[u]
 
-    def _add(self, u: int, parity: int | None = None, triple: tuple[int, int, int] = ()) -> int:
-        """Check a value not held under ``parity`` (under either parity
-        when None), store it and return it.  A value of the other parity is
-        h(triple), an entry of a row that must have ``parity``."""
-        biased = _biased(u)
-        own = len(biased) - 1 & 1
-        other = biased[own ^ 1 :: 2]
-        if other.count(_I64) != len(other):
-            raise MixedParityError("packed polynomial of mixed parity")
-        half = biased[own::2]  # from the middle out, each plus 2^63
-        hi, lo = max(half, default=_I64) - _I64, min(half, default=_I64) - _I64
-        max_abs = max(hi, -lo)
-        if max_abs >= self._image_limit:
-            raise CoefficientOverflowError(
-                f"coefficient {max_abs} would leave 64 bits in an image"
-            )
-        if parity is not None and parity != own:
-            x, y, z = triple
-            raise NotSymmetricError(
-                f"h({x},{y},{z}) = {self.poly(u)} violates the l(x)+l(y)+l(z) "
-                "parity; this indicates a recursion bug"
-            )
-        self._values[own][u] = u
-        if max_abs > self.max_abs:
-            self.max_abs = max_abs
-        if lo < 0:
-            self.negative.append(u)
-        # v^d p is unimodal in q iff its coefficients rise to the middle
-        if not all(map(ge, half, half[1:])):
-            self.not_unimodal.append(u)
+    def hold(self, u: int, parity: int, triple: tuple[int, int, int]) -> int:
+        """Hold u, not held under ``parity``, as h(triple), an entry of a
+        row that must have that parity, and return it.  The next
+        ``settle`` checks it; one runs at once when ``SETTLE_CHUNK``
+        values wait."""
+        self._values[parity][u] = u
+        pending = self._pending
+        pending.append((u, parity, triple))
+        if len(pending) >= SETTLE_CHUNK:
+            self.settle()
         return u
+
+    def settle(self) -> None:
+        """Check the values held since the last settle, in interning order,
+        and fold those that pass into the figures; raise for the first that
+        fails, after dropping it and every later one."""
+        pending = self._pending
+        while pending:
+            chunk = pending[:SETTLE_CHUNK]
+            del pending[:SETTLE_CHUNK]
+            passed, failure = self._settle_chunk(chunk)
+            if failure is not None:
+                for u, parity, _ in chunk[passed:] + pending:
+                    if parity >= 0:
+                        del self._values[parity][u]
+                pending.clear()
+                raise failure
+
+    def _settle_chunk(self, chunk: list[tuple]) -> tuple[int, Exception | None]:
+        """Check a chunk of pending values at once and fold the ones before
+        its first failure into the figures; return how many those are, and
+        the error for that failure (None if there is none)."""
+        values, parities, _ = zip(*chunk)
+        low, out_of_range = _biased_slots(values)
+        nonzero = low != _I64
+        even_any, odd_any = nonzero[:, 0::2].any(axis=1), nonzero[:, 1::2].any(axis=1)
+        mixed = even_any & odd_any
+        own = odd_any | ~even_any  # odd for zero, whose degree is -1
+        # the last slot of each row is zero, so max >= 2^63 >= min
+        low_min = low.min(axis=1)
+        max_abs = np.maximum(low.max(axis=1) - _I64, _I64 - low_min)
+        expected = np.array(parities)
+        failed = (out_of_range | mixed | (max_abs >= self._image_limit)
+                  | (expected >= 0) & (expected != own))
+        passed = int(failed.argmax()) if failed.any() else len(chunk)
+
+        # v^d p is unimodal in q iff its coefficients rise to the middle: no
+        # slot up to the degree is below the one two up from it (the slots
+        # of the other parity are zero, so never rise)
+        n = low.shape[1]
+        degree = n - 1 - nonzero[:, ::-1].argmax(axis=1)
+        rises = (low[:, :-2] < low[:, 2:]) & (np.arange(n - 2) <= degree[:, None] - 2)
+        # a value interned under either parity is stored under its own
+        for i in np.flatnonzero(expected[:passed] < 0).tolist():
+            self._values[int(own[i])][values[i]] = values[i]
+        if passed:
+            self.max_abs = max(self.max_abs, int(max_abs[:passed].max()))
+        for figure, flags in ((self.negative, low_min < _I64),
+                              (self.not_unimodal, rises.any(axis=1))):
+            figure.extend(values[i] for i in np.flatnonzero(flags[:passed]).tolist())
+        if passed == len(chunk):
+            return passed, None
+        u, _, triple = chunk[passed]
+        if out_of_range[passed]:
+            return passed, CoefficientOverflowError("packed coefficient outside signed 64 bits")
+        if mixed[passed]:
+            return passed, MixedParityError("packed polynomial of mixed parity")
+        if max_abs[passed] >= self._image_limit:
+            return passed, CoefficientOverflowError(
+                f"coefficient {int(max_abs[passed])} would leave 64 bits in an image"
+            )
+        x, y, z = triple
+        return passed, NotSymmetricError(
+            f"h({x},{y},{z}) = {self.poly(u)} violates the l(x)+l(y)+l(z) "
+            "parity; this indicates a recursion bug"
+        )
 
     def poly(self, u: int) -> SymLaurentPoly:
         biased = _biased(u)
@@ -347,7 +420,7 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
     get_even, get_odd = (values.get for values in st._values)
     # lookups[p][l(z) & 1]: where an entry at z of a row of parity p is held
     lookups = ((get_even, get_odd), (get_odd, get_even))
-    odd_length, add = [length & 1 for length in lengths], st._add
+    odd_length, hold = [length & 1 for length in lengths], st.hold
     rows: list[dict[int, int]] = [dict() for _ in range(g.size)]
     rows[0] = {y: st.one}
     ly = lengths[y]
@@ -400,8 +473,9 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
         parity = (lengths[x] + ly) & 1
         lookup = lookups[parity]
         for z, u in row.items():
-            row[z] = lookup[odd_length[z]](u) or add(u, parity ^ odd_length[z], (x, y, z))
+            row[z] = lookup[odd_length[z]](u) or hold(u, parity ^ odd_length[z], (x, y, z))
         rows[x] = row
+    st.settle()
     return HColumn(g, y, rows, st)
 
 

@@ -317,40 +317,51 @@ class WGraph:
     def tables(self) -> DescentTables:
         g, offsets, z, mu = self.g, self.offsets, self.z, self.mu
         n, rank = g.size, g.rank
-        ids = list(range(n))  # the one int object of each element
-
-        def per_head(sel: np.ndarray, items: list) -> tuple:
-            # the items of the selected edges, one tuple per y
-            b = np.concatenate(([0], np.cumsum(sel)))[offsets].tolist()
-            return tuple([tuple(items[b[y]:b[y + 1]]) for y in range(n)])
-
+        # the one int object of each element, in an array that fancy
+        # indexing reads without making new ints
+        ids = np.array(range(n), dtype=object)
         sizes = np.diff(offsets)
         heads = np.repeat(np.arange(n), sizes)  # the y of each edge
+
+        def per_head(sel: np.ndarray, items: tuple) -> tuple[tuple, np.ndarray]:
+            # the items of the selected edges, in CSR order, one tuple per
+            # y (most y have none, and share the empty tuple), and how many
+            # each y has
+            ends = np.concatenate(([0], np.cumsum(sel)))[offsets]
+            held = np.flatnonzero(ends[1:] > ends[:-1])
+            out = [()] * n
+            for y, a, b in zip(held.tolist(), ends[held].tolist(), ends[held + 1].tolist()):
+                out[y] = items[a:b]
+            return tuple(out), np.diff(ends)
+
         lmask = np.array(g.lmask, dtype=np.int64)
-        tail_mask, head_mask = lmask[z], lmask[heads]
+        # the s each edge is followed for: s in L(z) \ L(y), z its tail
+        follow = lmask[z] & ~lmask[heads]
         unit = mu == 1
         ones, others, counts = [], [], np.empty((rank, n), dtype=np.int64)
         for s in range(rank):
-            keep = (tail_mask >> s & 1 == 1) & (head_mask >> s & 1 == 0)
-            counts[s] = np.diff(np.concatenate(([0], np.cumsum(keep)))[offsets])
+            keep = follow >> s & 1 == 1
             sel = keep & unit
-            ones.append(per_head(sel, [ids[w] for w in z[sel].tolist()]))
+            ones_s, n_ones = per_head(sel, tuple(ids[z[sel]].tolist()))
             sel = keep & ~unit
-            pairs = zip(z[sel].tolist(), mu[sel].tolist())
-            others.append(per_head(sel, [(ids[w], m) for w, m in pairs]))
+            others_s, n_others = per_head(sel, tuple(zip(ids[z[sel]].tolist(), mu[sel].tolist())))
+            ones.append(ones_s)
+            others.append(others_s)
+            counts[s] = n_ones + n_others
         # cost[x, s]: the edges of sx for s in L(x), more than any otherwise
-        cost = counts[np.arange(rank), np.array(g.lmult, dtype=np.int64)]
+        lmult = np.fromiter(chain.from_iterable(g.lmult), np.int64, n * rank).reshape(n, rank)
+        cost = counts[np.arange(rank), lmult]
         descents = lmask[:, None] >> np.arange(rank) & 1
         cheapest = np.where(descents == 1, cost, len(z) + 1).argmin(axis=1)
         cheapest[0] = -1
         # |mu| bounds in Python ints, exact for any int64 mu a planted graph
         # may carry: every edge weighs one, plus |mu| - 1 off the unit ones
         sums = sizes.tolist()
-        max_mu = 1 if len(z) else 0
         rare = np.flatnonzero(~unit)
-        for y, m in zip(heads[rare].tolist(), mu[rare].tolist()):
-            sums[y] += abs(m) - 1
-            max_mu = max(max_mu, abs(m))
+        rare_mu = [abs(m) for m in mu[rare].tolist()]
+        for y, m in zip(heads[rare].tolist(), rare_mu):
+            sums[y] += m - 1
+        max_mu = max([min(len(z), 1), *rare_mu])
         return DescentTables(
             tuple(ones), tuple(others), tuple(cheapest.tolist()), max_mu, max(sums, default=0)
         )

@@ -12,9 +12,11 @@ arithmetic does not check, since Python ints cannot wrap.  The two large
 tables check once per stored value instead, through one codec defined
 here: a polynomial packed into one int, one W-bit slot per coefficient
 (``W``, ``_biased``).  ``klbase.KLStore`` holds each P_{x,y} packed and
-checks the bound when a distinct value is first stored;
-``hecke.PolyStore.intern_packed`` does the same, with the single degree
-parity, for each structure constant (``hecke.pack``), and the store holds
+checks the bound when a distinct value is first stored.
+``hecke.PolyStore`` checks it, with the single degree parity, for each
+structure constant (``hecke.pack``) in batches (``_biased_slots``),
+before any column returns, and the first failure in interning order
+raises what a check of that value alone would raise; the store holds
 only structure constants.  The images of a stored value under v + v^-1
 and the mu-values are summands, never stored: the store bounds each value
 so that they stay in 64 bits, and sums in between cannot carry, each
@@ -30,7 +32,9 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add as _add
 from struct import Struct
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -89,6 +93,27 @@ def _biased(u: int) -> list[int]:
     while out and out[-1] == _I64:
         out.pop()
     return out
+
+
+# a slot as bytes: its low 64 bits, and the W - 64 bits above them
+_SLOT_BYTES = np.dtype([("low", "<u8"), ("high", f"<u{W // 8 - 8}")])
+
+
+def _biased_slots(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``_biased`` for many packed values at once: a uint64 array, one row
+    per value, of c_e + 2^63 for exponent 0 up to one slot past the
+    longest value (so the last slot of a row is 2^63 when its value is in
+    range), and a bool array, True where ``_biased`` would raise.  With
+    that many slots, adding 2^63 to each leaves every value positive, so a
+    value has a coefficient outside signed 64 bits exactly when one of its
+    slots has a bit set above the low 64."""
+    n = max(map(int.bit_length, values)) // W + 2
+    bias, size = _layout(n)[0], W // 8 * n
+    slots = bytearray()
+    for u in values:
+        slots += (u + bias).to_bytes(size, "little")
+    raw = np.frombuffer(slots, _SLOT_BYTES).reshape(len(values), n)
+    return raw["low"], raw["high"].any(axis=1)
 
 
 def _fmt_terms(items: Iterable[tuple[int, int]], var: str) -> str:

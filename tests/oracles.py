@@ -3,6 +3,7 @@ package to; nothing in the package calls them."""
 
 import itertools
 import math
+from operator import ge
 
 import numpy as np
 
@@ -10,7 +11,15 @@ from klbasis.coxeter import CoxeterMatrix, GroupTable
 from klbasis.dihedral import DihedralProduct
 from klbasis.hecke import HColumn, TCombo, _add_term, c_in_t_basis, combo_add_scaled, t_inverse
 from klbasis.klbase import KLStore, WGraph
-from klbasis.ring import LaurentPoly, MixedParityError, NotSymmetricError, SymLaurentPoly
+from klbasis.ring import (
+    _I64,
+    CoefficientOverflowError,
+    LaurentPoly,
+    MixedParityError,
+    NotSymmetricError,
+    SymLaurentPoly,
+    _biased,
+)
 
 CCombo = dict[int, LaurentPoly]
 
@@ -277,6 +286,56 @@ def table_problems(wg: WGraph) -> list[str]:
                 if shared.setdefault(w, w) is not w:
                     problems.append(f"element {w} held as two int objects")
     return problems
+
+
+class ScalarStore:
+    """``hecke.PolyStore``'s checks and figures, one value at a time, each
+    as it is interned: the oracle for ``PolyStore.settle``.  ``values``
+    maps each degree parity to its values, in interning order; values
+    are held to max_abs < ``image_limit``."""
+
+    def __init__(self, image_limit: int):
+        self.values: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.image_limit = image_limit
+        self.max_abs = 0
+        self.negative: list[int] = []
+        self.not_unimodal: list[int] = []
+
+    def intern(self, u: int, parity: int | None = None, triple: tuple = ()) -> int:
+        """The value equal to u held under ``parity`` (under either parity
+        when None), checked and stored if it is new.  A value of the other
+        parity is h(triple), an entry of a row that must have ``parity``."""
+        held = [self.values[parity]] if parity is not None else self.values
+        for values in held:
+            if u in values:
+                return values[u]
+        biased = _biased(u)
+        own = len(biased) - 1 & 1
+        other = biased[own ^ 1 :: 2]
+        if other.count(_I64) != len(other):
+            raise MixedParityError("packed polynomial of mixed parity")
+        half = biased[own::2]  # from the middle out, each plus 2^63
+        hi, lo = max(half, default=_I64) - _I64, min(half, default=_I64) - _I64
+        max_abs = max(hi, -lo)
+        if max_abs >= self.image_limit:
+            raise CoefficientOverflowError(
+                f"coefficient {max_abs} would leave 64 bits in an image"
+            )
+        if parity is not None and parity != own:
+            x, y, z = triple
+            p = SymLaurentPoly(len(biased) - 1, [c - _I64 for c in biased[::-2]])
+            raise NotSymmetricError(
+                f"h({x},{y},{z}) = {p} violates the l(x)+l(y)+l(z) "
+                "parity; this indicates a recursion bug"
+            )
+        self.values[own][u] = u
+        self.max_abs = max(self.max_abs, max_abs)
+        if lo < 0:
+            self.negative.append(u)
+        # v^d p is unimodal in q iff its coefficients rise to the middle
+        if not all(map(ge, half, half[1:])):
+            self.not_unimodal.append(u)
+        return u
 
 
 def graded_coefficient_sums(prod: DihedralProduct) -> dict[int, int]:

@@ -158,14 +158,15 @@ class FlaggingStore(PolyStore):
 
     FLAGGED = {SymLaurentPoly(1, (1,)): "negative", SymLaurentPoly(0, (2,)): "unimodal"}
 
-    def _add(self, u, *args):
-        u = super()._add(u, *args)
-        flag = self.FLAGGED.get(self.poly(u))
-        if flag == "negative":
-            self.negative.append(u)
-        elif flag == "unimodal":
-            self.not_unimodal.append(u)
-        return u
+    def settle(self):
+        new = [u for u, _, _ in self._pending]
+        super().settle()
+        for u in new:
+            flag = self.FLAGGED.get(self.poly(u))
+            if flag == "negative":
+                self.negative.append(u)
+            elif flag == "unimodal":
+                self.not_unimodal.append(u)
 
 
 class TestFailureLines:

@@ -17,6 +17,16 @@ from klbasis.klbase import KLStore, load_wgraph, save_wgraph
 from klbasis.ring import LaurentPoly
 
 
+def run_python(*args):
+    """``python *args`` in a fresh process that imports this checkout's
+    klbasis, with its output captured as text."""
+    env = dict(os.environ)
+    src = str(Path(klbasis.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
 def run(args, tmp_path, extra=()):
     return main([*args, "--outdir", str(tmp_path), *extra])
 
@@ -128,20 +138,14 @@ class TestPositivity:
         serial = tmp_path / "serial"
         pool = tmp_path / "pool"
         assert main(["positivity", "--group", "B2", "--outdir", str(serial)]) == 0
-        env = dict(os.environ)
-        src = str(Path(klbasis.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import multiprocessing, sys\n"
             "multiprocessing.set_start_method(sys.argv[1])\n"
             "from klbasis.cli import main\n"
             "sys.exit(main(sys.argv[2:]))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code, method, "positivity", "--group", "B2",
-             "--threads", "2", "--outdir", str(pool)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_python("-c", code, method, "positivity", "--group", "B2",
+                          "--threads", "2", "--outdir", str(pool))
         assert proc.returncode == 0, proc.stderr
         for name in ("positivity_log", "positivity_verbose_log", "error_log"):
             assert (serial / name).read_bytes() == (pool / name).read_bytes(), name
@@ -506,9 +510,6 @@ class TestWGraphFile:
         """--resume --threads 2 from a saved file gives the serial logs
         under every start method, and builds no P table."""
         cut = self.cut(tmp_path)
-        env = dict(os.environ)
-        src = str(Path(klbasis.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import multiprocessing, sys\n"
             "multiprocessing.set_start_method(sys.argv[1])\n"
@@ -518,11 +519,8 @@ class TestWGraphFile:
             "cli.KLStore = no_store\n"
             "sys.exit(cli.main(sys.argv[2:]))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code, method, *self.SWEEP, "--threads", "2",
-             "--outdir", str(cut), "--resume"],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_python("-c", code, method, *self.SWEEP, "--threads", "2",
+                          "--outdir", str(cut), "--resume")
         assert proc.returncode == 0, proc.stderr
         self.assert_logs(cut, reference)
 
@@ -610,14 +608,7 @@ class TestBadGroupInput:
         else:
             (tmp_path / "matrix.txt").write_text(matrix)
             where = ["--matrix", str(tmp_path / "matrix.txt")]
-        env = dict(os.environ)
-        src = str(Path(klbasis.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "klbasis", "positivity", *where,
-             "--outdir", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_python("-m", "klbasis", "positivity", *where, "--outdir", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("klbasis: ") and message in proc.stderr
@@ -629,8 +620,9 @@ class TestBadGroupInput:
 
 
 class TestBadArguments:
-    """A bad element id, argument count or --range ends the command with
-    one line and exit status 1, as bad group input does."""
+    """A bad element id, argument count, --range, --threads or
+    --store-budget ends the command with one line and exit status 1, as
+    bad group input does; so does a sweep over its --store-budget."""
 
     @pytest.mark.parametrize(
         "args, message",
@@ -641,18 +633,18 @@ class TestBadArguments:
             (["cycltable", "--group", "A2"], "cycltable needs exactly one element id"),
             (["triangle", "3"], "triangle needs: m (or 'inf') and k"),
             (["positivity", "--group", "A2", "--range", "0:99"], "--range 0:99 outside 0..5"),
+            (["positivity", "--group", "A2", "--threads", "0"], "--threads 0 is below 1"),
+            (["positivity", "--group", "A2", "--store-budget", "-5"],
+             "--store-budget -5 is below 0"),
+            (["positivity", "--group", "I2(9)", "--store-budget", "2"],
+             "store exceeded budget 2"),
         ],
         ids=["id not a number", "id outside", "cprod count", "cycltable count",
-             "triangle count", "range outside"],
+             "triangle count", "range outside", "threads below 1", "budget below 0",
+             "budget exceeded"],
     )
     def test_one_line_and_exit_1(self, tmp_path, args, message):
-        env = dict(os.environ)
-        src = str(Path(klbasis.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "klbasis", *args, "--outdir", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_python("-m", "klbasis", *args, "--outdir", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("klbasis: ") and message in proc.stderr
@@ -814,13 +806,7 @@ class TestTriangleCommand:
         ids=["not a number", "m below 2", "unknown side"],
     )
     def test_bad_arguments_one_line_and_exit_1(self, tmp_path, args, message):
-        env = dict(os.environ)
-        src = str(Path(klbasis.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "klbasis", "triangle", *args, "--outdir", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_python("-m", "klbasis", "triangle", *args, "--outdir", str(tmp_path))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("klbasis: ") and message in proc.stderr

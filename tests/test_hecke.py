@@ -10,6 +10,7 @@ from klbasis import hecke
 from klbasis.coxeter import group_from_name
 from klbasis.hecke import (
     DESCENT_STRATEGIES,
+    SETTLE_CHUNK,
     W,
     PolyStore,
     bmul_packed,
@@ -25,6 +26,7 @@ from klbasis.hecke import (
 )
 
 from oracles import (
+    ScalarStore,
     bar_h,
     c_mult_gen,
     c_to_t,
@@ -600,6 +602,154 @@ class TestPackedStore:
         store.bound_images(1)
         with pytest.raises(CoefficientOverflowError):
             store.intern(SymLaurentPoly(0, (top + 1,)))
+
+
+@st.composite
+def interning_runs(draw):
+    """(factor, entries): an image bound (None for none) and packed values
+    in interning order, each with the parity it is interned under (None
+    for either) and its (x, y, z).  The values mix parities now and then,
+    and their coefficients sit on the edges of signed 64 bits and of the
+    image bound; some values come back, under either parity."""
+    factor = draw(st.sampled_from([None, 1, 2, 3, 1745, 1 << 20]))
+    limit = I64 + 1 if factor is None else -(-I64 // factor)
+    edges = [limit - 1, 1 - limit, limit, -limit, I64 - 1, -I64, I64, -I64 - 1]
+
+    def coeff():
+        kind = draw(st.integers(0, 9))
+        if kind < 7:
+            return draw(st.integers(-3, 3))
+        if kind < 9:
+            return draw(st.sampled_from(edges))
+        return draw(st.integers(-I64 - 2, I64 + 1))
+
+    entries = []
+    for i in range(draw(st.integers(1, 8))):
+        degree = draw(st.integers(0, 7))
+        if entries and draw(st.integers(0, 3)) == 0:
+            u = draw(st.sampled_from(entries))[0]
+        elif draw(st.integers(0, 15)) == 0:
+            u = draw(st.integers(-(1 << 700), 1 << 700))
+        else:
+            u = sum(coeff() << W * e for e in range(degree, -1, -2))
+            if draw(st.integers(0, 5)) == 0:  # a coefficient of the other parity
+                u += coeff() << W * draw(st.sampled_from(range(degree & 1 ^ 1, degree + 2, 2)))
+        parity = draw(st.sampled_from([None, degree & 1, degree & 1, degree & 1 ^ 1]))
+        entries.append((u, parity, (i, 99, i + 1)))
+    return factor, entries
+
+
+def outcome(steps) -> tuple | None:
+    """None when every step runs, else the type and message of the
+    store's error that stops them."""
+    try:
+        for step in steps:
+            step()
+    except (CoefficientOverflowError, MixedParityError, NotSymmetricError) as e:
+        return type(e), str(e)
+    return None
+
+
+def held(values, store) -> tuple:
+    """The values a store holds per parity, and its figures, in order."""
+    return [list(v.items()) for v in values], store.max_abs, store.negative, store.not_unimodal
+
+
+class TestSettle:
+    """The batched check of ``PolyStore.settle`` against the scalar oracle
+    that checks each value as it is interned."""
+
+    @given(interning_runs())
+    def test_matches_the_scalar_oracle(self, run):
+        """Each value interned as ``column`` and ``intern_packed`` do,
+        then settled: the store raises the oracle's first error, type and
+        message, or none; either way it holds and has folded what the
+        oracle has."""
+        factor, entries = run
+        store = PolyStore()
+        if factor:
+            store.bound_images(factor)
+        oracle = ScalarStore(I64 + 1 if factor is None else -(-I64 // factor))
+        oracle.intern(store.one)
+
+        def into_store(u, parity, triple):
+            if parity is None:
+                return lambda: store.intern_packed(u)
+            return lambda: u in store._values[parity] or store.hold(u, parity, triple)
+
+        want = outcome([lambda e=e: oracle.intern(*e) for e in entries])
+        got = outcome([into_store(*e) for e in entries] + [store.settle])
+        assert got == want
+        assert held(store._values, store) == held(oracle.values, oracle)
+
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    def test_first_of_several_failures(self, first):
+        """Of three values in one batch that fail three different checks,
+        the one interned first is reported, and the store keeps only the
+        values before it."""
+        mixed = 1 + (1 << W)
+        wide = I64 << 2 * W  # coefficient 2^63
+        odd = 3 << W  # 3v + 3v^-1, held under even
+        bad = [(mixed, MixedParityError, "mixed parity"),
+               (wide, CoefficientOverflowError, "outside signed 64 bits"),
+               (odd, NotSymmetricError, r"h\(5,9,6\) = 3v\^-1 \+ 3v violates")]
+        store = PolyStore()
+        store.hold(-2, 0, (1, 9, 2))
+        store.hold(4 << W, 1, (2, 9, 3))
+        for k, (u, _, _) in enumerate(bad[first:] + bad[:first]):
+            store.hold(u, 0, (5 + k, 9, 6 + k))
+        store.hold(7, 0, (8, 9, 9))
+        _, error, message = bad[first]
+        with pytest.raises(error, match=message):
+            store.settle()
+        assert list(store) == [1, -2, 4 << W]
+        assert (store.max_abs, store.negative) == (4, [-2])
+        assert not store._pending
+
+    def test_batch_straddles_the_chunk_bound(self):
+        """Values held past SETTLE_CHUNK are checked in two chunks, the
+        first as soon as it is full; the figures come in interning order
+        across both, and a failure in the second keeps the whole first."""
+        values = [(-1) ** k * (k + 2) for k in range(SETTLE_CHUNK + 5)]
+        store = PolyStore()
+        for k, u in enumerate(values[:SETTLE_CHUNK - 1]):
+            store.hold(u, 0, (k, 0, k))
+        assert store.max_abs == 1 and store.negative == []
+        store.hold(values[SETTLE_CHUNK - 1], 0, (SETTLE_CHUNK, 0, 0))
+        assert store.max_abs == SETTLE_CHUNK + 1  # settled at the bound
+        for u in values[SETTLE_CHUNK:]:
+            store.hold(u, 0, (0, 0, 0))
+        store.hold(1 + (1 << W), 0, (0, 0, 0))
+        store.hold(-(10 ** 6), 0, (0, 0, 0))
+        with pytest.raises(MixedParityError):
+            store.settle()
+        assert list(store) == [1] + values
+        assert store.negative == [u for u in values if u < 0]
+        assert store.max_abs == SETTLE_CHUNK + 6
+        # a failure in a full chunk is raised by the hold that fills it
+        store = PolyStore()
+        store.hold(I64, 0, (0, 0, 0))
+        with pytest.raises(CoefficientOverflowError):
+            for k in range(SETTLE_CHUNK):
+                store.hold(k + 2, 0, (0, 0, 0))
+        assert k == SETTLE_CHUNK - 2 and list(store) == [1]
+
+    @pytest.mark.parametrize("name", ["H3", "B3"])
+    def test_column_returns_settled(self, wgraphs, name, monkeypatch):
+        """Whatever the chunk size, a column returns with nothing left to
+        check, and with the rows, the values in order and the figures of
+        the default chunk size."""
+        wg = wgraphs(name)
+        ys = (7, wg.size // 2, wg.size - 1)
+        refs = [column(wg, y) for y in ys]
+        for chunk in (1, 3, 64):
+            monkeypatch.setattr(hecke, "SETTLE_CHUNK", chunk)
+            for y, ref in zip(ys, refs):
+                col = column(wg, y)
+                assert not col.store._pending
+                assert col.rows == ref.rows
+                got, want = (held(c.store._values, c.store) for c in (col, ref))
+                assert got == want, (chunk, y)
 
 
 def planted_wgraph(base: WGraph, mu_of) -> WGraph:
