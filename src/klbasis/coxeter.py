@@ -341,7 +341,8 @@ class GroupTable:
         nbytes = (self.size + 7) // 8
         raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
         bits = np.unpackbits(raw, bitorder="little")[: self.size]
-        return np.nonzero(bits)[0]
+        # as bool: nonzero scans a bool array several times faster
+        return np.flatnonzero(bits.view(bool))
 
     @cached_property
     def _level_masks(self) -> list[int]:

@@ -135,9 +135,8 @@ def c_in_t_basis(store: KLStore, y: int) -> TCombo:
     g = store.g
     ly = g.lengths[y]
     out: TCombo = {}
-    for x in g.mask_to_ids(g.bruhat_mask(y)):
-        x = int(x)
-        p = store.kl_polynomial(x, y)
+    below = g.mask_to_ids(g.bruhat_mask(y))
+    for x, p in zip(below.tolist(), store.kl_polynomials(below, y)):
         if p:
             out[x] = p.to_laurent_v(g.lengths[x] - ly)
     return out

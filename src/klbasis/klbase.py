@@ -5,23 +5,29 @@ Every query is first reduced to an extremal pair (L(x) and R(x) both
 contain the corresponding descent sets of y) through P_{x,y} = P_{sx,y}
 for s in L(y) \\ L(x) and its right-hand analogue, and then to a canonical
 representative under P_{x,y} = P_{x^-1,y^-1}.  Only those canonical
-extremal pairs are memoised.  Columns are filled in increasing length of
-y with the classical descent recursion; the generator used is always the
-lowest-index left descent of y (strategy sensitivity of the structure
-constant computation is tested separately, in checks).
+extremal pairs are stored.  The table is built one length level of y at a
+time, since a column reads only shorter ones, with the classical descent
+recursion; the generator used is always the lowest-index left descent of
+y (strategy sensitivity of the structure constant computation is tested
+separately, in checks).  A level is built in batches of columns: the
+lookups of all their recursions are put into int arrays and reduced at
+once, and by the lifting property x <= y exactly when the reduced pair is
+(y, y) or a stored pair, so the stored pairs answer the Bruhat test too.
 
 The table is packed and interned.  Each P_{x,y} is one int, the
 polynomial at q = 2^W (``ring.W``: one signed slot per coefficient), so
 the recursion is int shifts, additions and multiply-adds, and each
 distinct value is stored once: all pairs with equal P share one int
-object.  A value's slots are read once, when it is first seen
-(``ring._biased``), which checks the signed 64-bit bound and records its
-degree and its leading coefficient (the mu-value when the degree is the
-largest allowed).  Every stored pair is still held to the degree bound,
-through those figures; ``checks.check_p1`` scans the table for negative
-coefficients.  Sums cannot carry between slots:
-each column checks its mu-values once (``check_mu_carry``).  Queries
-return ``QPoly``, decoded once per distinct value.
+object.  The pairs are two arrays in canonical key order, the sorted int64
+keys y |W| + x and their values, and a batch finds the values of its
+lookups with one ``searchsorted``.  A value's slots are read once, when it
+is first seen (``ring._biased``), which checks the signed 64-bit bound and
+records its degree and its leading coefficient (the mu-value when the
+degree is the largest allowed).  Every stored pair is still held to the
+degree bound, through those figures; ``checks.check_p1`` scans the table
+for negative coefficients.  Sums cannot carry between slots: each column
+checks its mu-values once (``check_mu_carry``).  Queries return ``QPoly``,
+decoded once per distinct value.
 
 The W-graph, all the column engine reads, is held as CSR arrays, and
 persists as those arrays in an ``.npz`` (``save_wgraph``,
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import os
 import zipfile
+from bisect import bisect_right
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -66,20 +73,65 @@ def _extremal_mask(g: GroupTable, y: int) -> int:
     )
 
 
+# columns per batch of a level.  A batch's lookup and term arrays live only
+# while it is built, but they set the build's peak RSS: H4 up to length 24
+# peaks at 77.6 MB built a whole level at once, 61.5 MB in batches of 64,
+# 54.7 MB in batches of 16 and 52.8 MB in batches of 8, in times that
+# differ by less than their run-to-run spread
+_BATCH_COLUMNS = 16
+
+
+class _Batch(NamedTuple):
+    """The pairs of a batch of columns, in the order the build checks them
+    (by y, then by x), and the terms of their recurrences.
+
+    Per pair: ``x``, ``y``, and ``sx`` and ``sy`` for the lowest s in L(y).
+    Per term: the ``pair`` it is subtracted from, the ``z`` of the mu list
+    of sy it reads P_{x,z} at, ``mu`` = mu(z, sy) and the slot ``shift``
+    W (l(y) - l(z)) / 2.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    sx: np.ndarray
+    sy: np.ndarray
+    pair: np.ndarray
+    z: np.ndarray
+    mu: np.ndarray
+    shift: np.ndarray
+
+
 class KLStore:
-    """Memoised table of Kazhdan-Lusztig polynomials over one group,
-    packed and interned (see the module docstring)."""
+    """Table of Kazhdan-Lusztig polynomials over one group, packed and
+    interned, built one length level at a time (see the module docstring).
+
+    The stored pairs are two arrays in canonical key order: ``_keys``, the
+    sorted int64 keys y |W| + x, and ``_vals``, the interned packed P of
+    each (an object array whose entries are the shared int objects).
+    """
 
     def __init__(self, g: GroupTable):
         self.g = g
-        # canonical extremal pair (x, y), keyed y * |W| + x -> packed P
-        self._P: dict[int, int] = {}
+        self._keys = np.empty(0, dtype=np.int64)
+        self._vals = np.empty(0, dtype=object)
         # packed P -> (that int, degree, leading coefficient); the first
         # element is the one object all pairs share
         self._values: dict[int, tuple[int, int, int]] = {}
         self._decoded: dict[int, QPoly] = {}
         self._mu: dict[int, tuple[tuple[int, int], ...]] = {}
         self._next_column = 0
+        # the group as arrays: the lookups raise many elements at once
+        rank = g.rank
+        self._lengths = np.array(g.lengths, dtype=np.int64)
+        self._inv = np.array(g.inv, dtype=np.int64)
+        self._lmask = np.array(g.lmask, dtype=np.int64)
+        self._rmask = np.array(g.rmask, dtype=np.int64)
+        # [x, s] = s x and [x, rank + s] = x s
+        self._mult = np.hstack([np.array(g.lmult, dtype=np.int64).reshape(-1, rank),
+                                np.array(g.rmult, dtype=np.int64).reshape(-1, rank)])
+        # [mask] = the lowest generator in a nonzero descent mask
+        self._lowest = np.array([(m & -m).bit_length() - 1 for m in range(1 << rank)],
+                                dtype=np.int64)
 
     # -- packed values ------------------------------------------------------
 
@@ -96,117 +148,201 @@ class KLStore:
             p = self._decoded[u] = QPoly([c - _I64 for c in _biased(u)])
         return p
 
-    def _below(self, y: int) -> bytes:
-        """The Bruhat mask of y as little-endian bytes: testing one bit
-        costs the same wherever it sits, unlike shifting the int."""
-        g = self.g
-        return g.bruhat_mask(y).to_bytes((g.size + 7) >> 3, "little")
+    # -- lookups ------------------------------------------------------------
 
-    def _packed(self, x: int, y: int, below: bytes) -> int:
-        """P_{x,y} packed, where below is ``_below(y)`` and the columns up
-        to y's length are built."""
-        if x == y:
-            return 1
-        if not below[x >> 3] >> (x & 7) & 1:
-            return 0
-        # raise x until (x, y) is extremal
-        g = self.g
-        lmask, rmask = g.lmask, g.rmask
-        left, right = lmask[y], rmask[y]
-        while x != y:
-            free = left & ~lmask[x]
-            if free:
-                x = g.lmult[x][(free & -free).bit_length() - 1]
-                continue
-            free = right & ~rmask[x]
-            if free:
-                x = g.rmult[x][(free & -free).bit_length() - 1]
-                continue
-            n = g.size
-            key, tkey = y * n + x, g.inv[y] * n + g.inv[x]
-            return self._P[tkey if tkey < key else key]
-        return 1
+    def _raise(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Each x raised, until it is b or extremal for b, by s x for the
+        lowest s in L(b) \\ L(x), or when there is none by x s for the
+        lowest s in R(b) \\ R(x).  Neither step changes P_{x,b}, and by the
+        lifting property neither changes whether x <= b."""
+        x = x.copy()
+        lmask, rmask, mult, lowest = self._lmask, self._rmask, self._mult, self._lowest
+        rank = self.g.rank
+        todo = np.flatnonzero(x != b)
+        while todo.size:
+            xt, bt = x[todo], b[todo]
+            free = lmask[bt] & ~lmask[xt]
+            right = free == 0
+            free[right] = rmask[bt[right]] & ~rmask[xt[right]]
+            moves = free != 0
+            todo, bt = todo[moves], bt[moves]
+            xt = mult[xt[moves], lowest[free[moves]] + rank * right[moves]]
+            x[todo] = xt
+            todo = todo[xt != bt]
+        return x
 
-    # -- column construction ----------------------------------------------
+    def _lookup(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """P_{x,b} packed, an object array, for int64 arrays x and b whose
+        columns are built.  Each x is raised to its extremal representative
+        (``_raise``); x <= b exactly when that is b (P = 1) or, under its
+        canonical key min(b |W| + x, b^-1 |W| + x^-1), a stored pair, so
+        the stored pairs answer the Bruhat test too (P = 0 otherwise)."""
+        x = self._raise(x, b)
+        n, inv, keys = self.g.size, self._inv, self._keys
+        key = np.minimum(b * n + x, inv[b] * n + inv[x])
+        out = np.zeros(len(x), dtype=object)
+        if len(keys):
+            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            hit = keys[at] == key
+            out[hit] = self._vals[at[hit]]
+        out[x == b] = 1
+        return out
+
+    # -- construction ---------------------------------------------------------
 
     def build_upto(self, maxlen: int) -> None:
+        """Build every column of length at most maxlen, a whole length level
+        at a time: a column reads only columns of smaller length."""
         g = self.g
-        while self._next_column < g.size and g.lengths[self._next_column] <= maxlen:
-            self._build_column(self._next_column)
-            self._next_column += 1
+        lengths, inv = g.lengths, g.inv
+        while self._next_column < g.size and lengths[self._next_column] <= maxlen:
+            start = self._next_column
+            end = bisect_right(lengths, lengths[start], start)
+            if not start:
+                self._mu[0] = ()
+            else:
+                ys = [y for y in range(start, end) if y <= inv[y]]
+                built = [self._build_batch(ys[i:i + _BATCH_COLUMNS])
+                         for i in range(0, len(ys), _BATCH_COLUMNS)]
+                self._keys = np.concatenate([self._keys, *(keys for keys, _ in built)])
+                self._vals = np.concatenate([self._vals, *(vals for _, vals in built)])
+            self._next_column = end
 
     def build_all(self) -> None:
         self.build_upto(self.g.lengths[self.g.w0])
 
-    def _build_column(self, y: int) -> None:
-        g = self.g
-        iy = g.inv[y]
-        if iy < y:
-            return  # values live in the transposed column
-        interval = g.bruhat_mask(y)
-        ly = g.lengths[y]
-        out = [(int(x), 1) for x in g.mask_to_ids(interval & g.level_mask(ly - 1))]
-        if y:
-            s = (g.lmask[y] & -g.lmask[y]).bit_length() - 1
-            sy = g.lmult[y][s]
-            mus = [
-                (z, mu, g.lengths[z], self._below(z), W * ((ly - g.lengths[z]) >> 1))
-                for z, mu in self.mu_list(sy)
-                if g.lmask[z] >> s & 1
-            ]
-            check_mu_carry(mu for _, mu, _, _, _ in mus)
-            below = self._below(sy)
-            values, table, inv, lengths, n = self._values, self._P, g.inv, g.lengths, g.size
-            for x in g.mask_to_ids(_extremal_mask(g, y)):
-                x = int(x)
-                if x == y:
-                    continue
-                d = ly - lengths[x]
-                if iy == y and inv[x] < x:
-                    # P_{x,y} = P_{x^-1,y}, stored earlier in this column
-                    _, deg, lead = values[table[y * n + inv[x]]]
-                else:
-                    u, deg, lead = self._intern(self._recurrence(x, y, s, sy, below, mus))
-                    if 2 * deg > d - 1:
-                        raise AssertionError(
-                            f"degree bound violated for P_{{{x},{y}}} in {g.name}: "
-                            f"{self._decode(u)}"
-                        )
-                    table[y * n + x] = u
-                # mu(x, y) is the coefficient of q^((d-1)/2), the largest
-                # degree the bound allows
-                if d >= 3 and d & 1 and 2 * deg == d - 1:
-                    out.append((x, lead))
-        out.sort()
-        self._mu[y] = tuple(out)
+    def _build_batch(self, ys: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Build the canonical columns ys (ascending, of one length l(y) > 0)
+        from the shorter ones: record their mu lists, and return the keys
+        and interned values of their pairs.  An involution's column stores
+        only the x <= x^-1, as P_{x,y} = P_{x^-1,y}.
 
-    def _recurrence(self, x: int, y: int, s: int, sy: int, below: bytes, mus) -> int:
-        # P_{x,y} = P_{sx,sy} + q P_{x,sy} - sum mu(z,sy) q^((l(y)-l(z))/2) P_{x,z}
-        # for extremal (x, y), where s in L(y) implies s in L(x); below is
-        # _below(sy), and mus holds (z, mu, l(z), _below(z), slot shift)
-        # for the z with s in L(z)
-        packed = self._packed
-        u = packed(self.g.lmult[x][s], sy, below) + (packed(x, sy, below) << W)
-        lx = self.g.lengths[x]
-        for z, mu, lz, below_z, shift in mus:
-            if lz >= lx:
-                pz = packed(x, z, below_z)
-                if pz:
-                    u -= pz * mu << shift
-        return u
+        The first failure raises what a build column by column raises
+        first: a column's carry check, then its pairs by ascending x, each
+        checked for 64 bits before its degree bound."""
+        g = self.g
+        lmask, lengths, inv = g.lmask, self._lengths, self._inv
+        ly = g.lengths[ys[0]]
+        xs, mirrored, covers, steps = [], [], [], []
+        z, mu, carry = [], [], None
+        for y in ys:
+            s = (lmask[y] & -lmask[y]).bit_length() - 1
+            mus = [(w, m) for w, m in self.mu_list(g.lmult[y][s]) if lmask[w] >> s & 1]
+            try:
+                check_mu_carry(m for _, m in mus)
+            except CoefficientOverflowError as err:
+                if not steps:
+                    raise  # the batch's first column: nothing fails before it
+                carry = err
+                break
+            covers.append(g.mask_to_ids(g.bruhat_mask(y) & g.level_mask(ly - 1)))
+            extremal = g.mask_to_ids(_extremal_mask(g, y))[:-1]  # all but y, the largest
+            mirror = inv[extremal] < extremal if inv[y] == y else np.zeros(len(extremal), bool)
+            xs.append(extremal[~mirror])
+            mirrored.append(extremal[mirror])
+            steps.append((y, s, len(mus)))
+            z += [w for w, _ in mus]
+            mu += [m for _, m in mus]
+        cols = np.array(steps, dtype=np.int64)  # per column: y, s, mu-list entries
+        col = np.repeat(np.arange(len(cols)), [len(e) for e in xs])
+        x = np.concatenate(xs)
+        y, s, terms = cols[col, 0], cols[col, 1], cols[col, 2]
+        sy = self._mult[y, s]
+        # every pair against every mu-list entry of its column, then only
+        # the z no shorter than x: P_{x,z} = 0 for the others
+        pair = np.repeat(np.arange(len(x)), terms)
+        first = np.cumsum(cols[:, 2]) - cols[:, 2]
+        entry = np.arange(len(pair)) - np.repeat(np.cumsum(terms) - terms, terms)
+        entry += np.repeat(first[col], terms)
+        z = np.array(z, dtype=np.int64)[entry]
+        keep = lengths[z] >= lengths[x[pair]]
+        pair, z, entry = pair[keep], z[keep], entry[keep]
+        batch = _Batch(x, y, self._mult[x, s], sy, pair, z,
+                       np.array(mu, dtype=object)[entry], W * ((ly - lengths[z]) >> 1))
+        sums = self._sums(batch)
+
+        # each sum interned in order, up to the first outside 64 bits
+        interned = list(map(self._values.get, sums.tolist()))
+        done, overflow = len(interned), None
+        for i in [i for i, got in enumerate(interned) if got is None]:
+            try:
+                interned[i] = self._intern(sums[i])
+            except CoefficientOverflowError as err:
+                done, overflow = i, err
+                break
+        vals, deg, lead = zip(*interned[:done]) if done else ((), (), ())
+        vals = np.array(vals, dtype=object)
+        deg = np.array(deg, dtype=np.int64)
+        lead = np.array(lead, dtype=np.int64)
+        d = ly - lengths[x[:done]]
+        bad = np.flatnonzero(2 * deg > d - 1)
+        if bad.size:
+            i = bad[0]
+            raise AssertionError(
+                f"degree bound violated for P_{{{x[i]},{y[i]}}} in {g.name}: "
+                f"{self._decode(vals[i])}"
+            )
+        if overflow is not None:
+            raise overflow
+        if carry is not None:
+            raise carry
+
+        # mu(x, y) is the coefficient of q^((d-1)/2), the largest degree the
+        # bound allows; a mirrored x reads the pair of x^-1, in its column
+        n = g.size
+        mcol = np.repeat(np.arange(len(cols)), [len(e) for e in mirrored])
+        mx = np.concatenate(mirrored)
+        partner = np.searchsorted(col * n + x, mcol * n + inv[mx])
+        ccol = np.repeat(np.arange(len(cols)), [len(e) for e in covers])
+        cx = np.concatenate(covers)
+        row_col = np.concatenate([ccol, col, mcol])
+        row_x = np.concatenate([cx, x, mx])
+        row_d = ly - lengths[row_x]
+        row_deg = np.concatenate([np.full(len(cx), -1), deg, deg[partner]])
+        row_mu = np.concatenate([np.ones(len(cx), dtype=np.int64), lead, lead[partner]])
+        # the covers (degree -1 here) have mu = 1
+        keep = (row_deg < 0) | ((row_d >= 3) & (row_d & 1 == 1) & (2 * row_deg == row_d - 1))
+        order = np.lexsort((row_x[keep], row_col[keep]))
+        row_col, row_x, row_mu = row_col[keep][order], row_x[keep][order], row_mu[keep][order]
+        bounds = np.searchsorted(row_col, np.arange(len(cols) + 1)).tolist()
+        row_x, row_mu = row_x.tolist(), row_mu.tolist()
+        for c, yc in enumerate(cols[:, 0].tolist()):
+            a, b = bounds[c], bounds[c + 1]
+            self._mu[yc] = tuple(zip(row_x[a:b], row_mu[a:b]))
+        return y * n + x, vals
+
+    def _sums(self, batch: _Batch) -> np.ndarray:
+        """P_{x,y} packed for each pair of the batch, an object array, by
+        P_{x,y} = P_{sx,sy} + q P_{x,sy} - sum mu(z,sy) q^((l(y)-l(z))/2) P_{x,z}
+        over the z with s in L(z), for extremal (x, y), where s in L(y)
+        implies s in L(x).  Every lookup is raised at once."""
+        m = len(batch.x)
+        got = self._lookup(
+            np.concatenate([batch.sx, batch.x, batch.x[batch.pair]]),
+            np.concatenate([batch.sy, batch.sy, batch.z]),
+        )
+        sums = got[:m] + (got[m : 2 * m] << W)
+        terms = got[2 * m :]
+        nonzero = terms != 0
+        np.subtract.at(
+            sums,
+            batch.pair[nonzero],
+            terms[nonzero] * batch.mu[nonzero] << batch.shift[nonzero].astype(object),
+        )
+        return sums
 
     # -- queries ------------------------------------------------------------
 
+    def kl_polynomials(self, xs: Sequence[int] | np.ndarray, y: int) -> list[QPoly]:
+        """P_{x,y} for each x in xs: zero unless x <= y, one for x = y."""
+        if y >= self._next_column:
+            self.build_upto(self.g.lengths[y])
+        xs = np.asarray(xs, dtype=np.int64)
+        return list(map(self._decode, self._lookup(xs, np.full(len(xs), y)).tolist()))
+
     def kl_polynomial(self, x: int, y: int) -> QPoly:
         """P_{x,y}: zero unless x <= y, one for x = y."""
-        if x == y:
-            return _Q_ONE
-        g = self.g
-        if g.lengths[x] >= g.lengths[y] or not g.bruhat_mask(y) >> x & 1:
-            return _Q_ZERO
-        if y >= self._next_column:
-            self.build_upto(g.lengths[y])
-        return self._decode(self._packed(x, y, self._below(y)))
+        return self.kl_polynomials([x], y)[0]
 
     def mu_list(self, y: int) -> tuple[tuple[int, int], ...]:
         """All (z, mu(z, y)) with nonzero mu, sorted by z."""
@@ -224,9 +360,9 @@ class KLStore:
     def iter_pairs(self) -> Iterator[tuple[int, int, QPoly]]:
         """Stored canonical extremal pairs (x, y, P) with x < y."""
         n = self.g.size
-        for key in sorted(self._P):
+        for key, u in zip(self._keys.tolist(), self._vals.tolist()):
             y, x = divmod(key, n)
-            yield x, y, self._decode(self._P[key])
+            yield x, y, self._decode(u)
 
     def distinct_polynomials(self) -> list[QPoly]:
         """The distinct P_{x,y} over all x <= y, sorted by (degree, coeffs).
@@ -235,7 +371,7 @@ class KLStore:
         """
         self.build_all()
         seen = {_Q_ONE}
-        seen.update(map(self._decode, set(self._P.values())))
+        seen.update(map(self._decode, set(self._vals.tolist())))
         return sorted(seen, key=QPoly.sort_key)
 
 

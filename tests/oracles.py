@@ -18,6 +18,7 @@ from klbasis.ring import (
     MixedParityError,
     NotSymmetricError,
     SymLaurentPoly,
+    W,
     _biased,
 )
 
@@ -351,3 +352,56 @@ def graded_coefficient_sums(prod: DihedralProduct) -> dict[int, int]:
 def min_coeff(p: SymLaurentPoly) -> int:
     """The smallest nonzero coefficient of p, 0 when p is zero."""
     return min((c for _, c in p.expand().items() if c), default=0)
+
+
+# -- the P table's scalar walk -----------------------------------------------
+
+
+def below(g: GroupTable, y: int) -> bytes:
+    """The Bruhat mask of y as little-endian bytes."""
+    return g.bruhat_mask(y).to_bytes((g.size + 7) >> 3, "little")
+
+
+def packed(store: KLStore, x: int, y: int, below_y: bytes) -> int:
+    """P_{x,y} packed, one pair at a time by a scalar walk: the Bruhat
+    test on ``below(g, y)``, then x raised until (x, y) is extremal (the
+    lowest free left descent first, else the lowest free right one), then
+    the canonical pair looked up among the stored keys.  The reference for
+    ``KLStore._lookup``; the columns up to y's length must be built."""
+    if x == y:
+        return 1
+    if not below_y[x >> 3] >> (x & 7) & 1:
+        return 0
+    g = store.g
+    left, right = g.lmask[y], g.rmask[y]
+    while x != y:
+        free = left & ~g.lmask[x]
+        if free:
+            x = g.lmult[x][(free & -free).bit_length() - 1]
+            continue
+        free = right & ~g.rmask[x]
+        if free:
+            x = g.rmult[x][(free & -free).bit_length() - 1]
+            continue
+        n = g.size
+        key = min(y * n + x, g.inv[y] * n + g.inv[x])
+        at = int(np.searchsorted(store._keys, key))
+        assert store._keys[at] == key, (x, y)
+        return store._vals[at]
+    return 1
+
+
+def recurrence(store: KLStore, x: int, y: int) -> int:
+    """P_{x,y} packed for an extremal pair (x, y), y > 1, by the descent
+    recursion through ``packed``, for the lowest s in L(y):
+    P_{sx,sy} + q P_{x,sy} - sum mu(z,sy) q^((l(y)-l(z))/2) P_{x,z}
+    over the z of the mu list of sy with s in L(z)."""
+    g = store.g
+    s = (g.lmask[y] & -g.lmask[y]).bit_length() - 1
+    sy = g.lmult[y][s]
+    below_sy = below(g, sy)
+    u = packed(store, g.lmult[x][s], sy, below_sy) + (packed(store, x, sy, below_sy) << W)
+    for z, mu in store.mu_list(sy):
+        if g.lmask[z] >> s & 1 and g.lengths[z] >= g.lengths[x]:
+            u -= packed(store, x, z, below(g, z)) * mu << W * ((g.lengths[y] - g.lengths[z]) >> 1)
+    return u

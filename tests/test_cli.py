@@ -1,6 +1,7 @@
 import functools
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -825,13 +826,13 @@ class TestMatrixInput:
 
 
 def test_console_entry_point(tmp_path):
-    env = dict(os.environ)
-    proc = subprocess.run(
-        [sys.executable, "-m", "klbasis", "triangle", "inf", "3", "2",
-         "--outdir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
+    """``python -m klbasis`` runs this checkout's cli, and the ``klbasis``
+    console script of pyproject.toml names the same entry point."""
+    proc = run_python("-m", "klbasis", "triangle", "inf", "3", "2", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
     assert "i=2" in proc.stdout
+    # read as text: tomllib is not in Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert section is not None
+    assert re.search(r'^klbasis\s*=\s*"klbasis\.cli:main"\s*$', section.group(1), re.M)

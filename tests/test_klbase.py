@@ -1,9 +1,12 @@
 import os
 import pickle
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klbasis.checks import check_p1
 from klbasis.coxeter import group_from_name
@@ -19,7 +22,15 @@ from klbasis.klbase import (
 )
 from klbasis.ring import W, CoefficientOverflowError, QPoly
 
-from oracles import all_reduced_subwords, bruhat_leq, kl_mu, table_problems
+from oracles import (
+    all_reduced_subwords,
+    below,
+    bruhat_leq,
+    kl_mu,
+    packed,
+    recurrence,
+    table_problems,
+)
 
 SMALL_PRESETS = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "H3",
@@ -314,7 +325,7 @@ class TestPackedTable:
             assert store.mu_list(y) == ref.mu_list(y)
         assert check_p1(store).passed
         # interned: pairs with equal P share one int object
-        assert len({id(u) for u in store._P.values()}) == len(set(ref.P.values()))
+        assert len({id(u) for u in store._vals}) == len(set(ref.P.values()))
 
     def test_equal_values_are_one_object(self):
         store = KLStore(group_from_name("A3"))
@@ -322,19 +333,21 @@ class TestPackedTable:
         assert polys == [ONE, QPoly((1, 1))]
         # five stored pairs, two of them 1 + q (a big int) and three 1: the
         # diagonal's 1 is stored too, so the objects are as many as the values
-        assert len(store._P) == 5
-        assert len({id(u) for u in store._P.values()}) == len(polys)
+        assert len(store._keys) == len(store._vals) == 5
+        assert len({id(u) for u in store._vals}) == len(polys)
 
     @staticmethod
     def planted(monkeypatch, target, value):
-        """KLStore whose recurrence yields ``value`` (packed) for the pair
-        ``target`` = (x, y)."""
-        recurrence = KLStore._recurrence
+        """KLStore whose batch sums hold ``value`` (packed) for the pair
+        ``target`` = (x, y); planting again plants one more pair."""
+        sums = KLStore._sums
 
-        def planting(self, x, y, *args):
-            return value if (x, y) == target else recurrence(self, x, y, *args)
+        def planting(self, batch):
+            out = sums(self, batch)
+            out[(batch.x == target[0]) & (batch.y == target[1])] = value
+            return out
 
-        monkeypatch.setattr(KLStore, "_recurrence", planting)
+        monkeypatch.setattr(KLStore, "_sums", planting)
 
     @staticmethod
     def pair_at_distance(g, d):
@@ -382,6 +395,69 @@ class TestPackedTable:
         with pytest.raises(ValueError, match="positivity"):
             build_wgraph(store)
 
+    @staticmethod
+    def two_columns_of_one_batch(g):
+        """Pairs (x1, y1) and (x2, y2) at distance 3, y1 < y2 two columns
+        of one length that the build computes in one batch."""
+        store = KLStore(g)
+        store.build_all()
+        first = {}
+        for x, y, _ in store.iter_pairs():
+            if g.lengths[y] - g.lengths[x] == 3:
+                first.setdefault(y, (x, y))
+        for length in range(g.lengths[g.w0] + 1):
+            ys = [y for y in range(g.size) if g.lengths[y] == length and y <= g.inv[y]]
+            held = [first[y] for y in ys[: klbase._BATCH_COLUMNS] if y in first]
+            if len(held) >= 2:
+                return held[0], held[1]
+        raise AssertionError(f"no batch of {g.name} holds two such columns")
+
+    @pytest.mark.parametrize("earlier", ["degree bound", "64 bits"])
+    def test_first_failure_of_a_batch_raises(self, monkeypatch, earlier):
+        """A degree-bound violation and a value outside 64 bits planted in
+        two columns of one batch: the failure of the earlier column is the
+        one raised, as a build column by column would raise it."""
+        g = group_from_name("B4")
+        (x, y), later = self.two_columns_of_one_batch(g)
+        degree, wide = 1 + (1 << 2 * W), 1 << 63  # 1 + q^2 at distance 3; 2^63
+        if earlier == "degree bound":
+            self.planted(monkeypatch, (x, y), degree)
+            self.planted(monkeypatch, later, wide)
+            bound = re.escape(f"bound violated for P_{{{x},{y}}}")
+            with pytest.raises(AssertionError, match=bound):
+                KLStore(g).build_all()
+        else:
+            self.planted(monkeypatch, (x, y), wide)
+            self.planted(monkeypatch, later, degree)
+            with pytest.raises(CoefficientOverflowError, match="outside signed 64 bits"):
+                KLStore(g).build_all()
+
+    @pytest.mark.parametrize("plant_earlier", [False, True])
+    def test_carry_check_of_a_later_column_of_the_batch(self, monkeypatch, plant_earlier):
+        """A carry check failing for a later column of a batch raises
+        unless a pair of an earlier column fails first."""
+        g = group_from_name("B4")
+        (x, y), (_, later) = self.two_columns_of_one_batch(g)
+        # the build checks the canonical columns y > 0 in order of y
+        at = [w for w in range(1, g.size) if w <= g.inv[w]].index(later)
+        calls = iter(range(g.size))
+        check = klbase.check_mu_carry
+
+        def carry(mus):
+            if next(calls) == at:
+                raise CoefficientOverflowError("packed P sums could carry: planted")
+            check(mus)
+
+        monkeypatch.setattr(klbase, "check_mu_carry", carry)
+        if plant_earlier:
+            self.planted(monkeypatch, (x, y), 1 + (1 << 2 * W))
+            bound = re.escape(f"bound violated for P_{{{x},{y}}}")
+            with pytest.raises(AssertionError, match=bound):
+                KLStore(g).build_all()
+        else:
+            with pytest.raises(CoefficientOverflowError, match="carry: planted"):
+                KLStore(g).build_all()
+
     def test_carry_guard(self):
         limit = 1 << W - 65
         check_mu_carry([])
@@ -392,6 +468,63 @@ class TestPackedTable:
                 check_mu_carry(mus)
 
 
+
+
+LOOKUP_GROUPS = ["H3", "B4", "F4", "I2(9)"]
+
+
+@st.composite
+def query_pairs(draw, store):
+    """(x, y) queries of a built store: any pair (mostly x not below y),
+    x = y, an x below y (mostly not extremal), and a stored pair or its
+    transpose."""
+    g = store.g
+    n = g.size
+    element = st.integers(0, n - 1)
+    stored = st.integers(0, len(store._keys) - 1).map(
+        lambda i: tuple(reversed(divmod(int(store._keys[i]), n)))
+    )
+    kind = draw(st.sampled_from(["any", "equal", "below", "stored", "transposed"]))
+    if kind == "any":
+        return draw(element), draw(element)
+    if kind == "equal":
+        y = draw(element)
+        return y, y
+    if kind == "below":
+        y = draw(element)
+        below_y = g.mask_to_ids(g.bruhat_mask(y))
+        return int(below_y[draw(st.integers(0, len(below_y) - 1))]), y
+    x, y = draw(stored)
+    return (x, y) if kind == "stored" else (g.inv[x], g.inv[y])
+
+
+class TestLookup:
+    """The batched lookup against a scalar walk (``oracles.packed``), and
+    the stored values against the recursion read through that walk
+    (``oracles.recurrence``)."""
+
+    @pytest.mark.parametrize("name", LOOKUP_GROUPS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batched_lookup_equals_the_scalar_walk(self, stores, name, data):
+        store = stores(name)
+        store.build_all()
+        g = store.g
+        pairs = data.draw(st.lists(query_pairs(store), min_size=1, max_size=40))
+        xs, ys = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+        got = store._lookup(xs, ys).tolist()
+        want = [packed(store, x, y, below(g, y)) for x, y in pairs]
+        assert got == want
+        assert store.kl_polynomials(xs[ys == ys[0]], int(ys[0])) == [
+            store._decode(u) for u, y in zip(want, ys.tolist()) if y == ys[0]
+        ]
+
+    @pytest.mark.parametrize("name", ["H3", "B4", "I2(9)"])
+    def test_stored_values_follow_the_recursion(self, stores, name):
+        store = stores(name)
+        store.build_all()
+        for (x, y, _), u in zip(store.iter_pairs(), store._vals.tolist()):
+            assert recurrence(store, x, y) == u, (x, y)
 
 
 def npz_arrays(path):
