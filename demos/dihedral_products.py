@@ -21,8 +21,8 @@ from klbasis.dihedral import (
 print("Coefficient pyramid for the infinite dihedral group, k = 3:")
 print(format_triangle(triangle_table(None, 3, "same", 5), 3))
 
-print("\nSame recursion inside I2(9) with k = 6; the strip drains as the")
-print("longest element soaks up everything that crosses column 8:")
+print("\nThe closed form inside I2(9) with k = 6: the pyramid reflected at")
+print("the longest element, which takes everything that crosses column 8:")
 print(format_triangle(triangle_table(9, 6, "same", 9), 6))
 
 print("\nClosed forms for a few infinite products (same side):")

@@ -12,11 +12,23 @@ multiples of v + v^-1).
 
 The infinite-group products follow a closed form: a pyramid of 1-2-...-2-1
 coefficients for the same side and a (v + v^-1) band for the opposite
-side.  In the finite group the same recursion is run with the column of
-the longest element absorbing everything that crosses it.  The integer
-triangle tables are read off the rows of that one recursion: the part
-below the longest element, each coefficient an integer c on the same side
-and c(v + v^-1) on the opposite side, stored as c.
+side.  The finite-group products follow from them for every m: with inf
+the infinite product and n = i + k - m, the coefficient of c_j for
+0 < j < m is inf[j] - inf[2m - j], and that of the longest element is
+(v + v^-1)[n], the quantum integer [n] = v^(n-1) + v^(n-3) + ... +
+v^(1-n) times v + v^-1, when n > 0 (1 when n = 0 on the same side, 0
+otherwise).  The integer triangle tables are read off these products:
+the part below the longest element, each coefficient an integer c on the
+same side and c(v + v^-1) on the opposite side, stored as c.
+
+Lemma.  For 0 < j < m, inf[j] - inf[2m - j] has non-negative
+coefficients.  The support of inf lies in [|k-i|, k+i], whose midpoint
+max(i, k) is at most m, so reflection at m maps each of its columns
+above m onto a column below m that is no nearer an end of the support;
+and the pyramid and the band never decrease away from their ends.  Every
+strip coefficient is therefore c or c(v + v^-1) with c in {0, 1, 2}, and
+v^n times the longest element's coefficient is 1, 2, ..., 2, 1 in
+q = v^2, so non-negativity and unimodality hold in I2(m) for every m.
 """
 
 from __future__ import annotations
@@ -133,80 +145,36 @@ def _sides_letters(k: int, side: str) -> int:
 
 
 def finite_product(m: int, side: str, i: int, k: int) -> DihedralProduct:
-    """Product in I2(m), by the recursion with the longest-element column
-    absorbing everything that reaches it.
-
-    Row 0 is the right factor itself; row i follows from rows i-1 and i-2
-    by one KL-generator multiplication, and the coefficient of the longest
-    element obeys a_i = (v + v^-1) a_{i-1} - a_{i-2} once the strip has
-    drained past it.
-    """
+    """Product in I2(m), from the closed form of the module docstring:
+    the infinite product reflected at the longest element, whose own
+    coefficient is (v + v^-1)[n] with n = i + k - m."""
     if side not in SIDES:
         raise InvalidIndexError(f"side must be one of {SIDES}")
     if m < 2:
         raise InvalidIndexError("m must be at least 2")
     if not 0 < i <= m or not 0 < k <= m:
         raise InvalidIndexError("factor lengths must lie in 1..m")
-    rows = _product_rows(m, k, _sides_letters(k, side), i)
-    return DihedralProduct(rows[i])
-
-
-def _product_rows(m: int | None, k: int, last: int, upto: int) -> list[dict[int, SymLaurentPoly]]:
-    """Rows 0..upto of the product recursion; row i is the expansion of
-    the product with the length-i left factor ending in ``last``."""
-    rows: list[dict[int, SymLaurentPoly]] = [{k: _ONE}]
-    for i in range(1, upto + 1):
-        r = last if i % 2 else 3 - last
-        cur = _apply_gen(m, r, rows[i - 1])
-        if i >= 3:
-            prev = rows[i - 2]
-            for j, p in prev.items():
-                q = cur.get(j, SymLaurentPoly.zero()) - p
-                if q:
-                    cur[j] = q
-                else:
-                    cur.pop(j, None)
-        rows.append(cur)
-    return rows
-
-
-def _apply_gen(m: int | None, r: int, row: dict[int, SymLaurentPoly]) -> dict[int, SymLaurentPoly]:
-    """Left multiplication by the KL generator c_r on the ending-in-2
-    family: scalar (v + v^-1) when r starts the word (or at the longest
-    element), neighbour transport otherwise."""
-    out: dict[int, SymLaurentPoly] = {}
-
-    def add(j: int, p: SymLaurentPoly) -> None:
-        q = out.get(j)
-        q = p if q is None else q + p
-        if q:
-            out[j] = q
-        else:
-            out.pop(j, None)
-
-    for j, p in row.items():
-        if (m is not None and j == m) or _first_letter(j) == r:
-            add(j, p.bmul())
-        else:
-            add(j + 1, p)
-            if j >= 2:
-                add(j - 1, p)
-    return out
+    inf = infinite_product(side, i, k).terms
+    zero = SymLaurentPoly.zero()
+    terms = {j: inf.get(j, zero) - inf.get(2 * m - j, zero) for j in range(1, m)}
+    n = i + k - m
+    if n > 0 or (n == 0 and side == "same"):
+        terms[m] = SymLaurentPoly(n, (1,) + (2,) * (n // 2))
+    return DihedralProduct(terms)
 
 
 def triangle_table(
     m: int | None, k: int, side: str = "same", rows: int = 5
 ) -> list[dict[int, int]]:
-    """Integer coefficient rows of the product recursion.
+    """Integer coefficient rows of the products with right factor k.
 
-    Row i is row i of the recursion behind ``finite_product`` (for m =
-    None, the same recursion in the infinite group) inside the strip
-    j < m; the products never reach column 0.  Each coefficient there is
-    an integer c on the same side and c(v + v^-1) on the opposite side,
-    and the table holds c: same-side tables start from 1s at k-1 and k+1,
-    opposite-side tables from a single 1 at k (those inside the strip).
-    Returned as one sparse {column: coefficient} dict per row, rows
-    1..rows.
+    Row i is ``finite_product(m, side, i, k)`` inside the strip j < m, or
+    ``infinite_product(side, i, k)`` for m = None; the products never
+    reach column 0.  Each coefficient there is an integer c on the same
+    side and c(v + v^-1) on the opposite side, and the table holds c:
+    same-side tables start from 1s at k-1 and k+1, opposite-side tables
+    from a single 1 at k (those inside the strip).  Returned as one sparse
+    {column: coefficient} dict per row, rows 1..rows.
     """
     if side not in SIDES:
         raise InvalidIndexError(f"side must be one of {SIDES}")
@@ -215,11 +183,14 @@ def triangle_table(
     if m is not None and (m < 2 or k > m or rows > m):
         raise InvalidIndexError("finite tables need 0 < k <= m and rows <= m")
     degree = 0 if side == "same" else 1
-    products = _product_rows(m, k, _sides_letters(k, side), rows)
-    return [
-        {j: p.coeff(degree) for j, p in sorted(row.items()) if m is None or j < m}
-        for row in products[1:]
-    ]
+    table = []
+    for i in range(1, rows + 1):
+        if m is None:
+            row = infinite_product(side, i, k).terms
+        else:
+            row = {j: p for j, p in finite_product(m, side, i, k).terms.items() if j < m}
+        table.append({j: p.coeff(degree) for j, p in sorted(row.items())})
+    return table
 
 
 def format_triangle(table: list[dict[int, int]], k: int) -> str:
@@ -255,11 +226,10 @@ def crosscheck_dihedral(m: int, g: GroupTable | None = None) -> CheckReport:
         col = column(wg, y)
         for side in SIDES:
             last = _sides_letters(k, side)
-            rows = _product_rows(m, k, last, m)
             for i in range(1, m + 1):
                 x = DihedralWord.ending_in(last, i).element(g)
-                got = {z: col.store.poly(h) for z, h in col.rows[x].items()}
-                want = DihedralProduct(rows[i]).to_id_map(g)
+                got = col.row_polys(x)
+                want = finite_product(m, side, i, k).to_id_map(g)
                 products += 1
                 if got != want:
                     report.record_failure(

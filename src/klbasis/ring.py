@@ -6,8 +6,8 @@ Coefficients are confined to signed 64-bit range.  Structure constants for
 the large non-crystallographic groups grow close to 2^30, so the bound is
 checked and CoefficientOverflowError raised rather than let values drift
 silently.  Three layers check it on every operation: every LaurentPoly and
-QPoly normalisation step (the t-basis oracle, the dihedral closed forms and
-QPoly queries), and the SymLaurentPoly constructor.  SymLaurentPoly
+QPoly normalisation step (the t-basis oracle and QPoly queries), and the
+SymLaurentPoly constructor.  SymLaurentPoly
 arithmetic does not check, since Python ints cannot wrap.  The two large
 tables check once per stored value instead, through one codec defined
 here: a polynomial packed into one int, one W-bit slot per coefficient

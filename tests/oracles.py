@@ -8,7 +8,7 @@ from operator import ge
 import numpy as np
 
 from klbasis.coxeter import CoxeterMatrix, GroupTable
-from klbasis.dihedral import DihedralProduct
+from klbasis.dihedral import DihedralProduct, _first_letter
 from klbasis.hecke import HColumn, TCombo, _add_term, c_in_t_basis, combo_add_scaled, t_inverse
 from klbasis.klbase import KLStore, WGraph
 from klbasis.ring import (
@@ -347,6 +347,51 @@ def graded_coefficient_sums(prod: DihedralProduct) -> dict[int, int]:
         for e, c in p.expand().items():
             out[j + e] = out.get(j + e, 0) + c
     return {d: c for d, c in out.items() if c}
+
+
+def product_rows(m: int | None, k: int, last: int, upto: int) -> list[dict[int, SymLaurentPoly]]:
+    """Rows 0..upto of the product recursion; row i is the expansion of
+    the product with the length-i left factor ending in ``last``.  In the
+    finite group (m not None) the column of the longest element absorbs
+    everything that reaches it."""
+    rows: list[dict[int, SymLaurentPoly]] = [{k: SymLaurentPoly.one()}]
+    for i in range(1, upto + 1):
+        r = last if i % 2 else 3 - last
+        cur = apply_gen(m, r, rows[i - 1])
+        if i >= 3:
+            prev = rows[i - 2]
+            for j, p in prev.items():
+                q = cur.get(j, SymLaurentPoly.zero()) - p
+                if q:
+                    cur[j] = q
+                else:
+                    cur.pop(j, None)
+        rows.append(cur)
+    return rows
+
+
+def apply_gen(m: int | None, r: int, row: dict[int, SymLaurentPoly]) -> dict[int, SymLaurentPoly]:
+    """Left multiplication by the KL generator c_r on the ending-in-2
+    family: scalar (v + v^-1) when r starts the word (or at the longest
+    element), neighbour transport otherwise."""
+    out: dict[int, SymLaurentPoly] = {}
+
+    def add(j: int, p: SymLaurentPoly) -> None:
+        q = out.get(j)
+        q = p if q is None else q + p
+        if q:
+            out[j] = q
+        else:
+            out.pop(j, None)
+
+    for j, p in row.items():
+        if (m is not None and j == m) or _first_letter(j) == r:
+            add(j, p.bmul())
+        else:
+            add(j + 1, p)
+            if j >= 2:
+                add(j - 1, p)
+    return out
 
 
 def min_coeff(p: SymLaurentPoly) -> int:

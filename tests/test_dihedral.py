@@ -1,7 +1,11 @@
+import inspect
+
 import pytest
 
+from klbasis import dihedral
 from klbasis.dihedral import (
     SIDES,
+    DihedralProduct,
     DihedralWord,
     InvalidIndexError,
     crosscheck_dihedral,
@@ -10,9 +14,9 @@ from klbasis.dihedral import (
     infinite_product,
     triangle_table,
 )
-from klbasis.ring import SymLaurentPoly
+from klbasis.ring import SymLaurentPoly, is_unimodal, qpoly_from_sym
 
-from oracles import graded_coefficient_sums
+from oracles import graded_coefficient_sums, product_rows
 
 ONE = SymLaurentPoly.one()
 TWO = SymLaurentPoly(0, (2,))
@@ -90,6 +94,10 @@ class TestFiniteProduct:
             finite_product(5, "same", 6, 1)
         with pytest.raises(InvalidIndexError):
             finite_product(5, "same", 0, 1)
+        with pytest.raises(InvalidIndexError, match="side must be one of"):
+            finite_product(9, "diagonal", 1, 1)
+        with pytest.raises(InvalidIndexError, match="side must be one of"):
+            finite_product(1, "diagonal", 0, 1)
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_graded_sum_conservation(self, m):
@@ -105,6 +113,71 @@ class TestFiniteProduct:
                     if side == "same" and i == k == m:
                         inf[0] = inf.get(0, 0) + 1
                     assert fin == inf, (m, side, i, k)
+
+
+ORACLE_RANGE = range(2, 31)
+
+
+def oracle_mismatches(form):
+    """(m, side, i, k) where ``form`` differs from the product recursion,
+    for every m in ORACLE_RANGE, both sides and all i, k; one recursion
+    per (m, k, side)."""
+    for m in ORACLE_RANGE:
+        for k in range(1, m + 1):
+            for side in SIDES:
+                rows = product_rows(m, k, dihedral._sides_letters(k, side), m)
+                for i in range(1, m + 1):
+                    if form(m, side, i, k) != DihedralProduct(rows[i]):
+                        yield m, side, i, k
+
+
+def mutant(old: str, new: str):
+    """``finite_product`` with ``old`` replaced by ``new`` in its source."""
+    source = inspect.getsource(finite_product)
+    assert old in source
+    namespace = dict(vars(dihedral))
+    exec(source.replace(old, new), namespace)
+    return namespace["finite_product"]
+
+
+class TestClosedForm:
+    def test_equals_recursion_oracle(self):
+        bad = list(oracle_mismatches(finite_product))
+        assert not bad, bad[:5]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # the longest element also takes n = 0 on the opposite side
+            ('n > 0 or (n == 0 and side == "same")', "n >= 0"),
+            # the reflection lands two columns low
+            ("inf.get(2 * m - j, zero)", "inf.get(2 * m - j - 2, zero)"),
+        ],
+    )
+    def test_oracle_catches_mutant(self, old, new):
+        assert next(oracle_mismatches(mutant(old, new)), None) is not None
+
+    def test_reflected_difference_is_nonnegative(self):
+        """The lemma of the module docstring, for every m in ORACLE_RANGE."""
+        zero = SymLaurentPoly.zero()
+        for m in ORACLE_RANGE:
+            for side in SIDES:
+                for k in range(1, m + 1):
+                    for i in range(1, m + 1):
+                        inf = infinite_product(side, i, k).terms
+                        for j in range(1, m):
+                            d = inf.get(j, zero) - inf.get(2 * m - j, zero)
+                            assert all(c >= 0 for c in d.half), (m, side, i, k, j)
+
+    def test_longest_element_coefficient_is_unimodal(self):
+        for m in ORACLE_RANGE:
+            for side in SIDES:
+                for k in range(1, m + 1):
+                    for i in range(1, m + 1):
+                        p = finite_product(m, side, i, k).terms.get(m)
+                        if p is not None:
+                            assert all(c >= 0 for c in p.half), (m, side, i, k)
+                            assert is_unimodal(qpoly_from_sym(p)), (m, side, i, k)
 
 
 class TestTriangleTables:
