@@ -162,11 +162,11 @@ def check_p3(wg: WGraph, y_range: Iterable[int] | None = None) -> CheckReport:
     return report
 
 
-def check_w0_identity(store: KLStore, wg: WGraph, enforce_unimodal: bool = False) -> CheckReport:
+def check_w0_identity(store: KLStore, wg: WGraph) -> CheckReport:
     """c_x * c_w0 is a scalar multiple of c_w0 with scalar
     sum over z <= x of p_{z,x} v^{l(z)}; the scalar, normalised by
-    v^{l(x)}, is palindromic in q and (for the crystallographic presets,
-    enforced on request) unimodal."""
+    v^{l(x)}, is palindromic in q.  The scalars that are not unimodal are
+    counted (``unimodal_failures``), not failed."""
     g = store.g
     report = CheckReport("w0_identity", g.name)
     w0 = g.w0
@@ -195,8 +195,6 @@ def check_w0_identity(store: KLStore, wg: WGraph, enforce_unimodal: bool = False
             report.record_failure(f"v^l(x) scalar for x={x} is not palindromic: {qp}")
         if not is_unimodal(qp):
             unimodal_failures += 1
-            if enforce_unimodal:
-                report.record_failure(f"v^l(x) scalar for x={x} is not unimodal: {qp}")
     report.counters.update(elements=g.size, unimodal_failures=unimodal_failures)
     return report
 

@@ -310,11 +310,10 @@ class PolyStore:
         its first failure into the figures; return how many those are, and
         the error for that failure (None if there is none)."""
         values, parities, _ = zip(*chunk)
-        low, out_of_range = _biased_slots(values)
-        nonzero = low != _I64
-        even_any, odd_any = nonzero[:, 0::2].any(axis=1), nonzero[:, 1::2].any(axis=1)
-        mixed = even_any & odd_any
-        own = odd_any | ~even_any  # odd for zero, whose degree is -1
+        low, out_of_range, degree = _biased_slots(values)
+        n = low.shape[1]
+        own = degree & 1  # odd for zero, whose degree is -1
+        mixed = ((low != _I64) & (np.arange(n) & 1 != own[:, None])).any(axis=1)
         # the last slot of each row is zero, so max >= 2^63 >= min
         low_min = low.min(axis=1)
         max_abs = np.maximum(low.max(axis=1) - _I64, _I64 - low_min)
@@ -326,8 +325,6 @@ class PolyStore:
         # v^d p is unimodal in q iff its coefficients rise to the middle: no
         # slot up to the degree is below the one two up from it (the slots
         # of the other parity are zero, so never rise)
-        n = low.shape[1]
-        degree = n - 1 - nonzero[:, ::-1].argmax(axis=1)
         rises = (low[:, :-2] < low[:, 2:]) & (np.arange(n - 2) <= degree[:, None] - 2)
         # a value interned under either parity is stored under its own
         for i in np.flatnonzero(expected[:passed] < 0).tolist():

@@ -20,12 +20,12 @@ the recursion is int shifts, additions and multiply-adds, and each
 distinct value is stored once: all pairs with equal P share one int
 object.  The pairs are two arrays in canonical key order, the sorted int64
 keys y |W| + x and their values, and a batch finds the values of its
-lookups with one ``searchsorted``.  A value's slots are read once, when it
-is first seen (``ring._biased``), which checks the signed 64-bit bound and
-records its degree and its leading coefficient (the mu-value when the
-degree is the largest allowed).  Every stored pair is still held to the
-degree bound, through those figures; ``checks.check_p1`` scans the table
-for negative coefficients.  Sums cannot carry between slots: each column
+lookups with one ``searchsorted``.  A batch reads the slots of all its
+sums at once (``ring._biased_slots``), which checks the signed 64-bit
+bound and gives each pair's degree and leading coefficient (the mu-value
+when the degree is the largest allowed), so every stored pair is held to
+the degree bound; ``checks.check_p1`` scans the table for negative
+coefficients.  Sums cannot carry between slots: each column
 checks its mu-values once (``check_mu_carry``).  Queries return ``QPoly``,
 decoded once per distinct value.
 
@@ -48,7 +48,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .coxeter import GroupTable
-from .ring import _CARRY_LIMIT, _I64, W, CoefficientOverflowError, QPoly, _biased
+from .ring import (_CARRY_LIMIT, _I64, W, CoefficientOverflowError, QPoly, _biased,
+                   _biased_slots)
 
 _Q_ONE = QPoly.one()
 _Q_ZERO = QPoly.zero()
@@ -114,9 +115,8 @@ class KLStore:
         self.g = g
         self._keys = np.empty(0, dtype=np.int64)
         self._vals = np.empty(0, dtype=object)
-        # packed P -> (that int, degree, leading coefficient); the first
-        # element is the one object all pairs share
-        self._values: dict[int, tuple[int, int, int]] = {}
+        # packed P -> that int, the one object all pairs share
+        self._values: dict[int, int] = {}
         self._decoded: dict[int, QPoly] = {}
         self._mu: dict[int, tuple[tuple[int, int], ...]] = {}
         self._next_column = 0
@@ -134,13 +134,6 @@ class KLStore:
                                 dtype=np.int64)
 
     # -- packed values ------------------------------------------------------
-
-    def _intern(self, u: int) -> tuple[int, int, int]:
-        got = self._values.get(u)
-        if got is None:
-            biased = _biased(u)  # raises CoefficientOverflowError
-            got = self._values[u] = (u, len(biased) - 1, biased[-1] - _I64 if biased else 0)
-        return got
 
     def _decode(self, u: int) -> QPoly:
         p = self._decoded.get(u)
@@ -235,7 +228,7 @@ class KLStore:
                     raise  # the batch's first column: nothing fails before it
                 carry = err
                 break
-            covers.append(g.mask_to_ids(g.bruhat_mask(y) & g.level_mask(ly - 1)))
+            covers.append(g.covers(y))
             extremal = g.mask_to_ids(_extremal_mask(g, y))[:-1]  # all but y, the largest
             mirror = inv[extremal] < extremal if inv[y] == y else np.zeros(len(extremal), bool)
             xs.append(extremal[~mirror])
@@ -259,21 +252,14 @@ class KLStore:
         pair, z, entry = pair[keep], z[keep], entry[keep]
         batch = _Batch(x, y, self._mult[x, s], sy, pair, z,
                        np.array(mu, dtype=object)[entry], W * ((ly - lengths[z]) >> 1))
-        sums = self._sums(batch)
+        sums = self._sums(batch).tolist()
 
-        # each sum interned in order, up to the first outside 64 bits
-        interned = list(map(self._values.get, sums.tolist()))
-        done, overflow = len(interned), None
-        for i in [i for i, got in enumerate(interned) if got is None]:
-            try:
-                interned[i] = self._intern(sums[i])
-            except CoefficientOverflowError as err:
-                done, overflow = i, err
-                break
-        vals, deg, lead = zip(*interned[:done]) if done else ((), (), ())
-        vals = np.array(vals, dtype=object)
-        deg = np.array(deg, dtype=np.int64)
-        lead = np.array(lead, dtype=np.int64)
+        # every sum read at once, and interned up to the first outside 64 bits
+        slots, out_of_range, deg = _biased_slots(sums)
+        done = int(out_of_range.argmax()) if out_of_range.any() else len(sums)
+        deg = deg[:done]
+        lead = (slots[np.arange(done), deg] ^ np.uint64(_I64)).view(np.int64)
+        vals = np.array([self._values.setdefault(u, u) for u in sums[:done]], dtype=object)
         d = ly - lengths[x[:done]]
         bad = np.flatnonzero(2 * deg > d - 1)
         if bad.size:
@@ -282,8 +268,8 @@ class KLStore:
                 f"degree bound violated for P_{{{x[i]},{y[i]}}} in {g.name}: "
                 f"{self._decode(vals[i])}"
             )
-        if overflow is not None:
-            raise overflow
+        if done < len(sums):
+            raise CoefficientOverflowError("packed coefficient outside signed 64 bits")
         if carry is not None:
             raise carry
 

@@ -7,20 +7,20 @@ the large non-crystallographic groups grow close to 2^30, so the bound is
 checked and CoefficientOverflowError raised rather than let values drift
 silently.  Three layers check it on every operation: every LaurentPoly and
 QPoly normalisation step (the t-basis oracle and QPoly queries), and the
-SymLaurentPoly constructor.  SymLaurentPoly
-arithmetic does not check, since Python ints cannot wrap.  The two large
-tables check once per stored value instead, through one codec defined
-here: a polynomial packed into one int, one W-bit slot per coefficient
-(``W``, ``_biased``).  ``klbase.KLStore`` holds each P_{x,y} packed and
-checks the bound when a distinct value is first stored.
-``hecke.PolyStore`` checks it, with the single degree parity, for each
-structure constant (``hecke.pack``) in batches (``_biased_slots``),
-before any column returns, and the first failure in interning order
-raises what a check of that value alone would raise; the store holds
-only structure constants.  The images of a stored value under v + v^-1
-and the mu-values are summands, never stored: the store bounds each value
-so that they stay in 64 bits, and sums in between cannot carry, each
-summand weighed by its factor, which each caller checks once per column.
+SymLaurentPoly constructor.  SymLaurentPoly arithmetic does not check,
+since Python ints cannot wrap.  The two large tables check in batches
+instead, through one codec defined here: a polynomial packed into one
+int, one W-bit slot per coefficient (``W``; ``_biased`` reads one value,
+``_biased_slots`` many at once, with their degrees).  ``klbase.KLStore``
+holds each P_{x,y} packed and checks every pair of a batch of columns in
+one read.  ``hecke.PolyStore`` checks, with the single degree parity,
+each structure constant (``hecke.pack``) before any column returns, and
+the first failure in interning order raises what a check of that value
+alone would raise; the store holds only structure constants.  The images
+of a stored value under v + v^-1 and the mu-values are summands, never
+stored: the store bounds each value so that they stay in 64 bits, and
+sums in between cannot carry, each summand weighed by its factor, which
+each caller checks once per column.
 
 The canonical textual form used throughout (output files, CLI, reprs)
 lists terms in ascending exponent, elides unit coefficients, and writes
@@ -99,21 +99,24 @@ def _biased(u: int) -> list[int]:
 _SLOT_BYTES = np.dtype([("low", "<u8"), ("high", f"<u{W // 8 - 8}")])
 
 
-def _biased_slots(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _biased_slots(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_biased`` for many packed values at once: a uint64 array, one row
     per value, of c_e + 2^63 for exponent 0 up to one slot past the
     longest value (so the last slot of a row is 2^63 when its value is in
-    range), and a bool array, True where ``_biased`` would raise.  With
-    that many slots, adding 2^63 to each leaves every value positive, so a
-    value has a coefficient outside signed 64 bits exactly when one of its
-    slots has a bit set above the low 64."""
-    n = max(map(int.bit_length, values)) // W + 2
+    range), a bool array, True where ``_biased`` would raise, and an int64
+    array of the degrees, -1 for zero (meaningless where out of range).
+    With that many slots, adding 2^63 to each leaves every value positive,
+    so a value has a coefficient outside signed 64 bits exactly when one of
+    its slots has a bit set above the low 64."""
+    n = max(map(int.bit_length, values), default=0) // W + 2
     bias, size = _layout(n)[0], W // 8 * n
     slots = bytearray()
     for u in values:
         slots += (u + bias).to_bytes(size, "little")
     raw = np.frombuffer(slots, _SLOT_BYTES).reshape(len(values), n)
-    return raw["low"], raw["high"].any(axis=1)
+    low = raw["low"]
+    degree = ((low != _I64) * np.arange(1, n + 1)).max(axis=1) - 1
+    return low, raw["high"].any(axis=1), degree
 
 
 def _fmt_terms(items: Iterable[tuple[int, int]], var: str) -> str:

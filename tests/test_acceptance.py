@@ -167,10 +167,9 @@ def test_criterion_07_h_symmetry_h3(wgraphs):
 
 def test_criterion_08_w0_identity(groups, stores, wgraphs):
     for name in ORACLE_GROUPS:
-        enforce = name in ("A3", "B3")
-        rep = check_w0_identity(stores(name), wgraphs(name), enforce_unimodal=enforce)
+        rep = check_w0_identity(stores(name), wgraphs(name))
         assert rep.passed, rep.to_text()
-        if enforce:
+        if name in ("A3", "B3"):
             assert rep.counters["unimodal_failures"] == 0
     report(8, "longest-element columns are scalar, match the length-weighted "
               "P sums, and are palindromic (unimodal on the crystallographic presets)")

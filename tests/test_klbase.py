@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pickle
 import re
@@ -432,6 +433,21 @@ class TestPackedTable:
             with pytest.raises(CoefficientOverflowError, match="outside signed 64 bits"):
                 KLStore(g).build_all()
 
+    def test_batch_is_read_up_to_its_first_value_outside_64_bits(self, monkeypatch):
+        """A degree-bound violation after the first value outside 64 bits
+        of a batch, and a second such value after it, are never reached."""
+        g = group_from_name("B4")
+        first, (x, y) = self.two_columns_of_one_batch(g)
+        store = KLStore(g)
+        store.build_all()
+        last = max(w for w, z, _ in store.iter_pairs() if z == y)
+        assert last > x
+        self.planted(monkeypatch, first, 1 << 63)
+        self.planted(monkeypatch, (x, y), 1 + (1 << 2 * W))
+        self.planted(monkeypatch, (last, y), 1 << 63)
+        with pytest.raises(CoefficientOverflowError, match="outside signed 64 bits"):
+            KLStore(g).build_all()
+
     @pytest.mark.parametrize("plant_earlier", [False, True])
     def test_carry_check_of_a_later_column_of_the_batch(self, monkeypatch, plant_earlier):
         """A carry check failing for a later column of a batch raises
@@ -457,6 +473,32 @@ class TestPackedTable:
         else:
             with pytest.raises(CoefficientOverflowError, match="carry: planted"):
                 KLStore(g).build_all()
+
+    # sha256 over the lines "x y P" of iter_pairs(), and the saved graph's
+    # own sha256 entry
+    PINNED = {
+        "H3": ("a9f806d4d15835c6a6a2a47fcf2234b5da33c946571801268684253f3b257701",
+               "aefce6199b477bbfee8d86f971522119563fd6850a1c945636f6373b64d9b9c1"),
+        "B4": ("7e69228c7d14acc5ca609539da06c9fcd8fed96cf5e964160336d6b97287d969",
+               "e8ea1e460233a1559986ce97ed355813c1ab98d75485bb6b2371b428b253f25d"),
+        "F4": ("e120299f1a8fd52cde724fb8145e0382c09f066b48544bf7f5f42ee6b07891f1",
+               "68715083c91f7d4f0e131b5746d82454477ab0619a8443146ce92ebad6718235"),
+        "I2(9)": ("6d71a806980df8a3f44c28d118fc60291f64e9f01a3ca70fa06d84b6b8332fa8",
+                  "c174807370f090b00005efa047ced0d30e6916600eb1021696677454af588235"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_table_and_graph(self, tmp_path, name):
+        store = KLStore(group_from_name(name))
+        wg = build_wgraph(store)
+        h = hashlib.sha256()
+        for x, y, p in store.iter_pairs():
+            h.update(f"{x} {y} {p}\n".encode())
+        path = tmp_path / "wgraph.npz"
+        save_wgraph(wg, path)
+        with np.load(path) as data:
+            graph = str(data["sha256"])
+        assert (h.hexdigest(), graph) == self.PINNED[name]
 
     def test_carry_guard(self):
         limit = 1 << W - 65

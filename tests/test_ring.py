@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from klbasis.ring import (
     _I64,
@@ -12,6 +12,7 @@ from klbasis.ring import (
     SymLaurentPoly,
     is_unimodal,
     _biased,
+    _biased_slots,
     qpoly_from_sym,
 )
 
@@ -216,3 +217,25 @@ class TestPackedCodec:
         coeffs[k] = bad
         with pytest.raises(CoefficientOverflowError):
             _biased(packed(coeffs))
+
+    @given(st.lists(st.one_of(
+        st.lists(i64s, max_size=6).map(packed),
+        st.integers(-(1 << 300), 1 << 300),
+        st.sampled_from([0, _I64 - 1, 1 - _I64, _I64, -_I64 - 1]),
+    ), max_size=8))
+    @example([])
+    @example([0, _I64 - 1, 1 - _I64])
+    def test_batch_reader_matches_the_value_reader(self, values):
+        low, out_of_range, degree = _biased_slots(values)
+        assert len(low) == len(out_of_range) == len(degree) == len(values)
+        for u, row, flagged, d in zip(values, low.tolist(), out_of_range.tolist(),
+                                      degree.tolist()):
+            try:
+                biased = _biased(u)
+            except CoefficientOverflowError:
+                assert flagged
+                continue
+            assert not flagged
+            assert row[:len(biased)] == biased
+            assert set(row[len(biased):]) == {_I64}
+            assert d == len(biased) - 1
