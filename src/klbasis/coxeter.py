@@ -7,17 +7,20 @@ F4, H3, H4 or I2(m), and |W| is the product of their orders, so an
 infinite or oversized group is refused before any enumeration.  The
 elements are then enumerated as the cosets of the trivial subgroup by HLT
 coset enumeration on the presentation <S | (s t)^m(s,t)>, and renumbered
-by breadth-first search in ShortLex order over generator indices, so id 0
-is the identity and ids are sorted by length.  What remains are
-O(|W| * rank) transition tables, descent masks, lengths and inverses.
+by breadth-first search in ShortLex order over generator indices, a
+length level at a time, so id 0 is the identity and ids are sorted by
+length.  What remains are O(|W| * rank) transition tables, descent masks,
+lengths and inverses: int64 arrays, with lists of them for scalar loops.
+Bruhat intervals are bitmasks; covers come from deletion sets.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cached_property
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -213,12 +216,20 @@ def _arm_length(centre: int, first: int, nbrs: list[list[int]]) -> int:
     return length
 
 
+# a group's tables as int64 arrays, indexed by element id: x = parent[x]
+# lastgen[x] (lastgen -1 at the identity), and [x, s] = x s in rmult, s x in lmult
+GroupArrays = namedtuple("GroupArrays", "lengths rmult parent lastgen lmult inv lmask rmask")
+
+
 class GroupTable:
     """Enumerated finite Coxeter group.
 
     Elements are ids 0..size-1 in ShortLex BFS order; id 0 is the identity.
-    Descent sets are rank-wide bitmasks.  All tables are immutable after the
-    build and safe to share across workers.
+    The tables are the int64 arrays of ``arrays``; the attributes of the
+    same names (``lengths``, ``rmult``, ...) are lists of them, for loops
+    that read one element at a time.  Descent sets are rank-wide bitmasks,
+    Bruhat intervals |W|-bit ones; covers come from deletion sets.  All
+    tables are immutable after the build and safe to share across workers.
     """
 
     # the tables live in slots: the cached properties below read the
@@ -226,7 +237,7 @@ class GroupTable:
     # an attribute kept there about three times slower, and the P
     # recursion loads these in its innermost loop
     __slots__ = (
-        "matrix", "name", "rank", "size", "lengths", "rmult", "parent", "lastgen",
+        "matrix", "name", "rank", "size", "arrays", "lengths", "rmult", "parent", "lastgen",
         "lmult", "inv", "rmask", "lmask", "w0", "num_pos_roots", "_bruhat_masks", "__dict__",
     )
 
@@ -234,52 +245,45 @@ class GroupTable:
         self,
         matrix: CoxeterMatrix,
         name: str,
-        lengths: list[int],
-        rmult: list[list[int]],
-        parent: list[int],
-        lastgen: list[int],
+        lengths: np.ndarray,
+        rmult: np.ndarray,
+        parent: np.ndarray,
+        lastgen: np.ndarray,
     ):
         self.matrix = matrix
         self.name = name
-        self.rank = matrix.rank
-        self.size = len(lengths)
-        self.lengths = lengths
-        self.rmult = rmult
-        self.parent = parent
-        self.lastgen = lastgen
+        self.rank = n = matrix.rank
+        self.size = size = len(lengths)
 
-        size, n = self.size, self.rank
-        # x = parent[x] * lastgen[x], so s x = (s parent[x]) lastgen[x] and
-        # x^-1 = lastgen[x] parent[x]^-1; both read rows of smaller ids
-        self.lmult = lmult = [rmult[0][:]]
-        self.inv = inv = [0]
-        for x in range(1, size):
-            p, t = parent[x], lastgen[x]
-            lmult.append([rmult[z][t] for z in lmult[p]])
-            inv.append(lmult[inv[p]][t])
+        # x = parent[x] lastgen[x], so s x = (s parent[x]) lastgen[x] and
+        # x^-1 = lastgen[x] parent[x]^-1; both read rows one level down
+        lmult, inv = rmult.copy(), np.zeros(size, dtype=np.int64)  # row 0 as is
+        bounds = np.searchsorted(lengths, np.arange(lengths[-1] + 2)).tolist()
+        for a, b in zip(bounds[1:], bounds[2:]):
+            p, t = parent[a:b], lastgen[a:b]
+            lmult[a:b] = rmult[lmult[p], t[:, None]]
+            inv[a:b] = lmult[inv[p], t]
+        bits = 1 << np.arange(n, dtype=np.int64)
+        rmask, lmask = (((lengths[m] < lengths[:, None]) * bits).sum(1) for m in (rmult, lmult))
+        self.arrays = GroupArrays(lengths, rmult, parent, lastgen, lmult, inv, lmask, rmask)
+        for array in self.arrays:
+            array.flags.writeable = False
+        # the lists of ids share one int per element (tolist() alone makes one
+        # per entry, 4.6 MB more on H4); CPython shares the ints below 257
+        elems = np.array(range(size), dtype=object)
+        self.rmult, self.parent, self.lmult, self.inv = (
+            elems[ids].tolist() for ids in (rmult, parent, lmult, inv))
+        self.lengths, self.lastgen, self.lmask, self.rmask = (
+            small.tolist() for small in (lengths, lastgen, lmask, rmask))
 
-        self.rmask = [0] * size
-        self.lmask = [0] * size
-        for x in range(size):
-            rm = 0
-            lm = 0
-            for s in range(n):
-                if lengths[rmult[x][s]] < lengths[x]:
-                    rm |= 1 << s
-                if lengths[self.lmult[x][s]] < lengths[x]:
-                    lm |= 1 << s
-            self.rmask[x] = rm
-            self.lmask[x] = lm
-
-        maxlen = max(lengths)
-        longest = [x for x in range(size) if lengths[x] == maxlen]
+        longest = np.flatnonzero(lengths == lengths.max())
         if len(longest) != 1:
             raise AssertionError("longest element is not unique")
-        self.w0 = longest[0]
+        self.w0 = int(longest[0])
         full = (1 << n) - 1
         if self.lmask[self.w0] != full or self.rmask[self.w0] != full:
             raise AssertionError("longest element must have full descent sets")
-        self.num_pos_roots = lengths[self.w0]
+        self.num_pos_roots = self.lengths[self.w0]
 
         self._bruhat_masks: dict[int, int] = {0: 1}
 
@@ -307,18 +311,19 @@ class GroupTable:
 
     # -- Bruhat order -------------------------------------------------------
 
-    @cached_property
-    def _lmult_arrays(self) -> np.ndarray:
-        """Left multiplication as one int64 row per generator: [s][x] = s x."""
-        return np.ascontiguousarray(np.array(self.lmult, dtype=np.int64).T)
+    def _bits(self, mask: int) -> np.ndarray:
+        """The bits of mask, one uint8 per element."""
+        raw = np.frombuffer(mask.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little")[: self.size]
+
+    @staticmethod
+    def _mask(bits: np.ndarray) -> int:
+        """The bitmask of the set entries of bits, one per element."""
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
     def _permute_bitmask(self, mask: int, s: int) -> int:
         """{s*x : x in mask} as a bitmask, via a vectorised permutation."""
-        nbytes = (self.size + 7) // 8
-        raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[: self.size]
-        out = bits[self._lmult_arrays[s]]
-        return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
+        return self._mask(self._bits(mask)[self.arrays.lmult[:, s]])
 
     def bruhat_mask(self, y: int) -> int:
         """Bitmask of {x : x <= y}; memoised, built along descent chains."""
@@ -338,49 +343,51 @@ class GroupTable:
 
     def mask_to_ids(self, mask: int) -> np.ndarray:
         """Element ids of the set bits, ascending."""
-        nbytes = (self.size + 7) // 8
-        raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[: self.size]
         # as bool: nonzero scans a bool array several times faster
-        return np.flatnonzero(bits.view(bool))
-
-    @cached_property
-    def _level_masks(self) -> list[int]:
-        levels = [0] * (self.lengths[self.w0] + 1)
-        for x in range(self.size):
-            levels[self.lengths[x]] |= 1 << x
-        return levels
-
-    def level_mask(self, length: int) -> int:
-        levels = self._level_masks
-        return levels[length] if 0 <= length < len(levels) else 0
+        return np.flatnonzero(self._bits(mask).view(bool))
 
     @cached_property
     def _descent_supersets(self) -> dict[str, list[int]]:
         """Per side, [T] = bitmask of the elements whose descent set on
-        that side contains T, by a subset-sum sweep over descent sets."""
-        n = self.rank
-        out = {}
-        for side, descents in (("left", self.lmask), ("right", self.rmask)):
-            table = out[side] = [0] * (1 << n)
-            for x, d in enumerate(descents):
-                table[d] |= 1 << x
-            for s in range(n):
-                bit = 1 << s
-                for T in range(1 << n):
-                    if not T & bit:
-                        table[T] |= table[T | bit]
-        return out
+        that side contains T."""
+        a = self.arrays
+        return {side: [self._mask((descents & T) == T) for T in range(1 << self.rank)]
+                for side, descents in (("left", a.lmask), ("right", a.rmask))}
 
     def descent_superset_mask(self, side: str, dmask: int) -> int:
         """Bitmask of elements whose left (or right) descent set contains
         dmask."""
         return self._descent_supersets[side][dmask]
 
+    @cached_property
+    def _covers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The covers of every y, ascending, as CSR: ids[offsets[y]:offsets[y + 1]].
+
+        By strong exchange (Bjorner and Brenti, Combinatorics of Coxeter
+        Groups, 2005, ch. 1), deleting each letter of a reduced word of y
+        gives each y t with l(y t) < l(y) once, and y covers those of length
+        l(y) - 1.  With y = p s, p = parent[y], this deletion set is
+        D(y) = D(p) s + {p}, built a length level at a time."""
+        a = self.arrays
+        bounds = np.searchsorted(a.lengths, np.arange(a.lengths[-1] + 2)).tolist()
+        deletions = np.zeros((1, 0), dtype=np.int64)  # D(identity), empty
+        ids, counts = [], [0, 0]  # offsets[0] and the identity's none
+        for length, (lo, hi) in enumerate(zip(bounds[1:], bounds[2:]), 1):
+            p, t = a.parent[lo:hi], a.lastgen[lo:hi]
+            deletions = np.hstack([a.rmult[deletions[p - bounds[length - 1]], t[:, None]],
+                                   p[:, None]])
+            deletions.sort(axis=1)
+            cover = a.lengths[deletions] == length - 1
+            ids.append(deletions[cover])
+            counts += cover.sum(axis=1).tolist()
+        ids = np.concatenate(ids)
+        ids.flags.writeable = False  # covers() hands out views of it
+        return np.cumsum(counts), ids
+
     def covers(self, y: int) -> np.ndarray:
-        """Ids of elements covered by y in Bruhat order."""
-        mask = self.bruhat_mask(y) & self.level_mask(self.lengths[y] - 1)
-        return self.mask_to_ids(mask)
+        """Ids of elements covered by y in Bruhat order, ascending."""
+        offsets, ids = self._covers
+        return ids[offsets[y] : offsets[y + 1]]
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, size={self.size})"
@@ -491,32 +498,33 @@ def build_group(matrix: CoxeterMatrix, name: str | None = None) -> GroupTable:
         raise GroupTooLargeError(
             f"group of order {order} exceeds the supported {MAX_SIZE} elements"
         )
-    table = _coset_table(matrix, 8 * order + 64)
+    table = np.array(_coset_table(matrix, 8 * order + 64), dtype=np.int64).T
 
-    # ShortLex ids: breadth-first from the identity, generators in index order
-    ids = {0: 0}
-    cosets = [0]
-    lengths = [0]
-    parent = [0]
-    lastgen = [-1]
-    rmult: list[list[int]] = []
-    for x, c in enumerate(cosets):
-        row = []
-        for s in range(n):
-            d = table[s][c]
-            y = ids.get(d)
-            if y is None:
-                y = ids[d] = len(cosets)
-                cosets.append(d)
-                lengths.append(lengths[x] + 1)
-                parent.append(x)
-                lastgen.append(s)
-            row.append(y)
-        rmult.append(row)
-    if len(cosets) != order:
-        raise AssertionError(f"enumerated {len(cosets)} elements, expected {order}")
+    # ShortLex ids, breadth-first a length level at a time: the coset first
+    # reached as x s, for the least (x, s), gets the next id, parent x and lastgen s
+    ids = np.full(len(table), -1, dtype=np.int64)
+    ids[0] = 0
+    levels, parent, lastgen = [np.zeros(1, dtype=np.int64)], [[0]], [[-1]]
+    size = 1
+    while True:
+        reached = table[levels[-1]].ravel()
+        new = np.flatnonzero(ids[reached] < 0)
+        at = new[np.sort(np.unique(reached[new], return_index=True)[1])]
+        if not at.size:
+            break
+        levels.append(reached[at])
+        ids[levels[-1]] = np.arange(size, size + len(at))
+        parent.append(size - len(levels[-2]) + at // n)
+        lastgen.append(at % n)
+        size += len(at)
+    if size != order:
+        raise AssertionError(f"enumerated {size} elements, expected {order}")
 
-    return GroupTable(matrix, name or f"rank{n}", lengths, rmult, parent, lastgen)
+    lengths = np.repeat(np.arange(len(levels), dtype=np.int64), [len(c) for c in levels])
+    rmult = ids[table[np.concatenate(levels)]]
+    return GroupTable(matrix, name or f"rank{n}", lengths, rmult,
+                      np.concatenate(parent), np.concatenate(lastgen))
+
 
 def group_from_name(name: str) -> GroupTable:
     matrix, canonical = preset_matrix(name)

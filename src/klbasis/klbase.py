@@ -120,17 +120,8 @@ class KLStore:
         self._decoded: dict[int, QPoly] = {}
         self._mu: dict[int, tuple[tuple[int, int], ...]] = {}
         self._next_column = 0
-        # the group as arrays: the lookups raise many elements at once
-        rank = g.rank
-        self._lengths = np.array(g.lengths, dtype=np.int64)
-        self._inv = np.array(g.inv, dtype=np.int64)
-        self._lmask = np.array(g.lmask, dtype=np.int64)
-        self._rmask = np.array(g.rmask, dtype=np.int64)
-        # [x, s] = s x and [x, rank + s] = x s
-        self._mult = np.hstack([np.array(g.lmult, dtype=np.int64).reshape(-1, rank),
-                                np.array(g.rmult, dtype=np.int64).reshape(-1, rank)])
         # [mask] = the lowest generator in a nonzero descent mask
-        self._lowest = np.array([(m & -m).bit_length() - 1 for m in range(1 << rank)],
+        self._lowest = np.array([(m & -m).bit_length() - 1 for m in range(1 << g.rank)],
                                 dtype=np.int64)
 
     # -- packed values ------------------------------------------------------
@@ -149,17 +140,17 @@ class KLStore:
         lowest s in R(b) \\ R(x).  Neither step changes P_{x,b}, and by the
         lifting property neither changes whether x <= b."""
         x = x.copy()
-        lmask, rmask, mult, lowest = self._lmask, self._rmask, self._mult, self._lowest
-        rank = self.g.rank
+        a = self.g.arrays
         todo = np.flatnonzero(x != b)
         while todo.size:
             xt, bt = x[todo], b[todo]
-            free = lmask[bt] & ~lmask[xt]
+            free = a.lmask[bt] & ~a.lmask[xt]
             right = free == 0
-            free[right] = rmask[bt[right]] & ~rmask[xt[right]]
+            free[right] = a.rmask[bt[right]] & ~a.rmask[xt[right]]
             moves = free != 0
-            todo, bt = todo[moves], bt[moves]
-            xt = mult[xt[moves], lowest[free[moves]] + rank * right[moves]]
+            todo, bt, xt, right = todo[moves], bt[moves], xt[moves], right[moves]
+            s = self._lowest[free[moves]]
+            xt = np.where(right, a.rmult[xt, s], a.lmult[xt, s])
             x[todo] = xt
             todo = todo[xt != bt]
         return x
@@ -171,7 +162,7 @@ class KLStore:
         canonical key min(b |W| + x, b^-1 |W| + x^-1), a stored pair, so
         the stored pairs answer the Bruhat test too (P = 0 otherwise)."""
         x = self._raise(x, b)
-        n, inv, keys = self.g.size, self._inv, self._keys
+        n, inv, keys = self.g.size, self.g.arrays.inv, self._keys
         key = np.minimum(b * n + x, inv[b] * n + inv[x])
         out = np.zeros(len(x), dtype=object)
         if len(keys):
@@ -214,7 +205,7 @@ class KLStore:
         first: a column's carry check, then its pairs by ascending x, each
         checked for 64 bits before its degree bound."""
         g = self.g
-        lmask, lengths, inv = g.lmask, self._lengths, self._inv
+        lmask, lengths, inv, lmult = g.lmask, g.arrays.lengths, g.arrays.inv, g.arrays.lmult
         ly = g.lengths[ys[0]]
         xs, mirrored, covers, steps = [], [], [], []
         z, mu, carry = [], [], None
@@ -240,7 +231,7 @@ class KLStore:
         col = np.repeat(np.arange(len(cols)), [len(e) for e in xs])
         x = np.concatenate(xs)
         y, s, terms = cols[col, 0], cols[col, 1], cols[col, 2]
-        sy = self._mult[y, s]
+        sy = lmult[y, s]
         # every pair against every mu-list entry of its column, then only
         # the z no shorter than x: P_{x,z} = 0 for the others
         pair = np.repeat(np.arange(len(x)), terms)
@@ -250,7 +241,7 @@ class KLStore:
         z = np.array(z, dtype=np.int64)[entry]
         keep = lengths[z] >= lengths[x[pair]]
         pair, z, entry = pair[keep], z[keep], entry[keep]
-        batch = _Batch(x, y, self._mult[x, s], sy, pair, z,
+        batch = _Batch(x, y, lmult[x, s], sy, pair, z,
                        np.array(mu, dtype=object)[entry], W * ((ly - lengths[z]) >> 1))
         sums = self._sums(batch).tolist()
 
@@ -456,7 +447,7 @@ class WGraph:
                 out[y] = items[a:b]
             return tuple(out), np.diff(ends)
 
-        lmask = np.array(g.lmask, dtype=np.int64)
+        lmask = g.arrays.lmask
         # the s each edge is followed for: s in L(z) \ L(y), z its tail
         follow = lmask[z] & ~lmask[heads]
         unit = mu == 1
@@ -471,8 +462,7 @@ class WGraph:
             others.append(others_s)
             counts[s] = n_ones + n_others
         # cost[x, s]: the edges of sx for s in L(x), more than any otherwise
-        lmult = np.fromiter(chain.from_iterable(g.lmult), np.int64, n * rank).reshape(n, rank)
-        cost = counts[np.arange(rank), lmult]
+        cost = counts[np.arange(rank), g.arrays.lmult]
         descents = lmask[:, None] >> np.arange(rank) & 1
         cheapest = np.where(descents == 1, cost, len(z) + 1).argmin(axis=1)
         cheapest[0] = -1

@@ -450,3 +450,75 @@ def recurrence(store: KLStore, x: int, y: int) -> int:
         if g.lmask[z] >> s & 1 and g.lengths[z] >= g.lengths[x]:
             u -= packed(store, x, z, below(g, z)) * mu << W * ((g.lengths[y] - g.lengths[z]) >> 1)
     return u
+
+
+# -- the group tables' scalar builds ------------------------------------------
+
+
+def shortlex_tables(table: list[list[int]], n: int):
+    """(lengths, rmult, parent, lastgen) as lists, from a coset table of
+    the trivial subgroup (``table[s][c]``), by a breadth-first search from
+    the identity with generators in index order, one element at a time.
+    The reference for the level-at-a-time relabel of ``build_group``."""
+    ids = {0: 0}
+    cosets = [0]
+    lengths = [0]
+    parent = [0]
+    lastgen = [-1]
+    rmult: list[list[int]] = []
+    for x, c in enumerate(cosets):
+        row = []
+        for s in range(n):
+            d = table[s][c]
+            y = ids.get(d)
+            if y is None:
+                y = ids[d] = len(cosets)
+                cosets.append(d)
+                lengths.append(lengths[x] + 1)
+                parent.append(x)
+                lastgen.append(s)
+            row.append(y)
+        rmult.append(row)
+    return lengths, rmult, parent, lastgen
+
+
+def derived_tables(n: int, lengths, rmult, parent, lastgen):
+    """(lmult, inv, rmask, lmask) as lists, one element at a time from
+    smaller ids.  The reference for the level-at-a-time derivation of
+    ``GroupTable``."""
+    size = len(lengths)
+    # x = parent[x] * lastgen[x], so s x = (s parent[x]) lastgen[x] and
+    # x^-1 = lastgen[x] parent[x]^-1; both read rows of smaller ids
+    lmult = [rmult[0][:]]
+    inv = [0]
+    for x in range(1, size):
+        p, t = parent[x], lastgen[x]
+        lmult.append([rmult[z][t] for z in lmult[p]])
+        inv.append(lmult[inv[p]][t])
+
+    rmask = [0] * size
+    lmask = [0] * size
+    for x in range(size):
+        rm = 0
+        lm = 0
+        for s in range(n):
+            if lengths[rmult[x][s]] < lengths[x]:
+                rm |= 1 << s
+            if lengths[lmult[x][s]] < lengths[x]:
+                lm |= 1 << s
+        rmask[x] = rm
+        lmask[x] = lm
+    return lmult, inv, rmask, lmask
+
+
+def bitmask_covers(g: GroupTable) -> list[np.ndarray]:
+    """The covers of every y, ascending: its Bruhat interval's bitmask
+    meets the bitmask of the level below it.  The reference for
+    ``GroupTable.covers``."""
+    levels = [0] * (g.lengths[g.w0] + 1)
+    for x in range(g.size):
+        levels[g.lengths[x]] |= 1 << x
+    return [
+        g.mask_to_ids(g.bruhat_mask(y) & (levels[g.lengths[y] - 1] if y else 0))
+        for y in range(g.size)
+    ]

@@ -5,6 +5,7 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from klbasis import coxeter
@@ -20,7 +21,14 @@ from klbasis.coxeter import (
     preset_matrix,
 )
 
-from oracles import all_reduced_subwords, bruhat_leq, gram_positive_definite
+from oracles import (
+    all_reduced_subwords,
+    bitmask_covers,
+    bruhat_leq,
+    derived_tables,
+    gram_positive_definite,
+    shortlex_tables,
+)
 
 ORDERS = {
     "A1": (2, 1),
@@ -144,6 +152,31 @@ def test_covers(groups):
             if g.lengths[x] == g.lengths[y] - 1
         }
         assert set(g.covers(y)) == expected
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in range(2, 13)],
+)
+def test_tables_and_covers_match_the_scalar_oracles(name):
+    """The numpy relabel, derivation and deletion-set covers give what the
+    element-at-a-time loops and the Bruhat bitmasks give, and each array
+    equals its list."""
+    g = group_from_name(name)
+    matrix, n = g.matrix, g.rank
+    lengths, rmult, parent, lastgen = shortlex_tables(
+        _coset_table(matrix, 8 * group_order(matrix) + 64), n)
+    lmult, inv, rmask, lmask = derived_tables(n, lengths, rmult, parent, lastgen)
+    expected = dict(lengths=lengths, rmult=rmult, parent=parent, lastgen=lastgen,
+                    lmult=lmult, inv=inv, lmask=lmask, rmask=rmask)
+    for field, array in g.arrays._asdict().items():
+        assert array.dtype == np.int64, field
+        assert getattr(g, field) == expected[field], field
+        assert array.tolist() == expected[field], field
+    assert g.w0 == lengths.index(max(lengths))
+    for y, covers in enumerate(bitmask_covers(g)):
+        assert g.covers(y).tolist() == covers.tolist(), y
 
 
 def test_matrix_validation():

@@ -26,6 +26,7 @@ from klbasis.ring import W, CoefficientOverflowError, QPoly
 from oracles import (
     all_reduced_subwords,
     below,
+    bitmask_covers,
     bruhat_leq,
     kl_mu,
     packed,
@@ -205,7 +206,7 @@ class TestWGraph:
         assert wg.tables.max_mu == 3 and any(map(any, wg.tables.others))
 
     @pytest.mark.skipif(not os.environ.get("RUN_H4_EXTENDED"),
-                        reason="H4 P table: about a minute; set RUN_H4_EXTENDED=1")
+                        reason="H4 P table and W-graph: about 20 s; set RUN_H4_EXTENDED=1")
     def test_tables_match_the_oracles_h4(self, groups):
         assert table_problems(build_wgraph(KLStore(groups("H4")))) == []
 
@@ -257,6 +258,7 @@ class ReferenceKLStore:
         self.g = g
         self.P = {}
         self.mu = {}
+        self.covers = bitmask_covers(g)
         for y in range(g.size):
             self._column(y)
 
@@ -304,7 +306,7 @@ class ReferenceKLStore:
                 for z, mu in mus:
                     p = p - (mu * self.kl(x, z)).shift((ly - g.lengths[z]) >> 1)
                 self.P[(x, y)] = p
-        out = [(int(x), 1) for x in g.mask_to_ids(interval & g.level_mask(ly - 1))]
+        out = [(int(x), 1) for x in self.covers[y]]
         for x in extremal:
             d = ly - g.lengths[x]
             if d >= 3 and d % 2:
