@@ -20,7 +20,7 @@ col = column(wg, g.w0)
 print(f"{g.name}: scalars h_x with c_x c_w0 = h_x c_w0, as polynomials in q\n")
 width = max(len(g.word_str(x)) for x in range(g.size))
 for x in range(g.size):
-    row = col.rows[x]
+    row = col.row(x)
     assert set(row) == {g.w0}
     qp = qpoly_from_sym(col.store.poly(row[g.w0]))
     flags = []
@@ -31,7 +31,7 @@ for x in range(g.size):
     print(f"  x = {g.word_str(x):<{width}}  coeffs {qp.coeffs}  ({', '.join(flags)})")
 
 print("\nThe top scalar is the Poincare series of the group in q:")
-top = qpoly_from_sym(col.store.poly(col.rows[g.w0][g.w0]))
+top = qpoly_from_sym(col.store.poly(col.row(g.w0)[g.w0]))
 from collections import Counter
 
 lengths = Counter(g.lengths)

@@ -124,8 +124,8 @@ def _locate(col: HColumn, values: list[int]) -> list[tuple[int, int, str]]:
         return []
     wanted = set(values)
     out = []
-    for x, row in enumerate(col.rows):
-        for z, u in row.items():
+    for x in range(col.g.size):
+        for z, u in col.row(x).items():
             if u in wanted:
                 out.append((x, z, str(col.store.poly(u))))
     out.sort()
@@ -173,7 +173,7 @@ def check_w0_identity(store: KLStore, wg: WGraph) -> CheckReport:
     col = column(wg, w0)
     unimodal_failures = 0
     for x in range(g.size):
-        row = col.rows[x]
+        row = col.row(x)
         if set(row) != {w0}:
             report.record_failure(
                 f"c_{x} c_w0 is not a multiple of c_w0 (support {sorted(row)})"

@@ -229,7 +229,8 @@ class GroupTable:
     same names (``lengths``, ``rmult``, ...) are lists of them, for loops
     that read one element at a time.  Descent sets are rank-wide bitmasks,
     Bruhat intervals |W|-bit ones; covers come from deletion sets.  All
-    tables are immutable after the build and safe to share across workers.
+    tables are immutable after the build and safe to share across workers,
+    and a pickled copy is rebuilt from the four tables the build makes.
     """
 
     # the tables live in slots: the cached properties below read the
@@ -286,6 +287,11 @@ class GroupTable:
         self.num_pos_roots = self.lengths[self.w0]
 
         self._bruhat_masks: dict[int, int] = {0: 1}
+
+    def __reduce__(self):
+        # lengths, rmult, parent and lastgen, without the memoised masks
+        # (12.6 MB on H4 once its P table is built) and covers
+        return GroupTable, (self.matrix, self.name, *self.arrays[:4])
 
     # -- words ------------------------------------------------------------
 

@@ -12,22 +12,22 @@ structure constants interned in a deduplicating store of symmetric
 Laurent polynomials.  The store holds only the structure constants
 themselves, the finished row values.  Every polynomial in a column is one
 packed int, its upper half evaluated at v = 2^W (Kronecker substitution,
-read back by the slot codec of ``ring``), and the rows hold these ints,
-one shared object per value.  So a sum of structure constants is one int
-addition, and the images a row is built from, under multiplication by
-v + v^-1 (``bmul_packed``) and by the mu-values, are int arithmetic on
-stored values: summands, never stored.  Slots are wide enough that these
-sums cannot carry, each summand weighed by its factor
-(``check_carry_bound``, once per column).  The store checks the signed
-64-bit bound and the single degree parity of its new values in numpy
-batches, before any column returns (``PolyStore.settle``), and holds
-every value to a bound that keeps each of its images in 64 bits too
+read back by the slot codec of ``ring``), and the rows, fresh dicts of
+their nonzero sums, hold these ints, one shared object per value.  So a
+sum of structure constants is one int addition, and the images a row is
+built from, under multiplication by v + v^-1 (``bmul_packed``) and by the
+mu-values, are int arithmetic on stored values: summands, never stored.
+Slots are wide enough that these sums cannot carry, each summand weighed
+by its factor (``check_carry_bound``, once per column).  The store checks
+the signed 64-bit bound and the single degree parity of its new values in
+numpy batches, before any column returns (``PolyStore.settle``), and
+holds every value to a bound that keeps each of its images in 64 bits too
 (``PolyStore.bound_images``); the first value in interning order that
-fails raises what a check of that value alone would raise.  The
-recursion follows only the W-graph's descent-filtered edges, and the
-descent of each x is fixed once per group (``DESCENT_STRATEGIES``; by
-default the cheapest, see ``klbase.DescentTables``).  Columns for
-distinct y are independent and share nothing mutable.
+fails raises what a check of that value alone would raise.  The recursion
+follows only the W-graph's descent-filtered edges, and the descent of
+each x is fixed once per group (``DESCENT_STRATEGIES``; by default the
+cheapest, see ``klbase.DescentTables``).  Columns for distinct y are
+independent and share nothing mutable.
 """
 
 from __future__ import annotations
@@ -400,11 +400,13 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
     """All products c_x * c_y for x in the group, by induction on l(x).
 
     Row x is obtained from c_x = c_s c_{sx} - sum mu(z, sx) c_z with
-    s the descent of x that the strategy chooses; both sums follow only
-    the W-graph's descent-filtered edges (``klbase.DescentTables``), those
-    of mu = 1 apart from the rest.  Every coefficient is kept in
-    symmetric form and checked against the parity l(x) + l(y) + l(z)
-    mod 2.  The column's store holds exactly its distinct values.
+    s the descent of x that the strategy chooses: each z of row sx adds
+    the terms of c_s c_z (``klbase.DescentTables``), and the subtraction
+    takes those of c_s c_{sx} after c_x.  The sums are kept in a scratch
+    dict, zeros included, and the row is a fresh dict of the nonzero ones.
+    Every coefficient is kept in symmetric form and checked against the
+    parity l(x) + l(y) + l(z) mod 2.  The column's store holds exactly its
+    distinct values.
     """
     g = wg.g
     tables = wg.tables
@@ -424,53 +426,33 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
         s = descent[x]
         sx = lmult[x][s]
         ones, others = tables.ones[s], tables.others[s]
-        # z -> the packed sum so far; a sum that cancels is removed
+        # z -> the packed sum so far, zero where it cancelled
         row: dict[int, int] = {}
         get = row.get
-        # c_s * c_{sx}: (v + v^-1) c_z for s in L(z), otherwise c_{sz}
-        # plus the mu-edges below z ...
+        # c_s * c_{sx}: (v + v^-1) c_z for s in L(z), otherwise its terms
+        # c_{sz} + sum mu(w, z) c_w ...
         for z, u in rows[sx].items():
-            t = lmult[z][s]
-            if t < z:  # s in L(z): (v + v^-1) c_z
-                if cur := get(z, 0) + bmul_packed(u):
-                    row[z] = cur
-                else:
-                    del row[z]
-                continue
-            if cur := get(t, 0) + u:
-                row[t] = cur
+            if terms := ones[z]:
+                for w in terms:
+                    row[w] = get(w, 0) + u
+                for w, mu in others[z]:
+                    row[w] = get(w, 0) + u * mu
             else:
-                del row[t]
-            for w in ones[z]:
-                if cur := get(w, 0) + u:
-                    row[w] = cur
-                else:
-                    del row[w]
-            for w, mu in others[z]:
-                if cur := get(w, 0) + u * mu:
-                    row[w] = cur
-                else:
-                    del row[w]
-        # ... minus mu(z, sx) c_z over the z below sx with s in L(z)
-        for z in ones[sx]:
+                row[z] = get(z, 0) + bmul_packed(u)
+        # ... minus mu(z, sx) c_z, the terms of c_s * c_{sx} after c_x
+        for z in ones[sx][1:]:
             for w, u in rows[z].items():
-                if cur := get(w, 0) - u:
-                    row[w] = cur
-                else:
-                    del row[w]
+                row[w] = get(w, 0) - u
         for z, mu in others[sx]:
             for w, u in rows[z].items():
-                if cur := get(w, 0) - u * mu:
-                    row[w] = cur
-                else:
-                    del row[w]
-        # entry z must have degree parity l(x) + l(y) + l(z): look it up
-        # under that parity only
+                row[w] = get(w, 0) - u * mu
+        # the nonzero sums, each held once in a dict of their own; entry z
+        # must have degree parity l(x) + l(y) + l(z): look it up under that
+        # parity only
         parity = (lengths[x] + ly) & 1
         lookup = lookups[parity]
-        for z, u in row.items():
-            row[z] = lookup[odd_length[z]](u) or hold(u, parity ^ odd_length[z], (x, y, z))
-        rows[x] = row
+        rows[x] = {z: lookup[odd_length[z]](u) or hold(u, parity ^ odd_length[z], (x, y, z))
+                   for z, u in row.items() if u}
     st.settle()
     return HColumn(g, y, rows, st)
 

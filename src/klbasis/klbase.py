@@ -365,18 +365,18 @@ def _csr(lists: Sequence[Sequence[tuple[int, int]]]) -> tuple[np.ndarray, np.nda
 class DescentTables(NamedTuple):
     """The W-graph as the column recursion reads it, per generator s.
 
-    - ``ones[s][z]``, for s not in L(z), the w < z with s in L(w) and
-      mu(w, z) = 1; ``others[s][z]`` the (w, mu(w, z)) with s in L(w) and
-      any other mu (mu > 1 on a W-graph), rare.  Together they are the
-      edges that both c_s c_z and the subtraction in
-      c_s c_{sx} = c_x + sum mu(z, sx) c_z follow (both empty for s in
-      L(z), where neither reads them).  Each w is the one int object the
-      tables share for that element, so the tables hold no int of their
-      own per edge;
-    - ``cheapest[x]``, the s in L(x) whose sx has the fewest such edges,
-      the lowest s on ties (-1 for the identity).  Any left descent of x
-      gives the same row (Kazhdan-Lusztig, Invent. Math. 53, 1979), so
-      this choice, fixed once per group, changes only the work;
+    - ``ones[s][z]``, the unit terms of c_s c_z: for s not in L(z), sz,
+      then the w < z with s in L(w) and mu(w, z) = 1, and empty exactly
+      for s in L(z); ``others[s][z]`` the (w, mu(w, z)) with s in L(w) and
+      any other mu (mu > 1 on a W-graph), rare.  These are the terms of
+      c_s c_z = c_{sz} + sum mu(w, z) c_w (Kazhdan-Lusztig, Invent. Math.
+      53, 1979), and those of c_s c_{sx} after c_x are what
+      c_x = c_s c_{sx} - sum mu(z, sx) c_z subtracts.  Each element is the
+      one int object the tables share for it;
+    - ``cheapest[x]``, the s in L(x) whose c_s c_{sx} has the fewest
+      terms, the lowest s on ties (-1 for the identity).  Any left descent
+      of x gives the same row (Kazhdan-Lusztig, Invent. Math. 53, 1979),
+      so this choice, fixed once per group, changes only the work;
     - ``max_mu`` and ``max_mu_sum``, the largest |mu| and the largest sum
       of |mu| over the edges into one element, which bound the images and
       the sums of a column.
@@ -436,18 +436,20 @@ class WGraph:
         sizes = np.diff(offsets)
         heads = np.repeat(np.arange(n), sizes)  # the y of each edge
 
-        def per_head(sel: np.ndarray, items: tuple) -> tuple[tuple, np.ndarray]:
-            # the items of the selected edges, in CSR order, one tuple per
-            # y (most y have none, and share the empty tuple), and how many
-            # each y has
-            ends = np.concatenate(([0], np.cumsum(sel)))[offsets]
-            held = np.flatnonzero(ends[1:] > ends[:-1])
-            out = [()] * n
-            for y, a, b in zip(held.tolist(), ends[held].tolist(), ends[held + 1].tolist()):
-                out[y] = items[a:b]
-            return tuple(out), np.diff(ends)
+        def before(flags: np.ndarray) -> np.ndarray:
+            # how many flags are set before each position, and in all
+            return np.concatenate(([0], np.cumsum(flags)))
 
-        lmask = g.arrays.lmask
+        def per_head(bounds: np.ndarray, items: tuple) -> tuple:
+            # one tuple per y, items[bounds[y]:bounds[y + 1]] (the many y
+            # with none share the empty tuple)
+            held = np.flatnonzero(bounds[1:] > bounds[:-1])
+            out = [()] * n
+            for y, a, b in zip(held.tolist(), bounds[held].tolist(), bounds[held + 1].tolist()):
+                out[y] = items[a:b]
+            return tuple(out)
+
+        lmask, lmult = g.arrays.lmask, g.arrays.lmult
         # the s each edge is followed for: s in L(z) \ L(y), z its tail
         follow = lmask[z] & ~lmask[heads]
         unit = mu == 1
@@ -455,14 +457,18 @@ class WGraph:
         for s in range(rank):
             keep = follow >> s & 1 == 1
             sel = keep & unit
-            ones_s, n_ones = per_head(sel, tuple(ids[z[sel]].tolist()))
+            at = before(sel)[offsets]
+            # sy leads the unit terms of c_s c_y, for each y with s not in L(y)
+            up = lmask >> s & 1 == 0
+            terms = np.insert(z[sel], at[:-1][up], lmult[up, s])
+            ones.append(per_head(at + before(up), tuple(ids[terms].tolist())))
+            counts[s] = np.diff(at)
             sel = keep & ~unit
-            others_s, n_others = per_head(sel, tuple(zip(ids[z[sel]].tolist(), mu[sel].tolist())))
-            ones.append(ones_s)
-            others.append(others_s)
-            counts[s] = n_ones + n_others
+            at = before(sel)[offsets]
+            others.append(per_head(at, tuple(zip(ids[z[sel]].tolist(), mu[sel].tolist()))))
+            counts[s] += np.diff(at)
         # cost[x, s]: the edges of sx for s in L(x), more than any otherwise
-        cost = counts[np.arange(rank), g.arrays.lmult]
+        cost = counts[np.arange(rank), lmult]
         descents = lmask[:, None] >> np.arange(rank) & 1
         cheapest = np.where(descents == 1, cost, len(z) + 1).argmin(axis=1)
         cheapest[0] = -1

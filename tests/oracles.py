@@ -266,13 +266,16 @@ def mu_bounds(wg: WGraph) -> tuple[int, int]:
 
 def table_problems(wg: WGraph) -> list[str]:
     """Where ``wg.tables`` departs from the oracles above, or holds two int
-    objects for one element."""
-    tables, edges = wg.tables, descent_edges(wg)
+    objects for one element.  ``ones[s][z]`` is the unit terms of c_s c_z:
+    sz, then the w of the unit edges, for s not in L(z); empty for s in
+    L(z)."""
+    g, tables, edges = wg.g, wg.tables, descent_edges(wg)
     problems = []
-    for s in range(wg.g.rank):
+    for s in range(g.rank):
         for z in range(wg.size):
             want = edges[s][z]
-            if tables.ones[s][z] != tuple(w for w, mu in want if mu == 1):
+            lead = () if g.lmask[z] >> s & 1 else (g.lmult[z][s],)
+            if tables.ones[s][z] != lead + tuple(w for w, mu in want if mu == 1):
                 problems.append(f"ones[{s}][{z}]")
             if tables.others[s][z] != tuple((w, mu) for w, mu in want if mu != 1):
                 problems.append(f"others[{s}][{z}]")
@@ -281,7 +284,7 @@ def table_problems(wg: WGraph) -> list[str]:
     if (tables.max_mu, tables.max_mu_sum) != mu_bounds(wg):
         problems.append("mu bounds")
     shared: dict[int, int] = {}
-    for s in range(wg.g.rank):
+    for s in range(g.rank):
         for ws, pairs in zip(tables.ones[s], tables.others[s]):
             for w in ws + tuple(w for w, _ in pairs):
                 if shared.setdefault(w, w) is not w:

@@ -1,13 +1,15 @@
+import copy
 import itertools
-import pickle
 import random
 import re
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from klbasis import hecke
-from klbasis.coxeter import group_from_name
+from klbasis.coxeter import GroupTable, group_from_name
 from klbasis.hecke import (
     DESCENT_STRATEGIES,
     SETTLE_CHUNK,
@@ -127,13 +129,23 @@ class TestCInT:
             assert c_in_t_basis_oracle(g, y) == c_in_t_basis(store, y)
 
     def test_oracle_leaves_the_group_as_it_found_it(self):
-        """The bar-solve keeps its t-inverses to itself: a pickled copy of
-        the group is no larger after the oracle has run on every element."""
+        """The bar-solve keeps its t-inverses to itself: after the oracle
+        has run on every element, every slot of the group holds the same
+        object with the same contents, its arrays included, and neither
+        its ``__dict__`` nor its Bruhat mask memo has gained or changed an
+        entry."""
         g = group_from_name("B3")
-        before = len(pickle.dumps(g))
+        names = [n for n in GroupTable.__slots__ if n not in ("arrays", "__dict__")]
+        slots, arrays, attrs = [getattr(g, n) for n in names], g.arrays, dict(vars(g))
+        contents = copy.deepcopy(slots), [a.copy() for a in arrays]
         for y in range(g.size):
             c_in_t_basis_oracle(g, y)
-        assert len(pickle.dumps(g)) == before
+        assert all(getattr(g, n) is obj for n, obj in zip(names, slots))
+        assert [getattr(g, n) for n in names] == contents[0]
+        assert g.arrays is arrays
+        assert all(np.array_equal(a, b) for a, b in zip(g.arrays, contents[1]))
+        assert vars(g).keys() == attrs.keys()
+        assert all(vars(g)[k] is obj for k, obj in attrs.items())
 
 
 class TestCMult:
@@ -288,6 +300,19 @@ class TestColumns:
             stored |= set(col.store)
             held |= set(values)
         assert stored == held
+
+    @pytest.mark.parametrize("name", ["H3", "B4"])
+    def test_rows_hold_only_their_nonzero_entries(self, wgraphs, name):
+        """Every row of every column holds no zero value and is no larger
+        than a dict rebuilt from its own items: it keeps no room for the
+        keys that cancelled while it was summed."""
+        wg = wgraphs(name)
+        for y in range(wg.g.size):
+            col = column(wg, y)
+            for x in range(wg.g.size):
+                row = col.row(x)
+                assert all(row.values()), (x, y)
+                assert sys.getsizeof(row) <= sys.getsizeof(dict(row.items())), (x, y)
 
     @pytest.mark.parametrize("name", ["H3", "B3"])
     def test_h_symmetry_by_value(self, wgraphs, name):

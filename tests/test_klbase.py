@@ -175,7 +175,8 @@ class TestWGraph:
     @pytest.mark.parametrize("name", ["A3", "H3"])
     def test_pickle_round_trip(self, wgraphs, name):
         """A pickled graph comes back equal, without its tables, which it
-        rebuilds equal, one int object per element again."""
+        rebuilds equal, one int object per element again, and its group
+        comes back without its memoised Bruhat masks."""
         wg = wgraphs(name)
         wg.tables
         data = pickle.dumps(wg)
@@ -183,6 +184,9 @@ class TestWGraph:
         copy = pickle.loads(data)
         assert "tables" not in vars(copy)
         assert copy.g.matrix.entries == wg.g.matrix.entries
+        # the group is rebuilt from its tables, without the P build's masks
+        assert len(wg.g._bruhat_masks) > 1 and copy.g._bruhat_masks == {0: 1}
+        assert all(np.array_equal(a, b) for a, b in zip(copy.g.arrays, wg.g.arrays))
         for a, b in zip(csr_of(copy), csr_of(wg)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert copy.mu_lists == wg.mu_lists
