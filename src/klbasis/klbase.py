@@ -453,19 +453,19 @@ class WGraph:
         # the s each edge is followed for: s in L(z) \ L(y), z its tail
         follow = lmask[z] & ~lmask[heads]
         unit = mu == 1
+        rare = np.flatnonzero(~unit)  # 6.6% of H4's edges
         ones, others, counts = [], [], np.empty((rank, n), dtype=np.int64)
         for s in range(rank):
-            keep = follow >> s & 1 == 1
-            sel = keep & unit
+            sel = (follow >> s & 1 == 1) & unit
             at = before(sel)[offsets]
             # sy leads the unit terms of c_s c_y, for each y with s not in L(y)
             up = lmask >> s & 1 == 0
             terms = np.insert(z[sel], at[:-1][up], lmult[up, s])
             ones.append(per_head(at + before(up), tuple(ids[terms].tolist())))
             counts[s] = np.diff(at)
-            sel = keep & ~unit
-            at = before(sel)[offsets]
-            others.append(per_head(at, tuple(zip(ids[z[sel]].tolist(), mu[sel].tolist()))))
+            kept = rare[follow[rare] >> s & 1 == 1]
+            at = np.searchsorted(kept, offsets)
+            others.append(per_head(at, tuple(zip(ids[z[kept]].tolist(), mu[kept].tolist()))))
             counts[s] += np.diff(at)
         # cost[x, s]: the edges of sx for s in L(x), more than any otherwise
         cost = counts[np.arange(rank), lmult]
@@ -475,7 +475,6 @@ class WGraph:
         # |mu| bounds in Python ints, exact for any int64 mu a planted graph
         # may carry: every edge weighs one, plus |mu| - 1 off the unit ones
         sums = sizes.tolist()
-        rare = np.flatnonzero(~unit)
         rare_mu = [abs(m) for m in mu[rare].tolist()]
         for y, m in zip(heads[rare].tolist(), rare_mu):
             sums[y] += m - 1

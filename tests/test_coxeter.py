@@ -291,6 +291,56 @@ def e_matrix(rank):
     return simply_laced(rank, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, rank - 1)])
 
 
+def oracle_tables(matrix):
+    """The eight tables of ``GroupTable.arrays`` from one HLT run over the
+    trivial subgroup, relabelled and derived one element at a time."""
+    n = matrix.rank
+    lengths, rmult, parent, lastgen = shortlex_tables(
+        _coset_table(matrix, 8 * group_order(matrix) + 64), n)
+    lmult, inv, rmask, lmask = derived_tables(n, lengths, rmult, parent, lastgen)
+    return dict(lengths=lengths, rmult=rmult, parent=parent, lastgen=lastgen,
+                lmult=lmult, inv=inv, lmask=lmask, rmask=rmask)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    # the presets test_tables_and_covers_match_the_scalar_oracles leaves out
+    [preset_matrix(name)[0] for name in ["A6", "B5", "B6", "D5", "D6"]]
+    + [preset_matrix(f"I2({m})")[0] for m in range(13, 31)]
+    + [CoxeterMatrix.from_text(text) for text in ["1", "2\n2", "4\n3 2 2\n2 2\n5",
+                                                  "4\n5 2 2\n3 2\n2"]]
+    + [e_matrix(6)],
+    ids=["A6", "B5", "B6", "D5", "D6"] + [f"I2({m})" for m in range(13, 31)]
+    + ["rank-1", "A1xA1", "A2xI2(5)", "H3xA1", "E6"],
+)
+def test_parabolic_build_matches_the_trivial_subgroup_oracle(matrix):
+    """Enumerating through the maximal parabolic cosets gives the tables
+    that one HLT run over the trivial subgroup gives, reducible groups
+    included, where some W_{S-s} holds whole components."""
+    g = build_group(matrix)
+    expected = oracle_tables(matrix)
+    for field, array in g.arrays._asdict().items():
+        assert array.dtype == np.int64, field
+        assert array.tolist() == expected[field], field
+    assert g.w0 == expected["lengths"].index(max(expected["lengths"]))
+
+
+@pytest.mark.parametrize("space, gen, coset", [(0, 0, 0), (2, 1, 6)])
+def test_a_wrong_coset_table_is_refused(monkeypatch, space, gen, coset):
+    """One wrong entry in one of H3's coset tables, at a move x s with
+    l(x s) > l(x), which the search reads, ends the build in
+    AssertionError rather than in a search that grows without end."""
+    def wrong(matrix, limit, subgroup=()):
+        table = _coset_table(matrix, limit, subgroup)
+        if len(subgroup) == matrix.rank - 1 and space not in subgroup:
+            table[gen][coset] = (table[gen][coset] + 1) % len(table[gen])
+        return table
+
+    monkeypatch.setattr(coxeter, "_coset_table", wrong)
+    with pytest.raises(AssertionError):
+        build_group(preset_matrix("H3")[0])
+
+
 @pytest.mark.parametrize("name", sorted(set(TABLE_DIGESTS) - {"E6"}))
 def test_tables_match_pinned_digest(name):
     assert table_digest(group_from_name(name)) == TABLE_DIGESTS[name]
@@ -387,3 +437,8 @@ def test_more_infinite_types_rejected(matrix):
 def test_coset_enumeration_stops_at_its_limit():
     with pytest.raises(RuntimeError):
         _coset_table(preset_matrix("H3")[0], 100)
+    # W_{S-s} for the last s of H4 is H3, of index 120
+    h4 = preset_matrix("H4")[0]
+    with pytest.raises(RuntimeError):
+        _coset_table(h4, 100, [0, 1, 2])
+    assert len(_coset_table(h4, 200, [0, 1, 2])[0]) == 120
