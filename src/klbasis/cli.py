@@ -9,9 +9,11 @@ name, a matrix file that is missing, malformed or of infinite type, too
 high a rank, too large a group), a wrong number of command arguments, an
 element id that is not an integer or not in the group, a --range outside
 the group, a --threads below 1, a --store-budget below 0 and bad triangle
-arguments; so does a sweep that outgrows its --store-budget.  Errors
-argparse itself finds (an unknown command or option, a --range that is
-not LO:HI) print its usage and exit with status 2.
+arguments; so does a sweep that outgrows its --store-budget, and a
+--resume into the output directory of another group's sweep, before it
+changes any file there.  Errors argparse itself finds (an unknown command
+or option, a --range that is not LO:HI) print its usage and exit with
+status 2.
 
 Each positivity column appends to up to four files, keyed by y, in this
 order: with ``--store-budget``, its newly seen structure constants to the
@@ -26,9 +28,14 @@ column is done, and ``--resume`` ends with the files of an uninterrupted
 run.
 A fresh run builds the W-graph from the P table and saves it as
 wgraph.npz in the output directory; a resumed run loads that file (and
-builds and saves the graph only when the file is missing, damaged or for
-another group).  cycltable and cprod also read the graph from that file
-when it is valid, and build it from the P table otherwise.
+builds and saves the graph only when the file is missing or damaged).
+A resume refuses a directory whose sweep files hold lines beside a
+wgraph.npz that is the whole graph of another group, or name a column
+outside this group.
+Every run removes h_polynomials with the rewrite; a run with
+--store-budget writes it again at its end.  cycltable and cprod also
+read the graph from that file when it is valid, and build it from the P
+table otherwise.
 """
 
 from __future__ import annotations
@@ -36,19 +43,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .checks import CheckReport, check_p2, column_summary, failure_lines
 from .coxeter import CoxeterMatrix, GroupTable, build_group, preset_matrix
 from .dihedral import format_triangle, triangle_table
 from .hecke import column, format_combo
-from .klbase import KLStore, WGraph, build_wgraph, load_wgraph, save_wgraph
+from .klbase import KLStore, WGraph, build_wgraph, load_wgraph, save_wgraph, saved_matrix
 
 POSITIVITY_LOG = "positivity_log"
 VERBOSE_LOG = "positivity_verbose_log"
 ERROR_LOG = "error_log"
 H_COLUMNS = "h_polynomials_by_column"
+H_POLYNOMIALS = "h_polynomials"
 WGRAPH_FILE = "wgraph.npz"
 
 
@@ -191,6 +200,21 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
     # The rewrite comes before the W-graph build, so a fresh run killed
     # there leaves no other run's column for a resume to count as done.
     kept = {name: _lines_by_y(paths[name], read) if ns.resume else {} for name, read in SWEEP_FILES}
+    wg_path = _outpath(ns, WGRAPH_FILE)
+    wg = load_wgraph(wg_path, g) if ns.resume else None
+    if ns.resume:
+        # the lines of another group's sweep would pass for done columns:
+        # refuse them before the rewrite keeps them.  With no line at all
+        # (a fresh run killed before it saved its graph) nothing can pass,
+        # and the other graph is rebuilt as a damaged one is
+        if any(kept.values()) and wg is None and saved_matrix(wg_path) not in (None, g.matrix):
+            raise SystemExit(f"klbasis: cannot resume {g.name} in {ns.outdir}: "
+                             f"{WGRAPH_FILE} is the W-graph of another group")
+        for name, lines in kept.items():
+            outside = [y for y in lines if not 0 <= y < g.size]
+            if outside:
+                raise SystemExit(f"klbasis: cannot resume {g.name} in {ns.outdir}: {name} "
+                                 f"names column {outside[0]}, outside 0..{g.size - 1}")
     done = kept[POSITIVITY_LOG].keys() & kept[VERBOSE_LOG].keys()
     if budget:
         done &= kept[H_COLUMNS].keys()
@@ -198,13 +222,13 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         tmp = path.with_name(name + ".tmp")
         tmp.write_text("".join(line + "\n" for y in sorted(done) for line, _ in kept[name].get(y, ())))
         os.replace(tmp, path)
+    # a run with --store-budget writes it again at its end
+    _outpath(ns, H_POLYNOMIALS).unlink(missing_ok=True)
     cum = max((kept[POSITIVITY_LOG][y][-1][1] for y in done), default=0)
     global_polys = {p for y in done for _, polys in kept[H_COLUMNS].get(y, ()) for p in polys}
 
     # the P table is needed only to extract the graph and is dropped at
     # once, so neither this process nor a sweep's pool workers hold it
-    wg_path = _outpath(ns, WGRAPH_FILE)
-    wg = load_wgraph(wg_path, g) if ns.resume else None
     if wg is None:
         wg = build_wgraph(KLStore(g))
         save_wgraph(wg, wg_path)
@@ -248,7 +272,7 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         _run_pool(wg, todo, ns.threads, budget, handle)
 
     if budget and global_polys:
-        with open(_outpath(ns, "h_polynomials"), "w") as fh:
+        with open(_outpath(ns, H_POLYNOMIALS), "w") as fh:
             fh.write(f"group {g.name}: {len(global_polys)} distinct structure constants\n")
             for p in sorted(global_polys):
                 fh.write(p + "\n")
@@ -275,26 +299,19 @@ def _run_pool(wg: WGraph, todo: list[int], threads: int, budget: int, handle) ->
     submitted, so the workers never run far ahead of the logs.  When
     ``handle`` raises (a --store-budget abort, say), the columns not yet
     started are cancelled rather than run to completion."""
-    window = 4 * threads
-    pending: dict[int, dict] = {}
-    futures: dict = {}
-    next_i = submitted = 0
+    queue: deque = deque()  # the futures of the columns not yet handled, in y order
     with ProcessPoolExecutor(
         max_workers=threads,
         initializer=_init_pool_worker,
         initargs=(wg, budget),
     ) as pool:
         try:
-            while next_i < len(todo):
-                while submitted < min(len(todo), next_i + window):
-                    futures[pool.submit(_pool_column, todo[submitted])] = todo[submitted]
-                    submitted += 1
-                finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    pending[futures.pop(fut)] = fut.result()
-                while next_i < len(todo) and todo[next_i] in pending:
-                    handle(pending.pop(todo[next_i]))
-                    next_i += 1
+            for y in todo:
+                if len(queue) == 4 * threads:
+                    handle(queue.popleft().result())
+                queue.append(pool.submit(_pool_column, y))
+            while queue:
+                handle(queue.popleft().result())
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -29,10 +29,12 @@ coefficients.  Sums cannot carry between slots: each column
 checks its mu-values once (``check_mu_carry``).  Queries return ``QPoly``,
 decoded once per distinct value.
 
-The W-graph, all the column engine reads, is held as CSR arrays, and
-persists as those arrays in an ``.npz`` (``save_wgraph``,
-``load_wgraph``), so a resumed sweep loads it instead of rebuilding the
-table.
+The W-graph, all the column engine reads, is held as CSR arrays.  The
+store writes them a length level at a time, as it finishes the level's
+columns, and a batch reads the mu lists of shorter columns from them;
+``build_wgraph`` hands them on as the graph.  The graph persists as those
+arrays in an ``.npz`` (``save_wgraph``, ``load_wgraph``), so a resumed
+sweep loads it instead of rebuilding the table.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .coxeter import GroupTable
+from .coxeter import CoxeterMatrix, GroupTable, group_order
 from .ring import (_CARRY_LIMIT, _I64, W, CoefficientOverflowError, QPoly, _biased,
                    _biased_slots)
 
@@ -109,6 +111,13 @@ class KLStore:
     The stored pairs are two arrays in canonical key order: ``_keys``, the
     sorted int64 keys y |W| + x, and ``_vals``, the interned packed P of
     each (an object array whose entries are the shared int objects).
+
+    The W-graph of the built columns is three int64 CSR arrays over all of
+    |W|, written a length level at a time: the (z, mu(z, y)) of column y
+    are ``_edge_z[a:b]`` and ``_edge_mu[a:b]`` for a, b = ``_offsets[y]``,
+    ``_offsets[y + 1]``, sorted by z.  z stays int64 here, as the lookup
+    keys y |W| + x it enters do; ``build_wgraph`` casts it to the int32
+    of the graph.
     """
 
     def __init__(self, g: GroupTable):
@@ -118,7 +127,9 @@ class KLStore:
         # packed P -> that int, the one object all pairs share
         self._values: dict[int, int] = {}
         self._decoded: dict[int, QPoly] = {}
-        self._mu: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._offsets = np.zeros(g.size + 1, dtype=np.int64)
+        self._edge_z = np.empty(0, dtype=np.int64)
+        self._edge_mu = np.empty(0, dtype=np.int64)
         self._next_column = 0
         # [mask] = the lowest generator in a nonzero descent mask
         self._lowest = np.array([(m & -m).bit_length() - 1 for m in range(1 << g.rank)],
@@ -176,44 +187,59 @@ class KLStore:
 
     def build_upto(self, maxlen: int) -> None:
         """Build every column of length at most maxlen, a whole length level
-        at a time: a column reads only columns of smaller length."""
+        at a time: a column reads only columns of smaller length.  The
+        identity's column, the first level, has no pairs and no edges."""
         g = self.g
-        lengths, inv = g.lengths, g.inv
+        lengths, inv = g.lengths, g.arrays.inv
         while self._next_column < g.size and lengths[self._next_column] <= maxlen:
             start = self._next_column
             end = bisect_right(lengths, lengths[start], start)
-            if not start:
-                self._mu[0] = ()
-            else:
+            if start:
                 ys = [y for y in range(start, end) if y <= inv[y]]
-                built = [self._build_batch(ys[i:i + _BATCH_COLUMNS])
-                         for i in range(0, len(ys), _BATCH_COLUMNS)]
-                self._keys = np.concatenate([self._keys, *(keys for keys, _ in built)])
-                self._vals = np.concatenate([self._vals, *(vals for _, vals in built)])
+                keys, vals, edges = zip(*(self._build_batch(ys[i:i + _BATCH_COLUMNS])
+                                          for i in range(0, len(ys), _BATCH_COLUMNS)))
+                self._keys = np.concatenate([self._keys, *keys])
+                self._vals = np.concatenate([self._vals, *vals])
+                # the columns y > y^-1 of the level take the edges of y^-1,
+                # as mu(z, y) = mu(z^-1, y^-1)
+                edges = np.concatenate(edges, axis=1)
+                y, z, mu = edges[:, inv[edges[0]] != edges[0]]
+                edges = np.concatenate([edges, [inv[y], inv[z], mu]], axis=1)
+                edges = edges[:, np.lexsort((edges[1], edges[0]))]
+                counts = np.bincount(edges[0] - start, minlength=end - start)
+                self._offsets[start + 1 : end + 1] = self._offsets[start] + np.cumsum(counts)
+                self._edge_z = np.concatenate([self._edge_z, edges[1]])
+                self._edge_mu = np.concatenate([self._edge_mu, edges[2]])
             self._next_column = end
 
     def build_all(self) -> None:
         self.build_upto(self.g.lengths[self.g.w0])
 
-    def _build_batch(self, ys: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def _build_batch(self, ys: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Build the canonical columns ys (ascending, of one length l(y) > 0)
-        from the shorter ones: record their mu lists, and return the keys
-        and interned values of their pairs.  An involution's column stores
-        only the x <= x^-1, as P_{x,y} = P_{x^-1,y}.
+        from the shorter ones, and return the keys and interned values of
+        their pairs and their edges, an int64 array of rows y, z and
+        mu(z, y).  An involution's column stores only the x <= x^-1, as
+        P_{x,y} = P_{x^-1,y}.
 
         The first failure raises what a build column by column raises
         first: a column's carry check, then its pairs by ascending x, each
         checked for 64 bits before its degree bound."""
         g = self.g
         lmask, lengths, inv, lmult = g.lmask, g.arrays.lengths, g.arrays.inv, g.arrays.lmult
+        offsets, edge_z, edge_mu = self._offsets, self._edge_z, self._edge_mu
         ly = g.lengths[ys[0]]
         xs, mirrored, covers, steps = [], [], [], []
         z, mu, carry = [], [], None
         for y in ys:
             s = (lmask[y] & -lmask[y]).bit_length() - 1
-            mus = [(w, m) for w, m in self.mu_list(g.lmult[y][s]) if lmask[w] >> s & 1]
+            sy = g.lmult[y][s]
+            # the mu list of sy, only the z with s in L(z)
+            a, b = offsets[sy], offsets[sy + 1]
+            held = g.arrays.lmask[edge_z[a:b]] >> s & 1 == 1
+            zs, mus = edge_z[a:b][held], edge_mu[a:b][held]
             try:
-                check_mu_carry(m for _, m in mus)
+                check_mu_carry(mus.tolist())
             except CoefficientOverflowError as err:
                 if not steps:
                     raise  # the batch's first column: nothing fails before it
@@ -224,9 +250,9 @@ class KLStore:
             mirror = inv[extremal] < extremal if inv[y] == y else np.zeros(len(extremal), bool)
             xs.append(extremal[~mirror])
             mirrored.append(extremal[mirror])
-            steps.append((y, s, len(mus)))
-            z += [w for w, _ in mus]
-            mu += [m for _, m in mus]
+            steps.append((y, s, len(zs)))
+            z.append(zs)
+            mu.append(mus)
         cols = np.array(steps, dtype=np.int64)  # per column: y, s, mu-list entries
         col = np.repeat(np.arange(len(cols)), [len(e) for e in xs])
         x = np.concatenate(xs)
@@ -238,11 +264,11 @@ class KLStore:
         first = np.cumsum(cols[:, 2]) - cols[:, 2]
         entry = np.arange(len(pair)) - np.repeat(np.cumsum(terms) - terms, terms)
         entry += np.repeat(first[col], terms)
-        z = np.array(z, dtype=np.int64)[entry]
+        z = np.concatenate(z)[entry]
         keep = lengths[z] >= lengths[x[pair]]
         pair, z, entry = pair[keep], z[keep], entry[keep]
         batch = _Batch(x, y, lmult[x, s], sy, pair, z,
-                       np.array(mu, dtype=object)[entry], W * ((ly - lengths[z]) >> 1))
+                       np.concatenate(mu).astype(object)[entry], W * ((ly - lengths[z]) >> 1))
         sums = self._sums(batch).tolist()
 
         # every sum read at once, and interned up to the first outside 64 bits
@@ -279,14 +305,7 @@ class KLStore:
         row_mu = np.concatenate([np.ones(len(cx), dtype=np.int64), lead, lead[partner]])
         # the covers (degree -1 here) have mu = 1
         keep = (row_deg < 0) | ((row_d >= 3) & (row_d & 1 == 1) & (2 * row_deg == row_d - 1))
-        order = np.lexsort((row_x[keep], row_col[keep]))
-        row_col, row_x, row_mu = row_col[keep][order], row_x[keep][order], row_mu[keep][order]
-        bounds = np.searchsorted(row_col, np.arange(len(cols) + 1)).tolist()
-        row_x, row_mu = row_x.tolist(), row_mu.tolist()
-        for c, yc in enumerate(cols[:, 0].tolist()):
-            a, b = bounds[c], bounds[c + 1]
-            self._mu[yc] = tuple(zip(row_x[a:b], row_mu[a:b]))
-        return y * n + x, vals
+        return y * n + x, vals, np.array([cols[row_col, 0], row_x, row_mu])[:, keep]
 
     def _sums(self, batch: _Batch) -> np.ndarray:
         """P_{x,y} packed for each pair of the batch, an object array, by
@@ -323,16 +342,10 @@ class KLStore:
 
     def mu_list(self, y: int) -> tuple[tuple[int, int], ...]:
         """All (z, mu(z, y)) with nonzero mu, sorted by z."""
-        got = self._mu.get(y)
-        if got is None:
-            g = self.g
-            iy = g.inv[y]
-            if iy not in self._mu:
-                self.build_upto(g.lengths[y])
-            got = self._mu.get(y)
-            if got is None:  # y is not canonical: derive from the list of y^-1
-                got = self._mu[y] = tuple(sorted((g.inv[z], mu) for z, mu in self._mu[iy]))
-        return got
+        if y >= self._next_column:
+            self.build_upto(self.g.lengths[y])
+        a, b = self._offsets[y], self._offsets[y + 1]
+        return tuple(zip(self._edge_z[a:b].tolist(), self._edge_mu[a:b].tolist()))
 
     def iter_pairs(self) -> Iterator[tuple[int, int, QPoly]]:
         """Stored canonical extremal pairs (x, y, P) with x < y."""
@@ -519,8 +532,8 @@ def _checked_wgraph(g: GroupTable, offsets: np.ndarray, z: np.ndarray, mu: np.nd
 def build_wgraph(store: KLStore) -> WGraph:
     """Materialise the W-graph of the whole group from a KL store."""
     store.build_all()
-    g = store.g
-    return _checked_wgraph(g, *_csr([store.mu_list(y) for y in range(g.size)]))
+    return _checked_wgraph(store.g, store._offsets, store._edge_z.astype(np.int32),
+                           store._edge_mu)
 
 
 # -- the W-graph on disk ------------------------------------------------------
@@ -574,11 +587,10 @@ def save_wgraph(wg: WGraph, path: str | os.PathLike) -> None:
         raise
 
 
-def load_wgraph(path: str | os.PathLike, g: GroupTable) -> WGraph | None:
-    """The W-graph of g saved at path, or None when the file is missing or
-    unreadable, or was written for another format version, Coxeter matrix
-    or size, or fails its hash.  The edges are held to mu >= 1 again, as
-    ``build_wgraph`` holds them."""
+def _read_wgraph(path: str | os.PathLike) -> dict[str, np.ndarray] | None:
+    """The arrays saved at path, or None when the file is missing or
+    unreadable, or has other dtypes or another format version, or fails
+    its hash."""
     try:
         # np.load leaves a path it opened open when the zip is damaged
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -590,9 +602,38 @@ def load_wgraph(path: str | os.PathLike, g: GroupTable) -> WGraph | None:
         any(arrays[key].dtype != dtype for key, dtype in _WGRAPH_DTYPES.items())
         or arrays["version"].shape != ()
         or int(arrays["version"]) != WGRAPH_VERSION
+        or digest != _wgraph_digest(arrays)
+    ):
+        return None
+    return arrays
+
+
+def saved_matrix(path: str | os.PathLike) -> CoxeterMatrix | None:
+    """The Coxeter matrix of the W-graph saved at path, or None when the
+    file cannot be the graph of that matrix's group: it is missing,
+    unreadable or fails its hash, or its matrix is not that of a finite
+    Coxeter group, or its offsets do not fit the order of that group."""
+    arrays = _read_wgraph(path)
+    if arrays is None:
+        return None
+    try:
+        matrix = CoxeterMatrix(arrays["matrix"].tolist())
+        order = group_order(matrix)
+    except (TypeError, ValueError):
+        return None
+    return matrix if arrays["offsets"].shape == (order + 1,) else None
+
+
+def load_wgraph(path: str | os.PathLike, g: GroupTable) -> WGraph | None:
+    """The W-graph of g saved at path, or None when the file is missing or
+    unreadable, or was written for another format version, Coxeter matrix
+    or size, or fails its hash.  The edges are held to mu >= 1 again, as
+    ``build_wgraph`` holds them."""
+    arrays = _read_wgraph(path)
+    if (
+        arrays is None
         or arrays["matrix"].tolist() != [list(row) for row in g.matrix.entries]
         or arrays["offsets"].shape != (g.size + 1,)
-        or digest != _wgraph_digest(arrays)
     ):
         return None
     offsets, z, mu = arrays["offsets"], arrays["z"], arrays["mu"]

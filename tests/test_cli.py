@@ -351,6 +351,16 @@ class TestStoreBudget:
         assert self.sweep(cut, "--resume", *self.BUDGET) == 0
         self.assert_same(cut, reference)
 
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_a_run_without_budget_removes_h_polynomials(self, tmp_path, resume):
+        """The list a budget run wrote does not outlive a later run without
+        the budget, whose sidecar is empty."""
+        sweep = ["positivity", "--group", "A2", "--outdir", str(tmp_path)]
+        assert main([*sweep, "--store-budget", "1000"]) == 0
+        assert (tmp_path / cli.H_POLYNOMIALS).exists()
+        assert main([*sweep, *(["--resume"] if resume else [])]) == 0
+        assert not (tmp_path / cli.H_POLYNOMIALS).exists()
+
     @needs_fork
     def test_pool_abort_cancels_queued_columns(self, tmp_path, monkeypatch):
         """A budget abort under --threads 2 runs no more than the columns
@@ -475,6 +485,29 @@ class TestWGraphFile:
         assert built == ["B3"]
         self.assert_logs(cut, reference)
         assert path.read_bytes() == (reference / cli.WGRAPH_FILE).read_bytes()
+
+    @pytest.mark.parametrize(
+        "first, then, graph, message",
+        [("H3", "B3", True, "wgraph.npz is the W-graph of another group"),
+         ("H3", "B3", False, "positivity_log names column 48, outside 0..47"),
+         ("B3", "H3", True, "wgraph.npz is the W-graph of another group")],
+        ids=["H3 to B3", "H3 to B3 without its graph", "B3 to H3"],
+    )
+    def test_resume_into_another_groups_sweep_is_refused(self, tmp_path, first, then, graph,
+                                                         message):
+        """A resume into the outdir of another group's sweep ends in one
+        klbasis line and leaves every file there as it was."""
+        out = tmp_path / "out"
+        assert main(["positivity", "--group", first, "--outdir", str(out)]) == 0
+        if not graph:
+            (out / cli.WGRAPH_FILE).unlink()
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        with pytest.raises(SystemExit) as exit_:
+            main(["positivity", "--group", then, "--outdir", str(out), "--resume"])
+        text = str(exit_.value.code)
+        assert text.startswith(f"klbasis: cannot resume {then} in ") and "\n" not in text
+        assert message in text
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_resume_without_a_file_builds_and_saves_it(self, tmp_path, reference, monkeypatch):
         cut = self.cut(tmp_path)

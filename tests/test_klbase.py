@@ -2,6 +2,7 @@ import hashlib
 import os
 import pickle
 import re
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -158,9 +159,9 @@ class TestWGraph:
                     assert kl_mu(store, x, y) == listed.get(x, 0)
 
 
-    def test_lists_are_taken_unchecked(self, wgraphs, monkeypatch):
+    def test_lists_are_taken_unchecked(self, wgraphs):
         """A mu = 0 edge passes WGraph(g, lists), which checks nothing;
-        build_wgraph refuses it."""
+        build_wgraph refuses it, planted in the store's edge arrays."""
         wg = wgraphs("B3")
         z, y, _ = next(e for e in wg.edges() if e[1] > 10)
         lists = [tuple((w, 0 if w == z else m) for w, m in edges) if i == y else edges
@@ -168,7 +169,8 @@ class TestWGraph:
         assert (z, y, 0) in WGraph(wg.g, lists).edges()
         store = KLStore(wg.g)
         store.build_all()
-        monkeypatch.setattr(store, "mu_list", lambda w: lists[w])
+        a, b = store._offsets[y], store._offsets[y + 1]
+        store._edge_mu[a + np.flatnonzero(store._edge_z[a:b] == z)] = 0
         with pytest.raises(ValueError, match=rf"nonpositive mu\({z},{y}\) = 0"):
             build_wgraph(store)
 
@@ -330,9 +332,29 @@ class TestPackedTable:
         assert {(x, y): p for x, y, p in store.iter_pairs()} == ref.P
         for y in range(g.size):
             assert store.mu_list(y) == ref.mu_list(y)
+        ref_csr = klbase._csr([ref.mu_list(y) for y in range(g.size)])
+        for a, b in zip(csr_of(build_wgraph(store)), ref_csr):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         assert check_p1(store).passed
         # interned: pairs with equal P share one int object
         assert len({id(u) for u in store._vals}) == len(set(ref.P.values()))
+
+    @pytest.mark.parametrize("name", ["H3", "B4", "D4"])
+    def test_longer_mu_lists_build_on_demand(self, stores, name):
+        """After build_upto(k), the mu list of a longer y builds its level,
+        and equals the full build's, as do the lists built before it."""
+        full = stores(name)
+        full.build_all()
+        g = full.g
+        k = g.lengths[g.w0] // 2
+        store = KLStore(g)
+        store.build_upto(k)
+        # a y > y^-1 two levels up, whose list mirrors that of y^-1
+        y = next(y for y in range(g.size) if g.lengths[y] == k + 2 and y > g.inv[y])
+        assert store.mu_list(y) == full.mu_list(y)
+        assert store._next_column == bisect_right(g.lengths, g.lengths[y])
+        for w in range(store._next_column):
+            assert store.mu_list(w) == full.mu_list(w)
 
     def test_equal_values_are_one_object(self):
         store = KLStore(group_from_name("A3"))
