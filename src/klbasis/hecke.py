@@ -12,10 +12,12 @@ structure constants interned in a deduplicating store of symmetric
 Laurent polynomials.  The store holds only the structure constants
 themselves, the finished row values.  Every polynomial in a column is one
 packed int, its upper half evaluated at v = 2^W (Kronecker substitution,
-read back by the slot codec of ``ring``), and the rows, fresh dicts of
-their nonzero sums, hold these ints, one shared object per value.  So a
-sum of structure constants is one int addition, and the images a row is
-built from, under multiplication by v + v^-1 (``bmul_packed``) and by the
+read back by the slot codec of ``ring``).  A row is summed in one list
+over the group that every row of the column reuses, and kept as a fresh
+dict of its nonzero sums, in the order they were first touched; the
+rows hold these ints, one shared object per value.  So a sum of
+structure constants is one int addition, and the images a row is built
+from, under multiplication by v + v^-1 (``bmul_packed``) and by the
 mu-values, are int arithmetic on stored values: summands, never stored.
 Slots are wide enough that these sums cannot carry, each summand weighed
 by its factor (``check_carry_bound``, once per column).  The store checks
@@ -402,8 +404,11 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
     Row x is obtained from c_x = c_s c_{sx} - sum mu(z, sx) c_z with
     s the descent of x that the strategy chooses: each z of row sx adds
     the terms of c_s c_z (``klbase.DescentTables``), and the subtraction
-    takes those of c_s c_{sx} after c_x.  The sums are kept in a scratch
-    dict, zeros included, and the row is a fresh dict of the nonzero ones.
+    takes those of c_s c_{sx} after c_x.  The sums are kept in one list
+    indexed by z that every row reuses, beside the row's keys in the
+    order their slots were first made nonzero (again after a cancel); the
+    row is a fresh dict of the nonzero sums in that order, and their
+    slots are zeroed for the next row.
     Every coefficient is kept in symmetric form and checked against the
     parity l(x) + l(y) + l(z) mod 2.  The column's store holds exactly its
     distinct values.
@@ -419,40 +424,69 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
     # lookups[p][l(z) & 1]: where an entry at z of a row of parity p is held
     lookups = ((get_even, get_odd), (get_odd, get_even))
     odd_length, hold = [length & 1 for length in lengths], st.hold
-    rows: list[dict[int, int]] = [dict() for _ in range(g.size)]
-    rows[0] = {y: st.one}
+    # z -> the packed sum so far of the row being built, zero where it is
+    # untouched or cancelled; every row leaves it all zero
+    acc = [0] * g.size
+    # row x is appended in the order of x: ids are ordered by length, so
+    # sx and every z it subtracts the row of come before x
+    rows: list[dict[int, int]] = [{y: st.one}]
     ly = lengths[y]
     for x in range(1, g.size):
         s = descent[x]
         sx = lmult[x][s]
         ones, others = tables.ones[s], tables.others[s]
-        # z -> the packed sum so far, zero where it cancelled
-        row: dict[int, int] = {}
-        get = row.get
+        # each z in the order its slot of acc was first made nonzero, again
+        # after each time it cancelled to zero
+        keys: list[int] = []
+        push = keys.append
         # c_s * c_{sx}: (v + v^-1) c_z for s in L(z), otherwise its terms
         # c_{sz} + sum mu(w, z) c_w ...
         for z, u in rows[sx].items():
             if terms := ones[z]:
                 for w in terms:
-                    row[w] = get(w, 0) + u
+                    if a := acc[w]:
+                        acc[w] = a + u
+                    else:
+                        acc[w] = u
+                        push(w)
                 for w, mu in others[z]:
-                    row[w] = get(w, 0) + u * mu
+                    if a := acc[w]:
+                        acc[w] = a + u * mu
+                    else:
+                        acc[w] = u * mu
+                        push(w)
+            elif a := acc[z]:
+                acc[z] = a + bmul_packed(u)
             else:
-                row[z] = get(z, 0) + bmul_packed(u)
+                acc[z] = bmul_packed(u)
+                push(z)
         # ... minus mu(z, sx) c_z, the terms of c_s * c_{sx} after c_x
         for z in ones[sx][1:]:
             for w, u in rows[z].items():
-                row[w] = get(w, 0) - u
+                if a := acc[w]:
+                    acc[w] = a - u
+                else:
+                    acc[w] = -u
+                    push(w)
         for z, mu in others[sx]:
             for w, u in rows[z].items():
-                row[w] = get(w, 0) - u * mu
-        # the nonzero sums, each held once in a dict of their own; entry z
+                if a := acc[w]:
+                    acc[w] = a - u * mu
+                else:
+                    acc[w] = -u * mu
+                    push(w)
+        # the nonzero sums, each held once in a dict of their own, and
+        # their slots cleared; a later copy of a key reads zero.  Entry z
         # must have degree parity l(x) + l(y) + l(z): look it up under that
         # parity only
         parity = (lengths[x] + ly) & 1
         lookup = lookups[parity]
-        rows[x] = {z: lookup[odd_length[z]](u) or hold(u, parity ^ odd_length[z], (x, y, z))
-                   for z, u in row.items() if u}
+        row: dict[int, int] = {}
+        for z in keys:
+            if u := acc[z]:
+                acc[z] = 0
+                row[z] = lookup[odd_length[z]](u) or hold(u, parity ^ odd_length[z], (x, y, z))
+        rows.append(row)
     st.settle()
     return HColumn(g, y, rows, st)
 

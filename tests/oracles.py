@@ -9,7 +9,18 @@ import numpy as np
 
 from klbasis.coxeter import CoxeterMatrix, GroupTable
 from klbasis.dihedral import DihedralProduct, _first_letter
-from klbasis.hecke import HColumn, TCombo, _add_term, c_in_t_basis, combo_add_scaled, t_inverse
+from klbasis.hecke import (
+    DESCENT_STRATEGIES,
+    HColumn,
+    PolyStore,
+    TCombo,
+    _add_term,
+    bmul_packed,
+    c_in_t_basis,
+    check_carry_bound,
+    combo_add_scaled,
+    t_inverse,
+)
 from klbasis.klbase import KLStore, WGraph
 from klbasis.ring import (
     _I64,
@@ -228,6 +239,53 @@ def gram_determinant(matrix: CoxeterMatrix) -> tuple[int, tuple[int, ...]]:
 def ccombo_from_column_row(col: HColumn, x: int) -> CCombo:
     """Row of the column as a KL-basis combination with Laurent values."""
     return {z: col.store.poly(u).expand() for z, u in col.rows[x].items()}
+
+
+def dict_column(wg: WGraph, y: int, strategy: str = "fewest", scratch: type = dict) -> HColumn:
+    """``hecke.column`` summing each row in a scratch dict of its own,
+    zeros included, so that a key that cancels keeps its place: the
+    oracle for the engine's reused dense list.  Gives the same rows, with their keys
+    in the same order, and interns the same values in the same order.
+    ``scratch`` is the type of each row's scratch dict."""
+    g = wg.g
+    tables = wg.tables
+    descent = DESCENT_STRATEGIES[strategy](wg)
+    st = PolyStore()
+    st.bound_images(max(2, tables.max_mu))
+    check_carry_bound(g.size, tables.max_mu_sum)
+    lmult, lengths = g.lmult, g.lengths
+    get_even, get_odd = (values.get for values in st._values)
+    lookups = ((get_even, get_odd), (get_odd, get_even))
+    odd_length, hold = [length & 1 for length in lengths], st.hold
+    rows: list[dict[int, int]] = [dict() for _ in range(g.size)]
+    rows[0] = {y: st.one}
+    ly = lengths[y]
+    for x in range(1, g.size):
+        s = descent[x]
+        sx = lmult[x][s]
+        ones, others = tables.ones[s], tables.others[s]
+        row = scratch()
+        get = row.get
+        for z, u in rows[sx].items():
+            if terms := ones[z]:
+                for w in terms:
+                    row[w] = get(w, 0) + u
+                for w, mu in others[z]:
+                    row[w] = get(w, 0) + u * mu
+            else:
+                row[z] = get(z, 0) + bmul_packed(u)
+        for z in ones[sx][1:]:
+            for w, u in rows[z].items():
+                row[w] = get(w, 0) - u
+        for z, mu in others[sx]:
+            for w, u in rows[z].items():
+                row[w] = get(w, 0) - u * mu
+        parity = (lengths[x] + ly) & 1
+        lookup = lookups[parity]
+        rows[x] = {z: lookup[odd_length[z]](u) or hold(u, parity ^ odd_length[z], (x, y, z))
+                   for z, u in row.items() if u}
+    st.settle()
+    return HColumn(g, y, rows, st)
 
 
 def descent_edges(wg: WGraph) -> tuple:

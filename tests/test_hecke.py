@@ -35,6 +35,7 @@ from oracles import (
     ccombo_from_column_row,
     cheapest_descent,
     descent_edges,
+    dict_column,
     min_coeff,
 )
 from klbasis.ring import (
@@ -357,6 +358,37 @@ class TestColumns:
             b = column(wg, y, "last")
             for x in range(wg.g.size):
                 assert a.row_polys(x) == b.row_polys(x)
+
+    @pytest.mark.parametrize("name, planted", [
+        ("H3", False), ("B3", False), ("A4", False), ("D4", False), ("I2(9)", False),
+        ("H3", True),
+    ])
+    def test_dense_sums_equal_the_dict_oracle(self, wgraphs, name, planted):
+        """Every column equals that of the oracle that sums each row in a
+        dict: every row, with its keys in the same order, the store's
+        values in the same interning order, and the same figures.  On the
+        H3 graph with each mu times 1, 2 or 3, some sums cancel to zero and
+        are touched again, which no column of these W-graphs does; such a
+        key keeps the place it was first touched at."""
+        wg = wgraphs(name)
+        if planted:
+            wg = planted_wgraph(wg, lambda z, y, mu: mu * (1 + (z + y) % 3))
+        retouched = []
+
+        class Watched(dict):
+            def __setitem__(self, w, u):
+                if self.get(w) == 0:
+                    retouched.append(w)
+                super().__setitem__(w, u)
+
+        for y in range(wg.g.size):
+            col, ref = column(wg, y), dict_column(wg, y, scratch=Watched)
+            assert [list(row.items()) for row in col.rows] == [
+                list(row.items()) for row in ref.rows], y
+            assert list(col.store) == list(ref.store), y
+            assert (col.store.max_abs, col.store.negative, col.store.not_unimodal) == (
+                ref.store.max_abs, ref.store.negative, ref.store.not_unimodal), y
+        assert retouched or not planted
 
     @pytest.mark.parametrize("name", ["H3", "B3", "A4", "D4", "I2(7)"])
     def test_fewest_equals_first(self, wgraphs, name):
