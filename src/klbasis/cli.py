@@ -7,13 +7,13 @@ tables).  Every argument error ends the command with one line,
 ``klbasis: <message>``, and exit status 1: bad group input (an unknown
 name, a matrix file that is missing, malformed or of infinite type, too
 high a rank, too large a group), a wrong number of command arguments, an
-element id that is not an integer or not in the group, a --range outside
-the group, a --threads below 1, a --store-budget below 0 and bad triangle
-arguments; so does a sweep that outgrows its --store-budget, and a
---resume into the output directory of another group's sweep, before it
-changes any file there.  Errors argparse itself finds (an unknown command
-or option, a --range that is not LO:HI) print its usage and exit with
-status 2.
+element id that is not an integer or not in the group, a --range that is
+reversed or outside the group, a --threads below 1, a --store-budget
+below 0 and bad triangle arguments; so does a sweep that outgrows its
+--store-budget, and a --resume into the output directory of another
+group's sweep, before it changes any file there.  Errors argparse itself
+finds (an unknown command or option, a --range that is not LO:HI) print
+its usage and exit with status 2.
 
 Each positivity column appends to up to four files, keyed by y, in this
 order: with ``--store-budget``, its newly seen structure constants to the
@@ -22,16 +22,17 @@ sidecar h_polynomials_by_column; its failures to error_log; a
 own maximum and counts to positivity_verbose_log.  A column is done when
 both logs carry it, and under ``--store-budget`` the sidecar as well.
 Every run first rewrites each file (through a temporary file and a
-rename) to the lines of its done columns, sorted by y, then loads or
-builds the W-graph and sweeps the rest: a fresh run is the case where no
-column is done, and ``--resume`` ends with the files of an uninterrupted
-run.
+rename) to the lines of its done columns, sorted by y, and after them
+records the group as its Coxeter matrix in coxeter_matrix, the same way
+and in the --matrix file format; then it loads or builds the W-graph and
+sweeps the rest: a fresh run is the case where no column is done, and
+``--resume`` ends with the files of an uninterrupted run.
 A fresh run builds the W-graph from the P table and saves it as
 wgraph.npz in the output directory; a resumed run loads that file (and
 builds and saves the graph only when the file is missing or damaged).
-A resume refuses a directory whose sweep files hold lines beside a
-wgraph.npz that is the whole graph of another group, or name a column
-outside this group.
+A resume refuses a directory whose sweep files hold lines unless
+coxeter_matrix records this group's matrix, and one whose lines name a
+column outside this group.
 Every run removes h_polynomials with the rewrite; a run with
 --store-budget writes it again at its end.  cycltable and cprod also
 read the graph from that file when it is valid, and build it from the P
@@ -51,7 +52,7 @@ from .checks import CheckReport, check_p2, column_summary, failure_lines
 from .coxeter import CoxeterMatrix, GroupTable, build_group, preset_matrix
 from .dihedral import format_triangle, triangle_table
 from .hecke import column, format_combo
-from .klbase import KLStore, WGraph, build_wgraph, load_wgraph, save_wgraph, saved_matrix
+from .klbase import KLStore, WGraph, build_wgraph, load_wgraph, save_wgraph
 
 POSITIVITY_LOG = "positivity_log"
 VERBOSE_LOG = "positivity_verbose_log"
@@ -59,6 +60,7 @@ ERROR_LOG = "error_log"
 H_COLUMNS = "h_polynomials_by_column"
 H_POLYNOMIALS = "h_polynomials"
 WGRAPH_FILE = "wgraph.npz"
+MATRIX_FILE = "coxeter_matrix"
 
 
 def _sidecar_line(line: str) -> tuple[int, list[str]]:
@@ -159,6 +161,15 @@ def _lines_by_y(path: Path, read) -> dict[int, list[tuple[str, object]]]:
     return out
 
 
+def _recorded_matrix(path: Path) -> CoxeterMatrix | None:
+    """The Coxeter matrix recorded at path, or None when the file is
+    missing or cannot be read as one."""
+    try:
+        return CoxeterMatrix.from_text(path.read_text())
+    except (OSError, ValueError):
+        return None
+
+
 def _column_info(wg: WGraph, y: int, budget: int) -> dict:
     """Column y, scanned; with a budget, also its distinct polynomials."""
     col = column(wg, y)
@@ -188,10 +199,12 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
     checks, append-only logs and kill-safe resume."""
     g = _load_group(ns)
     lo, hi = ns.range or (0, g.size - 1)
+    if lo > hi:
+        raise SystemExit(f"klbasis: --range {lo}:{hi} has LO above HI")
     if not 0 <= lo <= hi < g.size:
         raise SystemExit(f"klbasis: --range {lo}:{hi} outside 0..{g.size - 1}")
     budget = ns.store_budget
-    paths = {name: _outpath(ns, name) for name, _ in SWEEP_FILES}
+    paths = {name: _outpath(ns, name) for name in [*(name for name, _ in SWEEP_FILES), MATRIX_FILE]}
 
     # a kill can land between a column's appends, so it is done only when
     # both logs carry it, and under a budget the sidecar too; each file is
@@ -200,16 +213,13 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
     # The rewrite comes before the W-graph build, so a fresh run killed
     # there leaves no other run's column for a resume to count as done.
     kept = {name: _lines_by_y(paths[name], read) if ns.resume else {} for name, read in SWEEP_FILES}
-    wg_path = _outpath(ns, WGRAPH_FILE)
-    wg = load_wgraph(wg_path, g) if ns.resume else None
     if ns.resume:
-        # the lines of another group's sweep would pass for done columns:
-        # refuse them before the rewrite keeps them.  With no line at all
-        # (a fresh run killed before it saved its graph) nothing can pass,
-        # and the other graph is rebuilt as a damaged one is
-        if any(kept.values()) and wg is None and saved_matrix(wg_path) not in (None, g.matrix):
-            raise SystemExit(f"klbasis: cannot resume {g.name} in {ns.outdir}: "
-                             f"{WGRAPH_FILE} is the W-graph of another group")
+        # kept lines pass for done columns only beside the record of this
+        # group's matrix: refuse them before the rewrite keeps them
+        if any(kept.values()) and _recorded_matrix(paths[MATRIX_FILE]) != g.matrix:
+            raise SystemExit(f"klbasis: cannot resume {g.name} in {ns.outdir}: {MATRIX_FILE} is "
+                             "missing, unreadable or records another Coxeter matrix, and the "
+                             "sweep files hold lines")
         for name, lines in kept.items():
             outside = [y for y in lines if not 0 <= y < g.size]
             if outside:
@@ -218,9 +228,13 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
     done = kept[POSITIVITY_LOG].keys() & kept[VERBOSE_LOG].keys()
     if budget:
         done &= kept[H_COLUMNS].keys()
+    # the record of the group goes last: written before the sweep files, a
+    # kill could leave it beside another group's lines
     for name, path in paths.items():
+        text = (g.matrix.to_text() if name == MATRIX_FILE else
+                "".join(line + "\n" for y in sorted(done) for line, _ in kept[name].get(y, ())))
         tmp = path.with_name(name + ".tmp")
-        tmp.write_text("".join(line + "\n" for y in sorted(done) for line, _ in kept[name].get(y, ())))
+        tmp.write_text(text)
         os.replace(tmp, path)
     # a run with --store-budget writes it again at its end
     _outpath(ns, H_POLYNOMIALS).unlink(missing_ok=True)
@@ -229,6 +243,8 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
 
     # the P table is needed only to extract the graph and is dropped at
     # once, so neither this process nor a sweep's pool workers hold it
+    wg_path = _outpath(ns, WGRAPH_FILE)
+    wg = load_wgraph(wg_path, g) if ns.resume else None
     if wg is None:
         wg = build_wgraph(KLStore(g))
         save_wgraph(wg, wg_path)

@@ -8,15 +8,16 @@ infinite or oversized group is refused before any enumeration.  The
 group is then enumerated through its maximal parabolic cosets: the
 cosets of each W_{S-s} by HLT coset enumeration on the presentation
 <S | (s t)^m(s,t)> (Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, 2005, ch. 5), with each element held as its rank cosets,
-as in du Cloux's parabolic decomposition (J. Symbolic Comput. 27, 1999);
-on H4, 2,640 cosets stand for the 14,400 elements.  A breadth-first
-search over them in ShortLex order over generator indices, a length
-level at a time, gives the ids, so id 0 is the identity and ids are
-sorted by length.  What remains are O(|W| * rank) transition tables,
-descent masks, lengths and inverses: int64 arrays, with lists of them
-for scalar loops.  Bruhat intervals are bitmasks; covers come from
-deletion sets.
+Group Theory, 2005, ch. 5), with each element held as its cosets, as in
+du Cloux's parabolic decomposition (J. Symbolic Comput. 27, 1999).  From
+rank 2 on, the W_{S-s} of largest index is left out, since the others
+already tell apart the elements of one length: on H4, 1,440 cosets stand
+for the 14,400 elements.  A breadth-first search over them in ShortLex
+order over generator indices, a length level at a time, gives the ids,
+so id 0 is the identity and ids are sorted by length.  What remains are
+O(|W| * rank) transition tables, descent masks, lengths and inverses:
+int64 arrays, with lists of them for scalar loops.  Bruhat intervals are
+bitmasks; covers come from deletion sets.
 """
 
 from __future__ import annotations
@@ -89,6 +90,13 @@ class CoxeterMatrix:
             raise ValueError("empty matrix description")
         rank = int(tokens[0])
         return cls.from_upper_labels(rank, [int(t) for t in tokens[1:]])
+
+    def to_text(self) -> str:
+        """The form ``from_text`` reads: the rank on the first line, then
+        the upper triangle of labels, one row per line."""
+        n, m = self.rank, self.entries
+        rows = [" ".join(str(m[i][j]) for j in range(i + 1, n)) for i in range(n - 1)]
+        return "".join(line + "\n" for line in (str(n), *rows))
 
     @classmethod
     def chain(cls, rank: int, labels: Sequence[int]) -> "CoxeterMatrix":
@@ -242,8 +250,8 @@ class GroupTable:
 
     # the tables live in slots: the cached properties below read the
     # instance __dict__, which on CPython 3.11 makes every later load of
-    # an attribute kept there about three times slower, and the P
-    # recursion loads these in its innermost loop
+    # an attribute kept there about three times slower, and the scalar
+    # loops of hecke.t_mult_gen, bruhat_mask and word load these per step
     __slots__ = (
         "matrix", "name", "rank", "size", "arrays", "lengths", "rmult", "parent", "lastgen",
         "lmult", "inv", "rmask", "lmask", "w0", "num_pos_roots", "_bruhat_masks", "__dict__",
@@ -516,12 +524,14 @@ def build_group(matrix: CoxeterMatrix, name: str | None = None) -> GroupTable:
     Raises InfiniteTypeError for non-finite type, and GroupTooLargeError,
     before any enumeration, if the group has more than MAX_SIZE elements.
     ``_coset_table`` enumerates the cosets of each maximal parabolic
-    subgroup W_{S-s}, and x is held as its rank cosets W_{S-s} x, as in
-    du Cloux's parabolic decomposition (J. Symbolic Comput. 27, 1999).
-    These subgroups meet only in the identity, so the cosets determine x,
-    and x s is one gather per coset table.  A breadth-first search over
-    them gives the ShortLex ids a length level at a time.  On H4 that
-    enumerates 2,640 cosets instead of the 14,400 of the trivial subgroup.
+    subgroup W_{S-s} but, from rank 2 on, the one of largest index, and x
+    is held as its cosets W_{S-s} x, as in du Cloux's parabolic
+    decomposition (J. Symbolic Comput. 27, 1999).  Those subgroups meet
+    in some {e, s}, and s changes the length, so the cosets tell apart the
+    elements of one length, which is all the search compares; x s is one
+    gather per coset table.  A breadth-first search over them gives
+    the ShortLex ids a length level at a time.  On H4 that enumerates
+    1,440 cosets instead of the 14,400 of the trivial subgroup.
     """
     n = matrix.rank
     order = group_order(matrix)
@@ -529,22 +539,27 @@ def build_group(matrix: CoxeterMatrix, name: str | None = None) -> GroupTable:
         raise GroupTooLargeError(
             f"group of order {order} exceeds the supported {MAX_SIZE} elements"
         )
+    spaces = [[t for t in range(n) if t != s] for s in range(n)]
+    index = [order // group_order(matrix, others) for others in spaces]
+    if n > 1:
+        # two elements of one length that agree in every W_{S-t} with t != s
+        # differ by an element of their intersection {e, s}, and s changes
+        # the length: the level, all the search compares, needs n - 1 spaces
+        largest = index.index(max(index))
+        del spaces[largest], index[largest]
     tables, weights = [], [1]
-    for s in range(n):
-        others = [t for t in range(n) if t != s]
-        index = order // group_order(matrix, others)
-        tables.append(np.array(_coset_table(matrix, 8 * index + 64, others), dtype=np.int64).T)
+    for others, k in zip(spaces, index):
+        tables.append(np.array(_coset_table(matrix, 8 * k + 64, others), dtype=np.int64).T)
         weights.append(weights[-1] * len(tables[-1]))
-    # x as one mixed-radix key of its cosets, below 7.2e15 (B7) for every
-    # group within MAX_SIZE; distinct elements have distinct keys, and
-    # start == order below proves it within each length level, where the
-    # search compares them
+    # x as one mixed-radix key of its cosets, below 1.1e13 (B7) for every
+    # group within MAX_SIZE; elements of one length have distinct keys,
+    # and start == order below proves it, level by level
     weights = np.array(weights[:-1], dtype=np.int64)
 
     # ShortLex ids: the x s with l(x s) > l(x) that first reaches a new
     # element, for the least (x, s), gives it the next id, parent x and
     # lastgen s; below[x, s] is x s when l(x s) < l(x), else -1
-    cosets = np.zeros((n, 1), dtype=np.int64)  # of the identity, one row per space
+    cosets = np.zeros((len(tables), 1), dtype=np.int64)  # of the identity, one row per space
     below = np.full((1, n), -1, dtype=np.int64)
     rows, parent, lastgen = [], [np.zeros(1, dtype=np.int64)], [np.full(1, -1, dtype=np.int64)]
     start = 1  # the ids of the current level run from start - len(below) to start

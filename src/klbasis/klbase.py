@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .coxeter import CoxeterMatrix, GroupTable, group_order
+from .coxeter import GroupTable
 from .ring import (_CARRY_LIMIT, _I64, W, CoefficientOverflowError, QPoly, _biased,
                    _biased_slots)
 
@@ -587,10 +587,11 @@ def save_wgraph(wg: WGraph, path: str | os.PathLike) -> None:
         raise
 
 
-def _read_wgraph(path: str | os.PathLike) -> dict[str, np.ndarray] | None:
-    """The arrays saved at path, or None when the file is missing or
-    unreadable, or has other dtypes or another format version, or fails
-    its hash."""
+def load_wgraph(path: str | os.PathLike, g: GroupTable) -> WGraph | None:
+    """The W-graph of g saved at path, or None when the file is missing or
+    unreadable, or was written for another format version, Coxeter matrix
+    or size, or fails its hash.  The edges are held to mu >= 1 again, as
+    ``build_wgraph`` holds them."""
     try:
         # np.load leaves a path it opened open when the zip is damaged
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -603,35 +604,6 @@ def _read_wgraph(path: str | os.PathLike) -> dict[str, np.ndarray] | None:
         or arrays["version"].shape != ()
         or int(arrays["version"]) != WGRAPH_VERSION
         or digest != _wgraph_digest(arrays)
-    ):
-        return None
-    return arrays
-
-
-def saved_matrix(path: str | os.PathLike) -> CoxeterMatrix | None:
-    """The Coxeter matrix of the W-graph saved at path, or None when the
-    file cannot be the graph of that matrix's group: it is missing,
-    unreadable or fails its hash, or its matrix is not that of a finite
-    Coxeter group, or its offsets do not fit the order of that group."""
-    arrays = _read_wgraph(path)
-    if arrays is None:
-        return None
-    try:
-        matrix = CoxeterMatrix(arrays["matrix"].tolist())
-        order = group_order(matrix)
-    except (TypeError, ValueError):
-        return None
-    return matrix if arrays["offsets"].shape == (order + 1,) else None
-
-
-def load_wgraph(path: str | os.PathLike, g: GroupTable) -> WGraph | None:
-    """The W-graph of g saved at path, or None when the file is missing or
-    unreadable, or was written for another format version, Coxeter matrix
-    or size, or fails its hash.  The edges are held to mu >= 1 again, as
-    ``build_wgraph`` holds them."""
-    arrays = _read_wgraph(path)
-    if (
-        arrays is None
         or arrays["matrix"].tolist() != [list(row) for row in g.matrix.entries]
         or arrays["offsets"].shape != (g.size + 1,)
     ):

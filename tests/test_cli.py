@@ -253,7 +253,7 @@ class TestFailingSweep:
         for name in LOGS:
             assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
 
-    @pytest.mark.parametrize("name", [cli.H_COLUMNS, *LOGS])
+    @pytest.mark.parametrize("name", [cli.H_COLUMNS, *LOGS, cli.MATRIX_FILE])
     def test_resume_after_kill_during_rewrite(self, tmp_path, failing_scan, monkeypatch, name):
         """Killed halfway through writing one of the files a resume
         rewrites, a further resume still fails and ends with the logs of
@@ -486,28 +486,85 @@ class TestWGraphFile:
         self.assert_logs(cut, reference)
         assert path.read_bytes() == (reference / cli.WGRAPH_FILE).read_bytes()
 
+    NO_RECORD = "coxeter_matrix is missing, unreadable or records another Coxeter matrix"
+
+    @staticmethod
+    def assert_refused(out, group, message):
+        """A resume of group in out ends in one klbasis line that names
+        message, and leaves every file there as it was."""
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        with pytest.raises(SystemExit) as exit_:
+            main(["positivity", "--group", group, "--outdir", str(out), "--resume"])
+        text = str(exit_.value.code)
+        assert text.startswith(f"klbasis: cannot resume {group} in ") and "\n" not in text
+        assert message in text
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize(
-        "first, then, graph, message",
-        [("H3", "B3", True, "wgraph.npz is the W-graph of another group"),
-         ("H3", "B3", False, "positivity_log names column 48, outside 0..47"),
-         ("B3", "H3", True, "wgraph.npz is the W-graph of another group")],
-        ids=["H3 to B3", "H3 to B3 without its graph", "B3 to H3"],
+        "first, then, graph",
+        [("H3", "B3", True), ("H3", "B3", False), ("B3", "H3", True), ("B3", "H3", False)],
+        ids=["H3 to B3", "H3 to B3 without its graph", "B3 to H3", "B3 to H3 without its graph"],
     )
-    def test_resume_into_another_groups_sweep_is_refused(self, tmp_path, first, then, graph,
-                                                         message):
-        """A resume into the outdir of another group's sweep ends in one
-        klbasis line and leaves every file there as it was."""
+    def test_resume_into_another_groups_sweep_is_refused(self, tmp_path, first, then, graph):
+        """A resume into the outdir of another group's sweep is refused,
+        with or without that sweep's W-graph."""
         out = tmp_path / "out"
         assert main(["positivity", "--group", first, "--outdir", str(out)]) == 0
         if not graph:
             (out / cli.WGRAPH_FILE).unlink()
-        before = {path.name: path.read_bytes() for path in out.iterdir()}
-        with pytest.raises(SystemExit) as exit_:
-            main(["positivity", "--group", then, "--outdir", str(out), "--resume"])
-        text = str(exit_.value.code)
-        assert text.startswith(f"klbasis: cannot resume {then} in ") and "\n" not in text
-        assert message in text
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        self.assert_refused(out, then, self.NO_RECORD)
+
+    @pytest.mark.parametrize("how", ["missing", "unreadable"])
+    def test_resume_without_a_record_is_refused(self, tmp_path, how):
+        """Lines beside no readable record of the group are refused too, as
+        in a directory written before sweeps recorded their group."""
+        cut = self.cut(tmp_path)
+        record = cut / cli.MATRIX_FILE
+        if how == "missing":
+            record.unlink()
+        else:
+            record.write_text("3\n3 two\n4\n")
+        self.assert_refused(cut, "B3", self.NO_RECORD)
+
+    def test_resume_of_a_column_outside_the_group_is_refused(self, tmp_path):
+        cut = self.cut(tmp_path)
+        with open(cut / cli.POSITIVITY_LOG, "a") as fh:
+            fh.write("48: maxcoeff = 1\n")
+        self.assert_refused(cut, "B3", "positivity_log names column 48, outside 0..47")
+
+    def test_resume_by_matrix_file_of_a_preset_sweep(self, tmp_path):
+        """The record is compared as a matrix, not a name: a --group H3 sweep
+        cut short resumes with --matrix and H3's text, to the logs of a
+        whole run."""
+        full, cut = tmp_path / "full", tmp_path / "cut"
+        assert main(["positivity", "--group", "H3", "--outdir", str(full)]) == 0
+        assert main(["positivity", "--group", "H3", "--range", "0:40", "--outdir", str(cut)]) == 0
+        (tmp_path / "h3.txt").write_text("3\n5 2\n3\n")
+        assert main(["positivity", "--matrix", str(tmp_path / "h3.txt"), "--outdir", str(cut),
+                     "--resume"]) == 0
+        for name in (*LOGS, cli.MATRIX_FILE, cli.WGRAPH_FILE):
+            assert (cut / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_kill_at_the_record_rename(self, tmp_path, reference, monkeypatch):
+        """A fresh B3 run into an H3 sweep's outdir, killed as it renames
+        its record into place, has already emptied the sweep files, so a B3
+        resume there completes with the files of a whole B3 run."""
+        out = tmp_path / "out"
+        assert main(["positivity", "--group", "H3", "--outdir", str(out)]) == 0
+        replace = cli.os.replace
+
+        def killed(src, dst):
+            if Path(dst).name == cli.MATRIX_FILE:
+                raise SimulatedKill
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", killed)
+        with pytest.raises(SimulatedKill):
+            main([*self.SWEEP, "--outdir", str(out)])
+        monkeypatch.setattr(cli.os, "replace", replace)
+        assert main([*self.SWEEP, "--outdir", str(out), "--resume"]) == 0
+        for name in (*LOGS, cli.MATRIX_FILE, cli.WGRAPH_FILE):
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
     def test_resume_without_a_file_builds_and_saves_it(self, tmp_path, reference, monkeypatch):
         cut = self.cut(tmp_path)
@@ -581,7 +638,8 @@ class TestFreshRun:
 
     @staticmethod
     def assert_files(got, want, budget):
-        names = (*LOGS, cli.H_COLUMNS, cli.WGRAPH_FILE) + (("h_polynomials",) if budget else ())
+        names = (*LOGS, cli.H_COLUMNS, cli.MATRIX_FILE, cli.WGRAPH_FILE) + (
+            ("h_polynomials",) if budget else ())
         for name in names:
             assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
@@ -667,6 +725,7 @@ class TestBadArguments:
             (["cycltable", "--group", "A2"], "cycltable needs exactly one element id"),
             (["triangle", "3"], "triangle needs: m (or 'inf') and k"),
             (["positivity", "--group", "A2", "--range", "0:99"], "--range 0:99 outside 0..5"),
+            (["positivity", "--group", "A2", "--range", "2:1"], "--range 2:1 has LO above HI"),
             (["positivity", "--group", "A2", "--threads", "0"], "--threads 0 is below 1"),
             (["positivity", "--group", "A2", "--store-budget", "-5"],
              "--store-budget -5 is below 0"),
@@ -674,8 +733,8 @@ class TestBadArguments:
              "store exceeded budget 2"),
         ],
         ids=["id not a number", "id outside", "cprod count", "cycltable count",
-             "triangle count", "range outside", "threads below 1", "budget below 0",
-             "budget exceeded"],
+             "triangle count", "range outside", "range reversed", "threads below 1",
+             "budget below 0", "budget exceeded"],
     )
     def test_one_line_and_exit_1(self, tmp_path, args, message):
         proc = run_python("-m", "klbasis", *args, "--outdir", str(tmp_path / "out"))

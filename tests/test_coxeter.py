@@ -191,8 +191,32 @@ def test_matrix_validation():
 def test_matrix_from_text_builds_group():
     m = CoxeterMatrix.from_text("3\n5 2\n3\n")
     assert m == preset_matrix("H3")[0]
+    assert m.to_text() == "3\n5 2\n3\n"
     g = build_group(m, "custom")
     assert g.size == 120
+
+
+@pytest.mark.parametrize("name", ["A1", "I2(7)", "B4", "D5", "H4"])
+def test_matrix_to_text_round_trip(name):
+    m = preset_matrix(name)[0]
+    assert CoxeterMatrix.from_text(m.to_text()) == m
+
+
+@pytest.mark.parametrize("name, cosets", [("A1", [2]), ("H3", [20, 12]),
+                                          ("H4", [600, 720, 120])])
+def test_build_leaves_out_the_space_of_largest_index(monkeypatch, name, cosets):
+    """From rank 2 on, the build enumerates the cosets of every W_{S-s}
+    but the one of largest index: 1,440 on H4, not 2,640."""
+    sizes = []
+
+    def counted(matrix, limit, subgroup=()):
+        table = _coset_table(matrix, limit, subgroup)
+        sizes.append(len(table[0]))
+        return table
+
+    monkeypatch.setattr(coxeter, "_coset_table", counted)
+    assert build_group(preset_matrix(name)[0]).size == group_order(preset_matrix(name)[0])
+    assert sizes == cosets
 
 
 def test_infinite_type_rejected():
