@@ -22,7 +22,7 @@ for p in store.distinct_polynomials():
     print(f"  {p}")
 
 w0 = g.w0
-all_one = all(str(store.kl_polynomial(x, w0)) == "1" for x in range(g.size))
+all_one = all(str(p) == "1" for p in store.kl_polynomials(range(g.size), w0))
 print(f"\ncolumn of w0: P(x, w0) = 1 for every x: {all_one}")
 
 interesting = [

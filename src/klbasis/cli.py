@@ -9,11 +9,12 @@ name, a matrix file that is missing, malformed or of infinite type, too
 high a rank, too large a group), a wrong number of command arguments, an
 element id that is not an integer or not in the group, a --range that is
 reversed or outside the group, a --threads below 1, a --store-budget
-below 0 and bad triangle arguments; so does a sweep that outgrows its
---store-budget, and a --resume into the output directory of another
-group's sweep, before it changes any file there.  Errors argparse itself
-finds (an unknown command or option, a --range that is not LO:HI) print
-its usage and exit with status 2.
+below 0, an --outdir that cannot be made a directory and bad triangle
+arguments; so does a sweep that outgrows its --store-budget, and a
+--resume into the output directory of another group's sweep, before it
+changes any file there.  Errors argparse itself finds (an unknown command
+or option, a --range that is not LO:HI) print its usage and exit with
+status 2.
 
 Each positivity column appends to up to four files, keyed by y, in this
 order: with ``--store-budget``, its newly seen structure constants to the
@@ -25,8 +26,14 @@ Every run first rewrites each file (through a temporary file and a
 rename) to the lines of its done columns, sorted by y, and after them
 records the group as its Coxeter matrix in coxeter_matrix, the same way
 and in the --matrix file format; then it loads or builds the W-graph and
-sweeps the rest: a fresh run is the case where no column is done, and
-``--resume`` ends with the files of an uninterrupted run.
+sweeps the rest: a fresh run is the case where no column is done.
+``--resume`` ends with the files of an uninterrupted run when every
+column each run computes lies above every column done before it, as when
+a killed sweep is resumed or a --range run is continued above its range;
+a run that fills in columns below done ones carries the done columns'
+cumulative maximum into their positivity_log lines.
+A sweep passes, and exits 0, only when error_log holds no line of a done
+column and the run adds none.
 A fresh run builds the W-graph from the P table and saves it as
 wgraph.npz in the output directory; a resumed run loads that file (and
 builds and saves the graph only when the file is missing or damaged).
@@ -44,6 +51,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
+import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -99,7 +108,10 @@ def _load_group(ns: argparse.Namespace) -> GroupTable:
 
 def _outpath(ns: argparse.Namespace, name: str) -> Path:
     out = Path(ns.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise SystemExit(f"klbasis: cannot make --outdir {out}: {err.strerror}")
     return out / name
 
 
@@ -184,9 +196,23 @@ def _column_info(wg: WGraph, y: int, budget: int) -> dict:
 _pool_job: tuple = ()
 
 
-def _init_pool_worker(wg: WGraph, budget: int) -> None:
+def _init_pool_worker(wg: WGraph, budget: int, sweep_pid: int) -> None:
     global _pool_job
     _pool_job = (wg, budget)
+    threading.Thread(target=_exit_after, args=(sweep_pid,), daemon=True).start()
+
+
+def _exit_after(pid: int) -> None:
+    """End this process once process pid, its sweep, is gone: a worker
+    whose sweep is killed would otherwise live on, idle.  The sweep's pid
+    is watched rather than this process's parent, which under forkserver
+    is the fork server."""
+    while True:
+        time.sleep(1)
+        try:
+            os.kill(pid, 0)
+        except OSError:  # no such process, or another user's: not the sweep
+            os._exit(1)
 
 
 def _pool_column(y: int) -> dict:
@@ -250,7 +276,8 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         save_wgraph(wg, wg_path)
 
     todo = [y for y in range(lo, hi + 1) if y not in done]
-    failures = 0
+    # the failures kept in error_log count toward this run's verdict
+    failures = sum(len(kept[ERROR_LOG].get(y, ())) for y in done)
 
     def handle(info: dict) -> None:
         nonlocal cum, failures
@@ -293,7 +320,6 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
             for p in sorted(global_polys):
                 fh.write(p + "\n")
 
-    error_path = paths[ERROR_LOG]
     report = CheckReport(
         "positivity",
         g.name,
@@ -301,9 +327,9 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         counters={"columns": len(todo), "skipped": len(done), "max_coeff": cum},
     )
     if failures:
-        report.counterexamples.append(f"{failures} failures written to {error_path}")
+        report.counterexamples.append(f"{failures} failures written to {paths[ERROR_LOG]}")
     _emit_report(ns, report)
-    return 0 if failures == 0 and error_path.stat().st_size == 0 else 1
+    return 0 if report.passed else 1
 
 
 def _run_pool(wg: WGraph, todo: list[int], threads: int, budget: int, handle) -> None:
@@ -314,12 +340,13 @@ def _run_pool(wg: WGraph, todo: list[int], threads: int, budget: int, handle) ->
     At most ``4 * threads`` columns beyond the last one handled are
     submitted, so the workers never run far ahead of the logs.  When
     ``handle`` raises (a --store-budget abort, say), the columns not yet
-    started are cancelled rather than run to completion."""
+    started are cancelled rather than run to completion; when the sweep's
+    process is killed, each worker ends itself within about a second."""
     queue: deque = deque()  # the futures of the columns not yet handled, in y order
     with ProcessPoolExecutor(
         max_workers=threads,
         initializer=_init_pool_worker,
-        initargs=(wg, budget),
+        initargs=(wg, budget, os.getpid()),
     ) as pool:
         try:
             for y in todo:

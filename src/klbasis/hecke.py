@@ -20,12 +20,13 @@ structure constants is one int addition, and the images a row is built
 from, under multiplication by v + v^-1 (``bmul_packed``) and by the
 mu-values, are int arithmetic on stored values: summands, never stored.
 Slots are wide enough that these sums cannot carry, each summand weighed
-by its factor (``check_carry_bound``, once per column).  The store checks
-the signed 64-bit bound and the single degree parity of its new values in
-numpy batches, before any column returns (``PolyStore.settle``), and
-holds every value to a bound that keeps each of its images in 64 bits too
-(``PolyStore.bound_images``); the first value in interning order that
-fails raises what a check of that value alone would raise.  The recursion
+by its factor (``check_carry_bound``, once per column).  Every value
+enters the store through ``PolyStore.hold``, with the degree parity its
+entry must have; the store checks that parity, the signed 64-bit bound
+and a bound that keeps each image of the value in 64 bits too (its factor
+fixed when the store is made) in numpy batches, before any column returns
+(``PolyStore.settle``); the first value in interning order that fails
+raises what a check of that value alone would raise.  The recursion
 follows only the W-graph's descent-filtered edges, and the descent of
 each x is fixed once per group (``DESCENT_STRATEGIES``; by default the
 cheapest, see ``klbase.DescentTables``).  Columns for distinct y are
@@ -99,15 +100,13 @@ def t_mult_gen(g: GroupTable, s: int, u: TCombo) -> TCombo:
     return out
 
 
-def t_inverse(g: GroupTable, z: int) -> TCombo:
+def t_inverse(g: GroupTable, z: int, known: dict[int, TCombo] | None = None) -> TCombo:
     """t_z^-1 in the t-basis, by induction on length via
-    t_s^-1 = t_s - (v - v^-1) t_e."""
-    return _t_inverse(g, z, {0: {0: _L_ONE}})
-
-
-def _t_inverse(g: GroupTable, z: int, known: dict[int, TCombo]) -> TCombo:
-    """t_z^-1, read from ``known`` (the t-inverses found so far, the
-    identity's among them) or derived from its parent's and added there."""
+    t_s^-1 = t_s - (v - v^-1) t_e: read from ``known`` (the t-inverses
+    found so far, the identity's among them) or derived from its parent's
+    and added there."""
+    if known is None:
+        known = {0: {0: _L_ONE}}
     chain = []
     while z not in known:
         chain.append(z)
@@ -152,7 +151,7 @@ def c_in_t_basis_oracle(g: GroupTable, y: int) -> TCombo:
     u: TCombo = {y: _L_ONE}
     # residual r = bar(u) - u, updated incrementally as corrections land
     r: TCombo = {}
-    combo_add_scaled(r, _t_inverse(g, g.inv[y], known), _L_ONE)
+    combo_add_scaled(r, t_inverse(g, g.inv[y], known), _L_ONE)
     _add_term(r, y, -_L_ONE)
     ly = g.lengths[y]
     by_level: dict[int, list[int]] = {}
@@ -167,7 +166,7 @@ def c_in_t_basis_oracle(g: GroupTable, y: int) -> TCombo:
                 raise NoSolutionError(f"residual at {x} is not antisymmetric: {gamma}")
             delta = LaurentPoly({e: c for e, c in gamma.items() if e < 0})
             _add_term(u, x, delta)
-            tinv = _t_inverse(g, g.inv[x], known)
+            tinv = t_inverse(g, g.inv[x], known)
             bar_delta = delta.bar()
             for w, p in tinv.items():
                 _add_term(r, w, p * bar_delta)
@@ -222,64 +221,55 @@ class PolyStore:
     up under the parity its entry must have is the parity check.
     Iterating the store gives its distinct values.
 
-    ``column`` holds each new value at once under the parity its entry
-    must have (``hold``), and ``settle`` checks the values held since, in
-    interning order, in numpy chunks of at most ``SETTLE_CHUNK``: it raises
+    Every value enters through ``hold``, under the parity its entry must
+    have, and ``settle`` checks the values held since, in interning order,
+    in numpy chunks of at most ``SETTLE_CHUNK``: it raises
     CoefficientOverflowError if a coefficient leaves signed 64 bits, or if
-    an image of the value could (``bound_images``), MixedParityError if
+    an image of the value could (``factor``, below), MixedParityError if
     its exponents mix parities, and NotSymmetricError if it is not of the
     parity it is held under.  ``column`` settles whenever a chunk is full
-    and before it returns; ``intern`` and ``intern_packed`` settle at once.
-    The first failure in interning order raises what a check of that value
-    alone would raise, and the store drops it and every value held after
-    it: every value before it is a carry-free sum of values that passed, so
-    it is the value that checking each value as it is interned would have
-    rejected first.  ``settle`` folds the values that pass, in interning
-    order, into the figures a column scan reads: ``max_abs``, the largest
-    |coefficient| held, and the values held that have a negative
-    coefficient (``negative``) or are not unimodal (``not_unimodal``).
+    and before it returns; ``intern`` holds a polynomial under its own
+    degree parity and settles at once.  The first failure in interning
+    order raises what a check of that value alone would raise, and the
+    store drops it and every value held after it: every value before it is
+    a carry-free sum of values that passed, so it is the value that
+    checking each value as it is interned would have rejected first.
+    ``settle`` folds the values that pass, in interning order, into the
+    figures a column scan reads: ``max_abs``, the largest |coefficient|
+    held, and the values held that have a negative coefficient
+    (``negative``) or are not unimodal (``not_unimodal``).
+
+    With a ``factor``, every value is held to max_abs * factor < 2^63, so
+    that its images under bmul (factor 2) and under scaling by any
+    |mu| <= factor stay in signed 64 bits; without one, to the signed 64
+    bits alone.
     """
 
-    def __init__(self):
+    def __init__(self, factor: int | None = None):
         # degree parity -> {packed value: that int}; the int is the one
         # object all rows share
         self._values: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        # (value, parity it is held under or -1 for either, its (x, y, z)
-        # or ()) of each value held since the last settle, in order
+        # (value, parity it is held under, its (x, y, z) or ()) of each
+        # value held since the last settle, in order
         self._pending: list[tuple[int, int, tuple]] = []
         self.max_abs = 0
         self.negative: list[int] = []
         self.not_unimodal: list[int] = []
-        # every value has max_abs below this; 2^63 + 1 bounds nothing more
-        # than the signed 64 bits
-        self._image_limit = _I64 + 1
+        # every value has max_abs below this (max_abs * factor >= 2^63 iff
+        # max_abs >= it); 2^63 + 1 bounds nothing more than the signed 64 bits
+        self._image_limit = _I64 + 1 if factor is None else -(-_I64 // factor)
         self.one = self.intern(SymLaurentPoly.one())
 
-    def bound_images(self, factor: int) -> None:
-        """Hold every value, stored or to come, to max_abs * factor < 2^63,
-        so that its images under bmul (factor 2) and under scaling by any
-        |mu| <= factor stay in signed 64 bits.  Raises
-        CoefficientOverflowError if a stored value breaks the bound."""
-        self.settle()
-        limit = -(-_I64 // factor)  # max_abs * factor >= 2^63 iff max_abs >= limit
-        if limit < self._image_limit:
-            if self.max_abs >= limit:
-                raise CoefficientOverflowError(f"a stored value times {factor} leaves 64 bits")
-            self._image_limit = limit
-
     def intern(self, p: SymLaurentPoly) -> int:
-        return self.intern_packed(pack(p))
-
-    def intern_packed(self, u: int) -> int:
-        """The store's own int equal to u, interning and checking u if it
-        is new."""
-        even, odd = self._values
-        if u not in even and u not in odd:
-            self._pending.append((u, -1, ()))
+        """The store's own int equal to pack(p), held under p's degree
+        parity and checked if it is new."""
+        u, parity = pack(p), p.degree & 1
+        if u not in self._values[parity]:
+            self.hold(u, parity, ())
         self.settle()
-        return even[u] if u in even else odd[u]
+        return self._values[parity][u]
 
-    def hold(self, u: int, parity: int, triple: tuple[int, int, int]) -> int:
+    def hold(self, u: int, parity: int, triple: tuple) -> int:
         """Hold u, not held under ``parity``, as h(triple), an entry of a
         row that must have that parity, and return it.  The next
         ``settle`` checks it; one runs at once when ``SETTLE_CHUNK``
@@ -302,8 +292,7 @@ class PolyStore:
             passed, failure = self._settle_chunk(chunk)
             if failure is not None:
                 for u, parity, _ in chunk[passed:] + pending:
-                    if parity >= 0:
-                        del self._values[parity][u]
+                    del self._values[parity][u]
                 pending.clear()
                 raise failure
 
@@ -319,18 +308,14 @@ class PolyStore:
         # the last slot of each row is zero, so max >= 2^63 >= min
         low_min = low.min(axis=1)
         max_abs = np.maximum(low.max(axis=1) - _I64, _I64 - low_min)
-        expected = np.array(parities)
         failed = (out_of_range | mixed | (max_abs >= self._image_limit)
-                  | (expected >= 0) & (expected != own))
+                  | (np.array(parities) != own))
         passed = int(failed.argmax()) if failed.any() else len(chunk)
 
         # v^d p is unimodal in q iff its coefficients rise to the middle: no
         # slot up to the degree is below the one two up from it (the slots
         # of the other parity are zero, so never rise)
         rises = (low[:, :-2] < low[:, 2:]) & (np.arange(n - 2) <= degree[:, None] - 2)
-        # a value interned under either parity is stored under its own
-        for i in np.flatnonzero(expected[:passed] < 0).tolist():
-            self._values[int(own[i])][values[i]] = values[i]
         if passed:
             self.max_abs = max(self.max_abs, int(max_abs[:passed].max()))
         for figure, flags in ((self.negative, low_min < _I64),
@@ -387,10 +372,6 @@ class HColumn:
     def row(self, x: int) -> dict[int, int]:
         return self.rows[x]
 
-    def h_value(self, x: int, z: int) -> SymLaurentPoly:
-        u = self.rows[x].get(z)
-        return SymLaurentPoly.zero() if u is None else self.store.poly(u)
-
     def row_polys(self, x: int) -> dict[int, SymLaurentPoly]:
         return {z: self.store.poly(u) for z, u in self.rows[x].items()}
 
@@ -416,8 +397,7 @@ def column(wg: WGraph, y: int, strategy: str = "fewest") -> HColumn:
     g = wg.g
     tables = wg.tables
     descent = DESCENT_STRATEGIES[strategy](wg)
-    st = PolyStore()
-    st.bound_images(max(2, tables.max_mu))
+    st = PolyStore(max(2, tables.max_mu))
     check_carry_bound(g.size, tables.max_mu_sum)
     lmult, lengths = g.lmult, g.lengths
     get_even, get_odd = (values.get for values in st._values)

@@ -336,17 +336,6 @@ class KLStore:
         xs = np.asarray(xs, dtype=np.int64)
         return list(map(self._decode, self._lookup(xs, np.full(len(xs), y)).tolist()))
 
-    def kl_polynomial(self, x: int, y: int) -> QPoly:
-        """P_{x,y}: zero unless x <= y, one for x = y."""
-        return self.kl_polynomials([x], y)[0]
-
-    def mu_list(self, y: int) -> tuple[tuple[int, int], ...]:
-        """All (z, mu(z, y)) with nonzero mu, sorted by z."""
-        if y >= self._next_column:
-            self.build_upto(self.g.lengths[y])
-        a, b = self._offsets[y], self._offsets[y + 1]
-        return tuple(zip(self._edge_z[a:b].tolist(), self._edge_mu[a:b].tolist()))
-
     def iter_pairs(self) -> Iterator[tuple[int, int, QPoly]]:
         """Stored canonical extremal pairs (x, y, P) with x < y."""
         n = self.g.size

@@ -65,7 +65,7 @@ def kl_mu(store: KLStore, x: int, y: int) -> int:
         return 1
     if g.lmask[y] & ~g.lmask[x] or g.rmask[y] & ~g.rmask[x]:
         return 0  # non-extremal pairs lose the top-degree window
-    return store.kl_polynomial(x, y).coeff((d - 1) >> 1)
+    return store.kl_polynomials([x], y)[0].coeff((d - 1) >> 1)
 
 
 def sym_from_laurent(p: LaurentPoly) -> SymLaurentPoly:
@@ -250,8 +250,7 @@ def dict_column(wg: WGraph, y: int, strategy: str = "fewest", scratch: type = di
     g = wg.g
     tables = wg.tables
     descent = DESCENT_STRATEGIES[strategy](wg)
-    st = PolyStore()
-    st.bound_images(max(2, tables.max_mu))
+    st = PolyStore(max(2, tables.max_mu))
     check_carry_bound(g.size, tables.max_mu_sum)
     lmult, lengths = g.lmult, g.lengths
     get_even, get_odd = (values.get for values in st._values)
@@ -363,14 +362,12 @@ class ScalarStore:
         self.negative: list[int] = []
         self.not_unimodal: list[int] = []
 
-    def intern(self, u: int, parity: int | None = None, triple: tuple = ()) -> int:
-        """The value equal to u held under ``parity`` (under either parity
-        when None), checked and stored if it is new.  A value of the other
-        parity is h(triple), an entry of a row that must have ``parity``."""
-        held = [self.values[parity]] if parity is not None else self.values
-        for values in held:
-            if u in values:
-                return values[u]
+    def intern(self, u: int, parity: int, triple: tuple = ()) -> int:
+        """The value equal to u held under ``parity``, checked and stored if
+        it is new.  A value of the other parity is h(triple), an entry of a
+        row that must have ``parity``."""
+        if u in self.values[parity]:
+            return u
         biased = _biased(u)
         own = len(biased) - 1 & 1
         other = biased[own ^ 1 :: 2]
@@ -383,7 +380,7 @@ class ScalarStore:
             raise CoefficientOverflowError(
                 f"coefficient {max_abs} would leave 64 bits in an image"
             )
-        if parity is not None and parity != own:
+        if parity != own:
             x, y, z = triple
             p = SymLaurentPoly(len(biased) - 1, [c - _I64 for c in biased[::-2]])
             raise NotSymmetricError(
@@ -497,6 +494,13 @@ def packed(store: KLStore, x: int, y: int, below_y: bytes) -> int:
     return 1
 
 
+def stored_mu_in(store: KLStore, y: int) -> tuple[tuple[int, int], ...]:
+    """The (z, mu(z, y)) of a built column y, read from the store's CSR
+    arrays, as ``WGraph.mu_in`` reads them from the graph's."""
+    a, b = store._offsets[y], store._offsets[y + 1]
+    return tuple(zip(store._edge_z[a:b].tolist(), store._edge_mu[a:b].tolist()))
+
+
 def recurrence(store: KLStore, x: int, y: int) -> int:
     """P_{x,y} packed for an extremal pair (x, y), y > 1, by the descent
     recursion through ``packed``, for the lowest s in L(y):
@@ -507,7 +511,7 @@ def recurrence(store: KLStore, x: int, y: int) -> int:
     sy = g.lmult[y][s]
     below_sy = below(g, sy)
     u = packed(store, g.lmult[x][s], sy, below_sy) + (packed(store, x, sy, below_sy) << W)
-    for z, mu in store.mu_list(sy):
+    for z, mu in stored_mu_in(store, sy):
         if g.lmask[z] >> s & 1 and g.lengths[z] >= g.lengths[x]:
             u -= packed(store, x, z, below(g, z)) * mu << W * ((g.lengths[y] - g.lengths[z]) >> 1)
     return u

@@ -60,8 +60,7 @@ class TestP2:
     def test_a2_w0_column_all_ones(self, stores):
         store = stores("A2")
         g = store.g
-        for x in range(g.size):
-            assert store.kl_polynomial(x, g.w0).coeffs == (1,)
+        assert all(p.coeffs == (1,) for p in store.kl_polynomials(range(g.size), g.w0))
 
 
 class TestP3:
@@ -103,9 +102,9 @@ class TestW0Identity:
         store = stores("A2")
         g = store.g
         col = column(wgraphs("A2"), g.w0)
-        assert col.h_value(0, g.w0) == SymLaurentPoly.one()
+        assert col.row_polys(0).get(g.w0) == SymLaurentPoly.one()
         s = 1  # id of the first generator
-        assert col.h_value(s, g.w0) == SymLaurentPoly(1, (1,))
+        assert col.row_polys(s).get(g.w0) == SymLaurentPoly(1, (1,))
 
     @pytest.mark.parametrize("name", ["A2", "I2(6)", "B2"])
     def test_passes(self, stores, wgraphs, name):
@@ -118,7 +117,7 @@ class TestW0Identity:
         store = stores(f"I2({m})")
         g = store.g
         col = column(wgraphs(f"I2({m})"), g.w0)
-        h = col.h_value(g.w0, g.w0)
+        h = col.row_polys(g.w0)[g.w0]
         # sum over the group of v^(2 l(z) - m)
         expected = LaurentPoly()
         for z in range(g.size):

@@ -1,9 +1,12 @@
 import functools
+import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +21,20 @@ from klbasis.klbase import KLStore, load_wgraph, save_wgraph
 from klbasis.ring import LaurentPoly
 
 
-def run_python(*args):
-    """``python *args`` in a fresh process that imports this checkout's
-    klbasis, with its output captured as text."""
+def python_env() -> dict:
+    """The environment of a fresh process that imports this checkout's
+    klbasis."""
     env = dict(os.environ)
     src = str(Path(klbasis.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=300)
+    return env
+
+
+def run_python(*args):
+    """``python *args`` in a fresh process that imports this checkout's
+    klbasis, with its output captured as text."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=python_env(), timeout=300)
 
 
 def run(args, tmp_path, extra=()):
@@ -184,6 +193,97 @@ LOGS = (cli.POSITIVITY_LOG, cli.VERBOSE_LOG, cli.ERROR_LOG)
 FAIL_Y = 3  # the B2 column the patched scan reports as failing
 
 
+def live_processes() -> dict[int, int]:
+    """pid -> parent pid of every process that is not a zombie, from
+    /proc."""
+    out = {}
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except OSError:  # gone while listed
+            continue
+        if stat:
+            # the fields after the command name, which may hold spaces
+            state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+            if state != "Z":
+                out[int(entry.name)] = int(ppid)
+    return out
+
+
+def descendants(pid: int) -> set[int]:
+    """The live processes below process pid: its pool's workers, and the
+    fork server or resource tracker of the start method, if any."""
+    parents = live_processes()
+    out, todo = set(), [pid]
+    while todo:
+        parent = todo.pop()
+        children = [child for child, ppid in parents.items() if ppid == parent]
+        out.update(children)
+        todo.extend(children)
+    return out
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads processes from /proc")
+class TestKilledSweep:
+    """A signal to the sweep's process alone, not to its process group,
+    leaves none of its workers behind, under any start method; and a
+    resume after such kills gives the files of an uninterrupted sweep."""
+
+    # a B3 sweep on two workers whose collector takes 0.1 s a column, so
+    # that a kill lands in the middle of it
+    SWEEP = (
+        "import multiprocessing, sys, time\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "from klbasis import cli\n"
+        "lines = cli.failure_lines\n"
+        "def slow(info):\n"
+        "    time.sleep(0.1)\n"
+        "    return lines(info)\n"
+        "cli.failure_lines = slow\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+
+    def cut(self, out: Path, method: str, sig: int, after: int) -> None:
+        """Run the slowed sweep into out, resuming, and send sig to its
+        process once positivity_log has more than ``after`` lines; then
+        every process below it must be gone within a few seconds."""
+        log = out / cli.POSITIVITY_LOG
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.SWEEP, method, "positivity", "--group", "B3",
+             "--threads", "2", "--outdir", str(out), "--resume"],
+            env=python_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while len(cli._complete_lines(log)) <= after:
+                assert proc.poll() is None and time.monotonic() < deadline, "no cut"
+                time.sleep(0.05)
+            below = descendants(proc.pid)
+            assert len(below) >= 2
+            proc.send_signal(sig)
+            assert proc.wait(timeout=60) == -sig
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        deadline = time.monotonic() + 10
+        while below & live_processes().keys():
+            assert time.monotonic() < deadline, f"left alive: {below & live_processes().keys()}"
+            time.sleep(0.1)
+        assert len(cli._complete_lines(log)) < 48
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_no_worker_outlives_its_sweep(self, tmp_path, method):
+        reference = tmp_path / "reference"
+        cut = tmp_path / "cut"
+        assert main(["positivity", "--group", "B3", "--outdir", str(reference)]) == 0
+        self.cut(cut, method, signal.SIGTERM, 5)
+        self.cut(cut, method, signal.SIGKILL, len(cli._complete_lines(cut / cli.POSITIVITY_LOG)) + 5)
+        assert main(["positivity", "--group", "B3", "--outdir", str(cut), "--resume"]) == 0
+        for name in (*LOGS, cli.H_COLUMNS, cli.MATRIX_FILE, cli.WGRAPH_FILE):
+            assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
+
+
 class SimulatedKill(BaseException):
     """Stands in for a SIGKILL between two log writes."""
 
@@ -226,10 +326,13 @@ class TestFailingSweep:
             assert (serial / name).read_bytes() == (pool / name).read_bytes(), name
 
     @pytest.mark.parametrize("writes", [1, 2, 3])
-    def test_resume_after_kill_between_writes(self, tmp_path, failing_scan, monkeypatch, writes):
+    def test_resume_after_kill_between_writes(self, tmp_path, failing_scan, monkeypatch, capsys,
+                                              writes):
         """Killed after the first, second or third of the failing column's
         three log appends, whatever their order, a resumed run still fails
-        and ends with the logs of an uninterrupted run."""
+        and ends with the logs of an uninterrupted run.  Its report fails
+        too, on screen and in checks.jsonl, even when the failing column
+        was done before it (three writes) and the run adds no failure."""
         reference = tmp_path / "reference"
         cut = tmp_path / "cut"
         assert main(["positivity", "--group", "B2", "--outdir", str(reference)]) == 1
@@ -248,7 +351,12 @@ class TestFailingSweep:
         with pytest.raises(SimulatedKill):
             main(["positivity", "--group", "B2", "--outdir", str(cut)])
         monkeypatch.delattr(cli, "open")
+        capsys.readouterr()
         assert main(["positivity", "--group", "B2", "--outdir", str(cut), "--resume"]) == 1
+        assert capsys.readouterr().out.startswith("check=positivity group=B2 pass=False ")
+        report = json.loads((cut / "checks.jsonl").read_text().splitlines()[-1])
+        assert report["pass"] is False
+        assert report["counterexamples"] == [f"1 failures written to {cut / cli.ERROR_LOG}"]
         assert (cut / cli.ERROR_LOG).read_text() == self.ERROR
         for name in LOGS:
             assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
@@ -712,9 +820,10 @@ class TestBadGroupInput:
 
 
 class TestBadArguments:
-    """A bad element id, argument count, --range, --threads or
-    --store-budget ends the command with one line and exit status 1, as
-    bad group input does; so does a sweep over its --store-budget."""
+    """A bad element id, argument count, --range, --threads,
+    --store-budget or --outdir ends the command with one line and exit
+    status 1, as bad group input does; so does a sweep over its
+    --store-budget."""
 
     @pytest.mark.parametrize(
         "args, message",
@@ -731,13 +840,23 @@ class TestBadArguments:
              "--store-budget -5 is below 0"),
             (["positivity", "--group", "I2(9)", "--store-budget", "2"],
              "store exceeded budget 2"),
+            (["positivity", "--group", "A2", "--outdir", "{file}"],
+             "cannot make --outdir {file}: File exists"),
+            (["klplist", "--group", "A2", "--outdir", "{file}/out"],
+             "cannot make --outdir {file}/out: Not a directory"),
         ],
         ids=["id not a number", "id outside", "cprod count", "cycltable count",
              "triangle count", "range outside", "range reversed", "threads below 1",
-             "budget below 0", "budget exceeded"],
+             "budget below 0", "budget exceeded", "outdir a file", "outdir under a file"],
     )
     def test_one_line_and_exit_1(self, tmp_path, args, message):
-        proc = run_python("-m", "klbasis", *args, "--outdir", str(tmp_path / "out"))
+        """``{file}`` stands for a regular file; an --outdir in args comes
+        after the default one, so it is the one taken."""
+        file = tmp_path / "file"
+        file.write_text("")
+        args = [arg.format(file=file) for arg in args]
+        proc = run_python("-m", "klbasis", "--outdir", str(tmp_path / "out"), *args)
+        message = message.format(file=file)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("klbasis: ") and message in proc.stderr

@@ -79,6 +79,11 @@ class TestTBasis:
         for z in range(g.size):
             assert tcombo_mult(g, {z: ONE}, t_inverse(g, z)) == {0: ONE}
             assert tcombo_mult(g, t_inverse(g, z), {z: ONE}) == {0: ONE}
+        # with the t-inverses found so far, each found once and kept there
+        known = {0: {0: ONE}}
+        assert [t_inverse(g, z, known) for z in range(g.size)] == [
+            t_inverse(g, z) for z in range(g.size)]
+        assert sorted(known) == list(range(g.size))
 
     def test_bar_examples(self, groups):
         g = groups("A2")
@@ -180,9 +185,9 @@ class TestColumns:
         g = wg.g
         s = word_id(g, [1])
         col = column(wg, s)
-        assert col.h_value(0, s) == SymLaurentPoly.one()
-        assert col.h_value(s, s) == SymLaurentPoly(1, (1,))
-        assert col.h_value(s, 0).is_zero()
+        assert col.row_polys(0).get(s) == SymLaurentPoly.one()
+        assert col.row_polys(s).get(s) == SymLaurentPoly(1, (1,))
+        assert col.row_polys(s).get(0) is None
 
     def test_dihedral_row_matches_closed_form(self, wgraphs):
         wg = wgraphs("I2(9)")
@@ -297,7 +302,7 @@ class TestColumns:
             col = column(wg, y)
             values = [u for row in col.rows for u in row.values()]
             assert set(col.store) == set(values), y
-            assert all(col.store.intern_packed(u) is u for u in values), y
+            assert all(col.store.intern(col.store.poly(u)) is u for u in values), y
             stored |= set(col.store)
             held |= set(values)
         assert stored == held
@@ -464,9 +469,10 @@ class TestColumns:
         into entry sy, which names its (x, y, z)."""
 
         class OddOne(PolyStore):
-            def __init__(self):
-                super().__init__()
-                self.one = self.intern_packed(1 << W) if interned else 1 << W
+            def __init__(self, factor=None):
+                super().__init__(factor)
+                beta = SymLaurentPoly(1, (1,))  # pack(beta) = 1 << W
+                self.one = self.intern(beta) if interned else 1 << W
 
         wg = wgraphs("B3")
         g = wg.g
@@ -558,7 +564,7 @@ class TestPackedStore:
         assert (total == 0) == (not a + b)
         if total:
             store = PolyStore()
-            assert store.poly(store.intern_packed(total)) == a + b
+            assert store.poly(settled(store, total, (a + b).degree & 1)) == a + b
 
     @given(sym_polys(), st.integers(1, 4), st.booleans())
     def test_mu_scaling_and_bmul(self, p, mu, negate):
@@ -566,9 +572,10 @@ class TestPackedStore:
         n = -mu if negate else mu
         store = PolyStore()
         u = store.intern(p)
-        assert store.poly(store.intern_packed(u * n)) == p.scaled(n)
-        assert store.poly(store.intern_packed(bmul_packed(u))) == p.bmul()
-        assert store.poly(store.intern_packed(bmul_packed(bmul_packed(u)))) == p.bmul().bmul()
+        odd = p.degree & 1
+        assert store.poly(settled(store, u * n, odd)) == p.scaled(n)
+        assert store.poly(settled(store, bmul_packed(u), odd ^ 1)) == p.bmul()
+        assert store.poly(settled(store, bmul_packed(bmul_packed(u)), odd)) == p.bmul().bmul()
 
     @given(wide_sym_polys())
     def test_bmul_wide(self, p):
@@ -576,24 +583,27 @@ class TestPackedStore:
         u = store.intern(p)
         image = p.bmul()
         if -I64 <= min(image.half) and max(image.half) < I64:
-            assert store.poly(store.intern_packed(bmul_packed(u))) == image
+            assert store.poly(settled(store, bmul_packed(u), image.degree & 1)) == image
         else:
             with pytest.raises(CoefficientOverflowError):
-                store.intern_packed(bmul_packed(u))
+                settled(store, bmul_packed(u), p.degree & 1 ^ 1)
 
     def test_intern_rejects_mixed_parity(self):
         store = PolyStore()
         for u in (1 + (1 << W), (3 << 2 * W) - (5 << W), -1 - (1 << 3 * W)):
-            with pytest.raises(MixedParityError):
-                store.intern_packed(u)
+            for parity in (0, 1):
+                with pytest.raises(MixedParityError):
+                    settled(store, u, parity)
+        assert list(store) == [1]
 
     def test_intern_rejects_digits_outside_64_bits(self):
         store = PolyStore()
-        for u in (I64, -I64 - 1, I64 << 2 * W, (-I64 - 1 << W) + (1 << 3 * W)):
+        for u, parity in ((I64, 0), (-I64 - 1, 0), (I64 << 2 * W, 0),
+                          ((-I64 - 1 << W) + (1 << 3 * W), 1)):
             with pytest.raises(CoefficientOverflowError):
-                store.intern_packed(u)
-        for u in (I64 - 1, -I64, (I64 - 1) << 2 * W, -I64 << W):
-            assert pack(store.poly(store.intern_packed(u))) == u
+                settled(store, u, parity)
+        for u, parity in ((I64 - 1, 0), (-I64, 0), ((I64 - 1) << 2 * W, 0), (-I64 << W, 1)):
+            assert pack(store.poly(settled(store, u, parity))) == u
         assert len(store) == 5  # one, and the four in range
 
     def test_carry_bound(self):
@@ -620,52 +630,53 @@ class TestPackedStore:
         # a scaled image past the guard would be read back wrongly, one
         # below it exactly
         store = PolyStore()
-        assert store.poly(store.intern_packed(store.one * (limit - 1))).half == (
-            limit - 1,)
+        assert store.poly(settled(store, store.one * (limit - 1), 0)).half == (limit - 1,)
 
     @pytest.mark.parametrize("factor", [2, 3, 21, 1745])
     def test_image_bound(self, factor):
-        """Under bound_images(f) a value is interned only if max_abs * f is
+        """A store made with factor f holds a value only if max_abs * f is
         below 2^63, so its bmul (f >= 2) and mu-images (|mu| <= f) fit in
-        64 bits; values already held are checked when the bound tightens."""
+        64 bits; a store made without one holds values to 64 bits alone."""
         top = (I64 - 1) // factor  # top * factor < 2^63 <= (top + 1) * factor
         for odd in (0, 1):
-            store = PolyStore()
-            store.bound_images(factor)
+            store = PolyStore(factor)
             for c in (top, -top):
                 p = SymLaurentPoly(2 + odd, (1, c))  # v^(2+odd) + c v^odd + ...
                 u = store.intern(p)
-                images = [bmul_packed(u)] + [u * n for n in (factor, -factor)]
+                images = [(bmul_packed(u), odd ^ 1)] + [(u * n, odd) for n in (factor, -factor)]
                 plain = PolyStore()
-                for image in images:
-                    plain.intern_packed(image)  # in 64 bits
+                for image, parity in images:
+                    settled(plain, image, parity)  # in 64 bits
                 with pytest.raises(CoefficientOverflowError):
                     store.intern(SymLaurentPoly(2 + odd, (1, c + (1 if c > 0 else -1))))
         if factor == 2:
-            store = PolyStore()
-            store.bound_images(2)
+            store = PolyStore(2)
             store.intern(SymLaurentPoly(0, ((1 << 62) - 1,)))  # image 2^63 - 2
             for c in (1 << 62, -(1 << 62)):  # images at 2^63
                 with pytest.raises(CoefficientOverflowError):
                     store.intern(SymLaurentPoly(0, (c,)))
-        # tightening checks what is held, loosening is a no-op
+        over = SymLaurentPoly(0, (top + 1,))
+        with pytest.raises(CoefficientOverflowError, match="would leave 64 bits in an image"):
+            PolyStore(factor).intern(over)
         store = PolyStore()
-        store.intern(SymLaurentPoly(0, (top + 1,)))
-        store.bound_images(1)
-        with pytest.raises(CoefficientOverflowError):
-            store.bound_images(factor)
-        store = PolyStore()
-        store.bound_images(factor)
-        store.bound_images(1)
-        with pytest.raises(CoefficientOverflowError):
-            store.intern(SymLaurentPoly(0, (top + 1,)))
+        assert store.poly(store.intern(over)) == over
+
+
+def settled(store: PolyStore, u: int, parity: int) -> int:
+    """The store's int equal to u, held under ``parity`` as the entry
+    h(0, 0, 0) of a row of that parity if it is new, as ``column`` holds
+    its entries, then settled."""
+    if u not in store._values[parity]:
+        store.hold(u, parity, (0, 0, 0))
+    store.settle()
+    return store._values[parity][u]
 
 
 @st.composite
 def interning_runs(draw):
     """(factor, entries): an image bound (None for none) and packed values
-    in interning order, each with the parity it is interned under (None
-    for either) and its (x, y, z).  The values mix parities now and then,
+    in interning order, each with the parity it is held under and its
+    (x, y, z).  The values mix parities now and then,
     and their coefficients sit on the edges of signed 64 bits and of the
     image bound; some values come back, under either parity."""
     factor = draw(st.sampled_from([None, 1, 2, 3, 1745, 1 << 20]))
@@ -691,7 +702,7 @@ def interning_runs(draw):
             u = sum(coeff() << W * e for e in range(degree, -1, -2))
             if draw(st.integers(0, 5)) == 0:  # a coefficient of the other parity
                 u += coeff() << W * draw(st.sampled_from(range(degree & 1 ^ 1, degree + 2, 2)))
-        parity = draw(st.sampled_from([None, degree & 1, degree & 1, degree & 1 ^ 1]))
+        parity = draw(st.sampled_from([degree & 1, degree & 1, degree & 1 ^ 1]))
         entries.append((u, parity, (i, 99, i + 1)))
     return factor, entries
 
@@ -718,20 +729,15 @@ class TestSettle:
 
     @given(interning_runs())
     def test_matches_the_scalar_oracle(self, run):
-        """Each value interned as ``column`` and ``intern_packed`` do,
-        then settled: the store raises the oracle's first error, type and
-        message, or none; either way it holds and has folded what the
-        oracle has."""
+        """Each value held as ``column`` holds it, then settled: the store
+        raises the oracle's first error, type and message, or none; either
+        way it holds and has folded what the oracle has."""
         factor, entries = run
-        store = PolyStore()
-        if factor:
-            store.bound_images(factor)
+        store = PolyStore(factor)
         oracle = ScalarStore(I64 + 1 if factor is None else -(-I64 // factor))
-        oracle.intern(store.one)
+        oracle.intern(store.one, 0)
 
         def into_store(u, parity, triple):
-            if parity is None:
-                return lambda: store.intern_packed(u)
             return lambda: u in store._values[parity] or store.hold(u, parity, triple)
 
         want = outcome([lambda e=e: oracle.intern(*e) for e in entries])
