@@ -11,8 +11,9 @@ element id that is not an integer or not in the group, a --range that is
 reversed or outside the group, a --threads below 1, a --store-budget
 below 0, an --outdir that cannot be made a directory and bad triangle
 arguments; so does a sweep that outgrows its --store-budget, and a
---resume into the output directory of another group's sweep, before it
-changes any file there.  Errors argparse itself finds (an unknown command
+--resume into the output directory of another group's sweep, or one
+that would compute a column below a done one, before it changes any
+file there.  Errors argparse itself finds (an unknown command
 or option, a --range that is not LO:HI) print its usage and exit with
 status 2.
 
@@ -27,11 +28,11 @@ rename) to the lines of its done columns, sorted by y, and after them
 records the group as its Coxeter matrix in coxeter_matrix, the same way
 and in the --matrix file format; then it loads or builds the W-graph and
 sweeps the rest: a fresh run is the case where no column is done.
-``--resume`` ends with the files of an uninterrupted run when every
-column each run computes lies above every column done before it, as when
-a killed sweep is resumed or a --range run is continued above its range;
-a run that fills in columns below done ones carries the done columns'
-cumulative maximum into their positivity_log lines.
+``--resume`` ends with the files of an uninterrupted run, as when a
+killed sweep is resumed or a --range run is continued above its range:
+a resume whose first column to compute lies below a done column is
+refused, before it changes any file, since that column's positivity_log
+line would carry the done columns' cumulative maximum.
 A sweep passes, and exits 0, only when error_log holds no line of a done
 column and the run adds none.
 A fresh run builds the W-graph from the P table and saves it as
@@ -254,6 +255,12 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
     done = kept[POSITIVITY_LOG].keys() & kept[VERBOSE_LOG].keys()
     if budget:
         done &= kept[H_COLUMNS].keys()
+    todo = [y for y in range(lo, hi + 1) if y not in done]
+    # a column's positivity_log line is the running maximum up to it, so
+    # columns are computed only above every done one
+    if todo and done and todo[0] < max(done):
+        raise SystemExit(f"klbasis: cannot resume {g.name} in {ns.outdir}: column {todo[0]} "
+                         f"lies below done column {max(done)}")
     # the record of the group goes last: written before the sweep files, a
     # kill could leave it beside another group's lines
     for name, path in paths.items():
@@ -275,7 +282,6 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         wg = build_wgraph(KLStore(g))
         save_wgraph(wg, wg_path)
 
-    todo = [y for y in range(lo, hi + 1) if y not in done]
     # the failures kept in error_log count toward this run's verdict
     failures = sum(len(kept[ERROR_LOG].get(y, ())) for y in done)
 

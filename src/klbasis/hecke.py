@@ -29,7 +29,8 @@ fixed when the store is made) in numpy batches, before any column returns
 raises what a check of that value alone would raise.  The recursion
 follows only the W-graph's descent-filtered edges, and the descent of
 each x is fixed once per group (``DESCENT_STRATEGIES``; by default the
-cheapest, see ``klbase.DescentTables``).  Columns for distinct y are
+cheapest, see ``klbase.DescentTables``, the descent the P build takes
+too).  Columns for distinct y are
 independent and share nothing mutable.
 """
 

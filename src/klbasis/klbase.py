@@ -7,12 +7,15 @@ for s in L(y) \\ L(x) and its right-hand analogue, and then to a canonical
 representative under P_{x,y} = P_{x^-1,y^-1}.  Only those canonical
 extremal pairs are stored.  The table is built one length level of y at a
 time, since a column reads only shorter ones, with the classical descent
-recursion; the generator used is always the lowest-index left descent of
-y (strategy sensitivity of the structure constant computation is tested
-separately, in checks).  A level is built in batches of columns: the
-lookups of all their recursions are put into int arrays and reduced at
-once, and by the lifting property x <= y exactly when the reduced pair is
-(y, y) or a stored pair, so the stored pairs answer the Bruhat test too.
+recursion.  Its descent s of y is the one the column engine takes for y
+(``cheapest_descents``): each recursion on s subtracts one term per
+mu-edge into sy whose tail has s as a left descent, and s is the descent
+with the fewest of them, the lowest on ties.  The edges into sy are final
+when y's level is built, so the choice is made once per level.  A level
+is built in batches of columns: the lookups of all their recursions are
+put into int arrays and reduced at once, and by the lifting property
+x <= y exactly when the reduced pair is (y, y) or a stored pair, so the
+stored pairs answer the Bruhat test too.
 
 The table is packed and interned.  Each P_{x,y} is one int, the
 polynomial at q = 2^W (``ring.W``: one signed slot per coefficient), so
@@ -76,6 +79,22 @@ def _extremal_mask(g: GroupTable, y: int) -> int:
     )
 
 
+def cheapest_descents(g: GroupTable, ys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """For each y of ys, the s in L(y) that both descent recursions take at
+    y, and -1 for the identity.  The P recursion on s and the column
+    recursion on s (``DescentTables``) each subtract one term per mu-edge
+    (z, sy) with s in L(z); s is the descent with the fewest such edges,
+    the lowest s on ties.  ``counts[s, w]`` is the number of edges into w
+    whose tail has s, and w has not, as a left descent; it is read only at
+    w = sy, for s in L(y)."""
+    a = g.arrays
+    cost = counts[np.arange(g.rank), a.lmult[ys]]  # [i, s]: at s ys[i]
+    descents = a.lmask[ys, None] >> np.arange(g.rank) & 1 == 1
+    best = np.where(descents, cost, np.iinfo(np.int64).max).argmin(axis=1)
+    best[a.lmask[ys] == 0] = -1
+    return best
+
+
 # columns per batch of a level.  A batch's lookup and term arrays live only
 # while it is built, but they set the build's peak RSS: H4 up to length 24
 # peaks at 77.6 MB built a whole level at once, 61.5 MB in batches of 64,
@@ -88,7 +107,8 @@ class _Batch(NamedTuple):
     """The pairs of a batch of columns, in the order the build checks them
     (by y, then by x), and the terms of their recurrences.
 
-    Per pair: ``x``, ``y``, and ``sx`` and ``sy`` for the lowest s in L(y).
+    Per pair: ``x``, ``y``, and ``sx`` and ``sy`` for the s in L(y) its
+    column recurses on (``cheapest_descents``).
     Per term: the ``pair`` it is subtracted from, the ``z`` of the mu list
     of sy it reads P_{x,z} at, ``mu`` = mu(z, sy) and the slot ``shift``
     W (l(y) - l(z)) / 2.
@@ -117,7 +137,9 @@ class KLStore:
     are ``_edge_z[a:b]`` and ``_edge_mu[a:b]`` for a, b = ``_offsets[y]``,
     ``_offsets[y + 1]``, sorted by z.  z stays int64 here, as the lookup
     keys y |W| + x it enters do; ``build_wgraph`` casts it to the int32
-    of the graph.
+    of the graph.  ``_follow[s, w]``, written with them, counts the edges
+    into w whose tail has s, and w has not, as a left descent: the terms
+    of a recursion on s at s w, from which ``cheapest_descents`` picks.
     """
 
     def __init__(self, g: GroupTable):
@@ -130,6 +152,7 @@ class KLStore:
         self._offsets = np.zeros(g.size + 1, dtype=np.int64)
         self._edge_z = np.empty(0, dtype=np.int64)
         self._edge_mu = np.empty(0, dtype=np.int64)
+        self._follow = np.zeros((g.rank, g.size), dtype=np.int64)
         self._next_column = 0
         # [mask] = the lowest generator in a nonzero descent mask
         self._lowest = np.array([(m & -m).bit_length() - 1 for m in range(1 << g.rank)],
@@ -190,14 +213,18 @@ class KLStore:
         at a time: a column reads only columns of smaller length.  The
         identity's column, the first level, has no pairs and no edges."""
         g = self.g
-        lengths, inv = g.lengths, g.arrays.inv
+        lengths, inv, lmask = g.lengths, g.arrays.inv, g.arrays.lmask
         while self._next_column < g.size and lengths[self._next_column] <= maxlen:
             start = self._next_column
             end = bisect_right(lengths, lengths[start], start)
             if start:
-                ys = [y for y in range(start, end) if y <= inv[y]]
-                keys, vals, edges = zip(*(self._build_batch(ys[i:i + _BATCH_COLUMNS])
-                                          for i in range(0, len(ys), _BATCH_COLUMNS)))
+                ys = np.arange(start, end)
+                ys = ys[ys <= inv[ys]]
+                descents = cheapest_descents(g, ys, self._follow)
+                ys, descents = ys.tolist(), descents.tolist()
+                keys, vals, edges = zip(*(
+                    self._build_batch(ys[i:i + _BATCH_COLUMNS], descents[i:i + _BATCH_COLUMNS])
+                    for i in range(0, len(ys), _BATCH_COLUMNS)))
                 self._keys = np.concatenate([self._keys, *keys])
                 self._vals = np.concatenate([self._vals, *vals])
                 # the columns y > y^-1 of the level take the edges of y^-1,
@@ -208,6 +235,10 @@ class KLStore:
                 edges = edges[:, np.lexsort((edges[1], edges[0]))]
                 counts = np.bincount(edges[0] - start, minlength=end - start)
                 self._offsets[start + 1 : end + 1] = self._offsets[start] + np.cumsum(counts)
+                follow = lmask[edges[1]] & ~lmask[edges[0]]
+                for s in range(g.rank):
+                    self._follow[s, start:end] = np.bincount(
+                        edges[0][follow >> s & 1 == 1] - start, minlength=end - start)
                 self._edge_z = np.concatenate([self._edge_z, edges[1]])
                 self._edge_mu = np.concatenate([self._edge_mu, edges[2]])
             self._next_column = end
@@ -215,24 +246,24 @@ class KLStore:
     def build_all(self) -> None:
         self.build_upto(self.g.lengths[self.g.w0])
 
-    def _build_batch(self, ys: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _build_batch(self, ys: list[int],
+                     descents: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Build the canonical columns ys (ascending, of one length l(y) > 0)
-        from the shorter ones, and return the keys and interned values of
-        their pairs and their edges, an int64 array of rows y, z and
-        mu(z, y).  An involution's column stores only the x <= x^-1, as
-        P_{x,y} = P_{x^-1,y}.
+        from the shorter ones, each by the recursion on its s of descents,
+        and return the keys and interned values of their pairs and their
+        edges, an int64 array of rows y, z and mu(z, y).  An involution's
+        column stores only the x <= x^-1, as P_{x,y} = P_{x^-1,y}.
 
         The first failure raises what a build column by column raises
         first: a column's carry check, then its pairs by ascending x, each
         checked for 64 bits before its degree bound."""
         g = self.g
-        lmask, lengths, inv, lmult = g.lmask, g.arrays.lengths, g.arrays.inv, g.arrays.lmult
+        lengths, inv, lmult = g.arrays.lengths, g.arrays.inv, g.arrays.lmult
         offsets, edge_z, edge_mu = self._offsets, self._edge_z, self._edge_mu
         ly = g.lengths[ys[0]]
         xs, mirrored, covers, steps = [], [], [], []
         z, mu, carry = [], [], None
-        for y in ys:
-            s = (lmask[y] & -lmask[y]).bit_length() - 1
+        for y, s in zip(ys, descents):
             sy = g.lmult[y][s]
             # the mu list of sy, only the z with s in L(z)
             a, b = offsets[sy], offsets[sy + 1]
@@ -375,10 +406,12 @@ class DescentTables(NamedTuple):
       53, 1979), and those of c_s c_{sx} after c_x are what
       c_x = c_s c_{sx} - sum mu(z, sx) c_z subtracts.  Each element is the
       one int object the tables share for it;
-    - ``cheapest[x]``, the s in L(x) whose c_s c_{sx} has the fewest
-      terms, the lowest s on ties (-1 for the identity).  Any left descent
-      of x gives the same row (Kazhdan-Lusztig, Invent. Math. 53, 1979),
-      so this choice, fixed once per group, changes only the work;
+    - ``cheapest[x]``, the s in L(x) with the fewest mu-edges (z, sx)
+      with s in L(z), so the fewest terms in c_s c_{sx}, the lowest s on
+      ties (-1 for the identity): the one rule, ``cheapest_descents``, by
+      which the P build picks its descent of x too.  Any left descent of
+      x gives the same row (Kazhdan-Lusztig, Invent. Math. 53, 1979), so
+      this choice, fixed once per group, changes only the work;
     - ``max_mu`` and ``max_mu_sum``, the largest |mu| and the largest sum
       of |mu| over the edges into one element, which bound the images and
       the sums of a column.
@@ -469,11 +502,7 @@ class WGraph:
             at = np.searchsorted(kept, offsets)
             others.append(per_head(at, tuple(zip(ids[z[kept]].tolist(), mu[kept].tolist()))))
             counts[s] += np.diff(at)
-        # cost[x, s]: the edges of sx for s in L(x), more than any otherwise
-        cost = counts[np.arange(rank), lmult]
-        descents = lmask[:, None] >> np.arange(rank) & 1
-        cheapest = np.where(descents == 1, cost, len(z) + 1).argmin(axis=1)
-        cheapest[0] = -1
+        cheapest = cheapest_descents(g, np.arange(n), counts)
         # |mu| bounds in Python ints, exact for any int64 mu a planted graph
         # may carry: every edge weighs one, plus |mu| - 1 off the unit ones
         sums = sizes.tolist()

@@ -597,12 +597,13 @@ class TestWGraphFile:
     NO_RECORD = "coxeter_matrix is missing, unreadable or records another Coxeter matrix"
 
     @staticmethod
-    def assert_refused(out, group, message):
-        """A resume of group in out ends in one klbasis line that names
-        message, and leaves every file there as it was."""
+    def assert_refused(out, group, message, *args):
+        """A resume of group in out, with any further args, ends in one
+        klbasis line that names message, and leaves every file there as it
+        was."""
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         with pytest.raises(SystemExit) as exit_:
-            main(["positivity", "--group", group, "--outdir", str(out), "--resume"])
+            main(["positivity", "--group", group, "--outdir", str(out), "--resume", *args])
         text = str(exit_.value.code)
         assert text.startswith(f"klbasis: cannot resume {group} in ") and "\n" not in text
         assert message in text
@@ -639,6 +640,17 @@ class TestWGraphFile:
         with open(cut / cli.POSITIVITY_LOG, "a") as fh:
             fh.write("48: maxcoeff = 1\n")
         self.assert_refused(cut, "B3", "positivity_log names column 48, outside 0..47")
+
+    def test_resume_below_a_done_column_is_refused(self, tmp_path):
+        """A run whose first column to compute lies below a done column is
+        refused, as its positivity_log line would carry the done columns'
+        cumulative maximum: on H3, a sweep of 60:119, then 0:59 resumed,
+        would log 0: maxcoeff = 74."""
+        out = tmp_path / "out"
+        assert main(["positivity", "--group", "H3", "--range", "60:119",
+                     "--outdir", str(out)]) == 0
+        self.assert_refused(out, "H3", "column 0 lies below done column 119", "--range", "0:59")
+        self.assert_refused(out, "H3", "column 0 lies below done column 119")
 
     def test_resume_by_matrix_file_of_a_preset_sweep(self, tmp_path):
         """The record is compared as a matrix, not a name: a --group H3 sweep

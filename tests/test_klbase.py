@@ -367,6 +367,26 @@ class TestPackedTable:
         assert len(store._keys) == len(store._vals) == 5
         assert len({id(u) for u in store._vals}) == len(polys)
 
+    @pytest.mark.parametrize("name", ["H3", "B4", "F4"])
+    def test_each_column_recurses_on_the_engines_descent(self, monkeypatch, name):
+        """The P build recurses at each canonical y on the descent the
+        column engine takes at y, ``tables.cheapest[y]``: one rule for
+        both recursions."""
+        g = group_from_name(name)
+        sums, taken = KLStore._sums, {}
+
+        def recording(self, batch):
+            for y, sy in zip(batch.y.tolist(), batch.sy.tolist()):
+                taken.setdefault(y, set()).add(g.lmult[y].index(sy))
+            return sums(self, batch)
+
+        monkeypatch.setattr(KLStore, "_sums", recording)
+        cheapest = build_wgraph(KLStore(g)).tables.cheapest
+        # every canonical y with a stored pair
+        assert sorted(taken) == [y for y in range(g.size) if y <= g.inv[y]
+                                 and klbase._extremal_mask(g, y) != 1 << y]
+        assert {y: s for y, s in taken.items() if s != {cheapest[y]}} == {}
+
     @staticmethod
     def planted(monkeypatch, target, value):
         """KLStore whose batch sums hold ``value`` (packed) for the pair
