@@ -79,7 +79,8 @@ def _extremal_mask(g: GroupTable, y: int) -> int:
     )
 
 
-def cheapest_descents(g: GroupTable, ys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def cheapest_descents(g: GroupTable, ys: Sequence[int] | np.ndarray,
+                      counts: np.ndarray) -> np.ndarray:
     """For each y of ys, the s in L(y) that both descent recursions take at
     y, and -1 for the identity.  The P recursion on s and the column
     recursion on s (``DescentTables``) each subtract one term per mu-edge
@@ -218,10 +219,8 @@ class KLStore:
             start = self._next_column
             end = bisect_right(lengths, lengths[start], start)
             if start:
-                ys = np.arange(start, end)
-                ys = ys[ys <= inv[ys]]
-                descents = cheapest_descents(g, ys, self._follow)
-                ys, descents = ys.tolist(), descents.tolist()
+                ys = [y for y in range(start, end) if y <= inv[y]]
+                descents = cheapest_descents(g, ys, self._follow).tolist()
                 keys, vals, edges = zip(*(
                     self._build_batch(ys[i:i + _BATCH_COLUMNS], descents[i:i + _BATCH_COLUMNS])
                     for i in range(0, len(ys), _BATCH_COLUMNS)))
