@@ -16,8 +16,9 @@ for the 14,400 elements.  A breadth-first search over them in ShortLex
 order over generator indices, a length level at a time, gives the ids,
 so id 0 is the identity and ids are sorted by length.  What remains are
 O(|W| * rank) transition tables, descent masks, lengths and inverses:
-int64 arrays, with lists of them for scalar loops.  Bruhat intervals are
-bitmasks; covers come from deletion sets.
+int64 arrays, with lists of them for scalar loops.  The Bruhat order is
+a walk down descents by the lifting property, and covers come from
+deletion sets.
 """
 
 from __future__ import annotations
@@ -231,6 +232,10 @@ def _arm_length(centre: int, first: int, nbrs: list[list[int]]) -> int:
     return length
 
 
+# [mask] = the lowest generator in a descent mask, -1 in the empty one
+_LOWEST = np.array([(m & -m).bit_length() - 1 for m in range(1 << MAX_RANK)], dtype=np.int64)
+_LOWEST.flags.writeable = False
+
 # a group's tables as int64 arrays, indexed by element id: x = parent[x]
 # lastgen[x] (lastgen -1 at the identity), and [x, s] = x s in rmult, s x in lmult
 GroupArrays = namedtuple("GroupArrays", "lengths rmult parent lastgen lmult inv lmask rmask")
@@ -242,19 +247,20 @@ class GroupTable:
     Elements are ids 0..size-1 in ShortLex BFS order; id 0 is the identity.
     The tables are the int64 arrays of ``arrays``; the attributes of the
     same names (``lengths``, ``rmult``, ...) are lists of them, for loops
-    that read one element at a time.  Descent sets are rank-wide bitmasks,
-    Bruhat intervals |W|-bit ones; covers come from deletion sets.  All
-    tables are immutable after the build and safe to share across workers,
-    and a pickled copy is rebuilt from the four tables the build makes.
+    that read one element at a time.  Descent sets are rank-wide bitmasks;
+    x <= y is a walk down descents (``bruhat_leq``), and covers come from
+    deletion sets.  All tables are immutable after the build and safe to
+    share across workers, and a pickled copy is rebuilt from the four
+    tables the build makes.
     """
 
     # the tables live in slots: the cached properties below read the
     # instance __dict__, which on CPython 3.11 makes every later load of
     # an attribute kept there about three times slower, and the scalar
-    # loops of hecke.t_mult_gen, bruhat_mask and word load these per step
+    # loops of hecke.t_mult_gen and word load these per step
     __slots__ = (
         "matrix", "name", "rank", "size", "arrays", "lengths", "rmult", "parent", "lastgen",
-        "lmult", "inv", "rmask", "lmask", "w0", "num_pos_roots", "_bruhat_masks", "__dict__",
+        "lmult", "inv", "rmask", "lmask", "w0", "num_pos_roots", "__dict__",
     )
 
     def __init__(
@@ -301,11 +307,8 @@ class GroupTable:
             raise AssertionError("longest element must have full descent sets")
         self.num_pos_roots = self.lengths[self.w0]
 
-        self._bruhat_masks: dict[int, int] = {0: 1}
-
     def __reduce__(self):
-        # lengths, rmult, parent and lastgen, without the memoised masks
-        # (12.6 MB on H4 once its P table is built) and covers
+        # lengths, rmult, parent and lastgen, without the covers
         return GroupTable, (self.matrix, self.name, *self.arrays[:4])
 
     # -- words ------------------------------------------------------------
@@ -332,53 +335,24 @@ class GroupTable:
 
     # -- Bruhat order -------------------------------------------------------
 
-    def _bits(self, mask: int) -> np.ndarray:
-        """The bits of mask, one uint8 per element."""
-        raw = np.frombuffer(mask.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.size]
-
-    @staticmethod
-    def _mask(bits: np.ndarray) -> int:
-        """The bitmask of the set entries of bits, one per element."""
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-    def _permute_bitmask(self, mask: int, s: int) -> int:
-        """{s*x : x in mask} as a bitmask, via a vectorised permutation."""
-        return self._mask(self._bits(mask)[self.arrays.lmult[:, s]])
-
-    def bruhat_mask(self, y: int) -> int:
-        """Bitmask of {x : x <= y}; memoised, built along descent chains."""
-        masks = self._bruhat_masks
-        chain = []
-        while y not in masks:
-            chain.append(y)
-            ly = self.lmask[y]
-            s = (ly & -ly).bit_length() - 1
-            y = self.lmult[y][s]
-        for z in reversed(chain):
-            lz = self.lmask[z]
-            s = (lz & -lz).bit_length() - 1
-            below = masks[self.lmult[z][s]]
-            masks[z] = below | self._permute_bitmask(below, s)
-        return masks[chain[0]] if chain else masks[y]
-
-    def mask_to_ids(self, mask: int) -> np.ndarray:
-        """Element ids of the set bits, ascending."""
-        # as bool: nonzero scans a bool array several times faster
-        return np.flatnonzero(self._bits(mask).view(bool))
-
-    @cached_property
-    def _descent_supersets(self) -> dict[str, list[int]]:
-        """Per side, [T] = bitmask of the elements whose descent set on
-        that side contains T."""
+    def bruhat_leq(self, x, y) -> np.ndarray:
+        """Whether x <= y in Bruhat order, for int arrays (or ints) x and y,
+        broadcast together.  By the lifting property (Bjorner and Brenti,
+        Combinatorics of Coxeter Groups, 2005, ch. 2), for s in L(y),
+        x <= y exactly when min(x, sx) <= sy: the walk takes the lowest s
+        in L(y) until l(x) >= l(y), where x <= y exactly when x == y."""
         a = self.arrays
-        return {side: [self._mask((descents & T) == T) for T in range(1 << self.rank)]
-                for side, descents in (("left", a.lmask), ("right", a.rmask))}
-
-    def descent_superset_mask(self, side: str, dmask: int) -> int:
-        """Bitmask of elements whose left (or right) descent set contains
-        dmask."""
-        return self._descent_supersets[side][dmask]
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
+        out = np.zeros(x.shape, dtype=bool)
+        at, x, y = np.arange(x.size), x.ravel(), y.ravel()
+        while at.size:
+            done = a.lengths[x] >= a.lengths[y]
+            out.flat[at[done]] = x[done] == y[done]
+            at, x, y = at[~done], x[~done], y[~done]
+            s = _LOWEST[a.lmask[y]]
+            x = np.where(a.lmask[x] >> s & 1 == 1, a.lmult[x, s], x)
+            y = a.lmult[y, s]
+        return out
 
     @cached_property
     def _covers(self) -> tuple[np.ndarray, np.ndarray]:

@@ -133,12 +133,13 @@ def tcombo_mult(g: GroupTable, a: TCombo, b: TCombo) -> TCombo:
 
 
 def c_in_t_basis(store: KLStore, y: int) -> TCombo:
-    """c_y = sum over x <= y of v^(l(x)-l(y)) P_{x,y}(v^2) t_x."""
+    """c_y = sum over x <= y of v^(l(x)-l(y)) P_{x,y}(v^2) t_x.  Every
+    x <= y has an id up to y's, as ids are sorted by length, and among
+    those x <= y exactly when P_{x,y} != 0."""
     g = store.g
     ly = g.lengths[y]
     out: TCombo = {}
-    below = g.mask_to_ids(g.bruhat_mask(y))
-    for x, p in zip(below.tolist(), store.kl_polynomials(below, y)):
+    for x, p in enumerate(store.kl_polynomials(range(y + 1), y)):
         if p:
             out[x] = p.to_laurent_v(g.lengths[x] - ly)
     return out

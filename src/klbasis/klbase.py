@@ -15,7 +15,12 @@ when y's level is built, so the choice is made once per level.  A level
 is built in batches of columns: the lookups of all their recursions are
 put into int arrays and reduced at once, and by the lifting property
 x <= y exactly when the reduced pair is (y, y) or a stored pair, so the
-stored pairs answer the Bruhat test too.
+stored pairs answer the Bruhat test too.  A column's pairs are found that
+way: its candidates are the shorter x whose descent sets contain y's, and
+for the s the column recurses on, s is in L(x) and L(y), so x <= y
+exactly when P_{sx,sy} != 0, the recursion's first term.  The group's own
+test, ``GroupTable.bruhat_leq``, serves callers that hold no table
+(``extremal_pairs``).
 
 The table is packed and interned.  Each P_{x,y} is one int, the
 polynomial at q = 2^W (``ring.W``: one signed slot per coefficient), so
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import os
 import zipfile
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -52,7 +57,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .coxeter import GroupTable
+from .coxeter import _LOWEST, GroupTable
 from .ring import (_CARRY_LIMIT, _I64, W, CoefficientOverflowError, QPoly, _biased,
                    _biased_slots)
 
@@ -67,16 +72,6 @@ def check_mu_carry(mus: Iterable[int]) -> None:
     total = 2 + sum(map(abs, mus))
     if total >= _CARRY_LIMIT:
         raise CoefficientOverflowError(f"packed P sums could carry: {total} stored values")
-
-
-def _extremal_mask(g: GroupTable, y: int) -> int:
-    """Bitmask of the x <= y whose left and right descent sets contain
-    those of y: the extremal pairs of column y."""
-    return (
-        g.bruhat_mask(y)
-        & g.descent_superset_mask("left", g.lmask[y])
-        & g.descent_superset_mask("right", g.rmask[y])
-    )
 
 
 def cheapest_descents(g: GroupTable, ys: Sequence[int] | np.ndarray,
@@ -96,6 +91,16 @@ def cheapest_descents(g: GroupTable, ys: Sequence[int] | np.ndarray,
     return best
 
 
+def _descent_candidates(g: GroupTable, ys: np.ndarray,
+                        stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, x) for each x < stop whose left and right descent sets contain
+    those of ys[i], by i, then by x: the x that can make an extremal pair
+    with ys[i]."""
+    a = g.arrays
+    need = (a.lmask[ys] | a.rmask[ys] << g.rank)[:, None]
+    return np.nonzero((a.lmask[:stop] | a.rmask[:stop] << g.rank) & need == need)
+
+
 # columns per batch of a level.  A batch's lookup and term arrays live only
 # while it is built, but they set the build's peak RSS: H4 up to length 24
 # peaks at 77.6 MB built a whole level at once, 61.5 MB in batches of 64,
@@ -108,8 +113,9 @@ class _Batch(NamedTuple):
     """The pairs of a batch of columns, in the order the build checks them
     (by y, then by x), and the terms of their recurrences.
 
-    Per pair: ``x``, ``y``, and ``sx`` and ``sy`` for the s in L(y) its
-    column recurses on (``cheapest_descents``).
+    Per pair: ``x``, ``y``, ``p_sx`` = P_{sx,sy} packed, the term that
+    showed x <= y, and ``sy``, for the s in L(y) its column recurses on
+    (``cheapest_descents``).
     Per term: the ``pair`` it is subtracted from, the ``z`` of the mu list
     of sy it reads P_{x,z} at, ``mu`` = mu(z, sy) and the slot ``shift``
     W (l(y) - l(z)) / 2.
@@ -117,7 +123,7 @@ class _Batch(NamedTuple):
 
     x: np.ndarray
     y: np.ndarray
-    sx: np.ndarray
+    p_sx: np.ndarray
     sy: np.ndarray
     pair: np.ndarray
     z: np.ndarray
@@ -155,9 +161,6 @@ class KLStore:
         self._edge_mu = np.empty(0, dtype=np.int64)
         self._follow = np.zeros((g.rank, g.size), dtype=np.int64)
         self._next_column = 0
-        # [mask] = the lowest generator in a nonzero descent mask
-        self._lowest = np.array([(m & -m).bit_length() - 1 for m in range(1 << g.rank)],
-                                dtype=np.int64)
 
     # -- packed values ------------------------------------------------------
 
@@ -184,7 +187,7 @@ class KLStore:
             free[right] = a.rmask[bt[right]] & ~a.rmask[xt[right]]
             moves = free != 0
             todo, bt, xt, right = todo[moves], bt[moves], xt[moves], right[moves]
-            s = self._lowest[free[moves]]
+            s = _LOWEST[free[moves]]
             xt = np.where(right, a.rmult[xt, s], a.lmult[xt, s])
             x[todo] = xt
             todo = todo[xt != bt]
@@ -260,7 +263,7 @@ class KLStore:
         lengths, inv, lmult = g.arrays.lengths, g.arrays.inv, g.arrays.lmult
         offsets, edge_z, edge_mu = self._offsets, self._edge_z, self._edge_mu
         ly = g.lengths[ys[0]]
-        xs, mirrored, covers, steps = [], [], [], []
+        covers, steps = [], []
         z, mu, carry = [], [], None
         for y, s in zip(ys, descents):
             sy = g.lmult[y][s]
@@ -276,18 +279,22 @@ class KLStore:
                 carry = err
                 break
             covers.append(g.covers(y))
-            extremal = g.mask_to_ids(_extremal_mask(g, y))[:-1]  # all but y, the largest
-            mirror = inv[extremal] < extremal if inv[y] == y else np.zeros(len(extremal), bool)
-            xs.append(extremal[~mirror])
-            mirrored.append(extremal[mirror])
             steps.append((y, s, len(zs)))
             z.append(zs)
             mu.append(mus)
         cols = np.array(steps, dtype=np.int64)  # per column: y, s, mu-list entries
-        col = np.repeat(np.arange(len(cols)), [len(e) for e in xs])
-        x = np.concatenate(xs)
+        # the x shorter than y whose left and right descent sets contain y's,
+        # by column, then by x: s is in L(x) and L(y), so by the lifting
+        # property x <= y exactly when sx <= sy, that is when P_{sx,sy} != 0
+        col, x = _descent_candidates(g, cols[:, 0], bisect_left(g.lengths, ly))
+        y, s = cols[col, 0], cols[col, 1]
+        p_sx = self._lookup(lmult[x, s], lmult[y, s])
+        below = p_sx != 0
+        # a mirrored x, below an involution with x^-1 < x, is not stored
+        mirror = below & (inv[y] == y) & (inv[x] < x)
+        mcol, mx = col[mirror], x[mirror]
+        col, x, p_sx = (v[below & ~mirror] for v in (col, x, p_sx))
         y, s, terms = cols[col, 0], cols[col, 1], cols[col, 2]
-        sy = lmult[y, s]
         # every pair against every mu-list entry of its column, then only
         # the z no shorter than x: P_{x,z} = 0 for the others
         pair = np.repeat(np.arange(len(x)), terms)
@@ -297,7 +304,7 @@ class KLStore:
         z = np.concatenate(z)[entry]
         keep = lengths[z] >= lengths[x[pair]]
         pair, z, entry = pair[keep], z[keep], entry[keep]
-        batch = _Batch(x, y, lmult[x, s], sy, pair, z,
+        batch = _Batch(x, y, p_sx, lmult[y, s], pair, z,
                        np.concatenate(mu).astype(object)[entry], W * ((ly - lengths[z]) >> 1))
         sums = self._sums(batch).tolist()
 
@@ -323,8 +330,6 @@ class KLStore:
         # mu(x, y) is the coefficient of q^((d-1)/2), the largest degree the
         # bound allows; a mirrored x reads the pair of x^-1, in its column
         n = g.size
-        mcol = np.repeat(np.arange(len(cols)), [len(e) for e in mirrored])
-        mx = np.concatenate(mirrored)
         partner = np.searchsorted(col * n + x, mcol * n + inv[mx])
         ccol = np.repeat(np.arange(len(cols)), [len(e) for e in covers])
         cx = np.concatenate(covers)
@@ -341,14 +346,15 @@ class KLStore:
         """P_{x,y} packed for each pair of the batch, an object array, by
         P_{x,y} = P_{sx,sy} + q P_{x,sy} - sum mu(z,sy) q^((l(y)-l(z))/2) P_{x,z}
         over the z with s in L(z), for extremal (x, y), where s in L(y)
-        implies s in L(x).  Every lookup is raised at once."""
+        implies s in L(x); P_{sx,sy} comes with the batch.  Every lookup is
+        raised at once."""
         m = len(batch.x)
         got = self._lookup(
-            np.concatenate([batch.sx, batch.x, batch.x[batch.pair]]),
-            np.concatenate([batch.sy, batch.sy, batch.z]),
+            np.concatenate([batch.x, batch.x[batch.pair]]),
+            np.concatenate([batch.sy, batch.z]),
         )
-        sums = got[:m] + (got[m : 2 * m] << W)
-        terms = got[2 * m :]
+        sums = batch.p_sx + (got[:m] << W)
+        terms = got[m:]
         nonzero = terms != 0
         np.subtract.at(
             sums,
@@ -647,24 +653,27 @@ class ExtremalPairs:
 
     def __init__(self, g: GroupTable):
         self.g = g
-        self._count: int | None = None
+
+    def _columns(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The pairs as arrays x and y, by y, then by x, a batch of columns
+        at a time: the candidates x up to the batch's last y, then only the
+        x <= y (``GroupTable.bruhat_leq``); ids are sorted by length, so
+        x <= y has an id up to y's."""
+        g = self.g
+        canonical = np.flatnonzero(np.arange(g.size) <= g.arrays.inv)
+        for i in range(0, len(canonical), _BATCH_COLUMNS):
+            ys = canonical[i : i + _BATCH_COLUMNS]
+            row, x = _descent_candidates(g, ys, ys[-1] + 1)
+            y = ys[row]
+            below = g.bruhat_leq(x, y)
+            yield x[below], y[below]
 
     def count(self) -> int:
-        if self._count is None:
-            self._count = sum(
-                _extremal_mask(self.g, y).bit_count()
-                for y in range(self.g.size)
-                if y <= self.g.inv[y]
-            )
-        return self._count
+        return sum(len(x) for x, _ in self._columns())
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        g = self.g
-        for y in range(g.size):
-            if y > g.inv[y]:
-                continue
-            for x in g.mask_to_ids(_extremal_mask(g, y)):
-                yield int(x), y
+        for x, y in self._columns():
+            yield from zip(x.tolist(), y.tolist())
 
 
 def extremal_pairs(g: GroupTable) -> ExtremalPairs:

@@ -59,7 +59,7 @@ def kl_mu(store: KLStore, x: int, y: int) -> int:
     d = g.lengths[y] - g.lengths[x]
     if d <= 0 or d % 2 == 0:
         return 0
-    if not g.bruhat_mask(y) >> x & 1:
+    if not bruhat_leq(g, x, y):
         return 0
     if d == 1:
         return 1
@@ -460,22 +460,17 @@ def min_coeff(p: SymLaurentPoly) -> int:
 # -- the P table's scalar walk -----------------------------------------------
 
 
-def below(g: GroupTable, y: int) -> bytes:
-    """The Bruhat mask of y as little-endian bytes."""
-    return g.bruhat_mask(y).to_bytes((g.size + 7) >> 3, "little")
-
-
-def packed(store: KLStore, x: int, y: int, below_y: bytes) -> int:
+def packed(store: KLStore, x: int, y: int) -> int:
     """P_{x,y} packed, one pair at a time by a scalar walk: the Bruhat
-    test on ``below(g, y)``, then x raised until (x, y) is extremal (the
+    test (``bruhat_leq``), then x raised until (x, y) is extremal (the
     lowest free left descent first, else the lowest free right one), then
     the canonical pair looked up among the stored keys.  The reference for
     ``KLStore._lookup``; the columns up to y's length must be built."""
+    g = store.g
     if x == y:
         return 1
-    if not below_y[x >> 3] >> (x & 7) & 1:
+    if not bruhat_leq(g, x, y):
         return 0
-    g = store.g
     left, right = g.lmask[y], g.rmask[y]
     while x != y:
         free = left & ~g.lmask[x]
@@ -509,11 +504,10 @@ def recurrence(store: KLStore, x: int, y: int) -> int:
     g = store.g
     s = (g.lmask[y] & -g.lmask[y]).bit_length() - 1
     sy = g.lmult[y][s]
-    below_sy = below(g, sy)
-    u = packed(store, g.lmult[x][s], sy, below_sy) + (packed(store, x, sy, below_sy) << W)
+    u = packed(store, g.lmult[x][s], sy) + (packed(store, x, sy) << W)
     for z, mu in stored_mu_in(store, sy):
         if g.lmask[z] >> s & 1 and g.lengths[z] >= g.lengths[x]:
-            u -= packed(store, x, z, below(g, z)) * mu << W * ((g.lengths[y] - g.lengths[z]) >> 1)
+            u -= packed(store, x, z) * mu << W * ((g.lengths[y] - g.lengths[z]) >> 1)
     return u
 
 
@@ -576,14 +570,11 @@ def derived_tables(n: int, lengths, rmult, parent, lastgen):
     return lmult, inv, rmask, lmask
 
 
-def bitmask_covers(g: GroupTable) -> list[np.ndarray]:
-    """The covers of every y, ascending: its Bruhat interval's bitmask
-    meets the bitmask of the level below it.  The reference for
-    ``GroupTable.covers``."""
-    levels = [0] * (g.lengths[g.w0] + 1)
+def scalar_covers(g: GroupTable) -> list[list[int]]:
+    """The covers of every y, ascending: the x of the level below y with
+    x <= y (``bruhat_leq``).  The reference for ``GroupTable.covers``."""
+    levels: list[list[int]] = [[] for _ in range(g.lengths[g.w0] + 1)]
     for x in range(g.size):
-        levels[g.lengths[x]] |= 1 << x
-    return [
-        g.mask_to_ids(g.bruhat_mask(y) & (levels[g.lengths[y] - 1] if y else 0))
-        for y in range(g.size)
-    ]
+        levels[g.lengths[x]].append(x)
+    return [[x for x in levels[g.lengths[y] - 1] if bruhat_leq(g, x, y)] if y else []
+            for y in range(g.size)]

@@ -23,10 +23,10 @@ from klbasis.coxeter import (
 
 from oracles import (
     all_reduced_subwords,
-    bitmask_covers,
     bruhat_leq,
     derived_tables,
     gram_positive_definite,
+    scalar_covers,
     shortlex_tables,
 )
 
@@ -104,7 +104,17 @@ def test_bruhat_against_subword_oracle(groups, name):
         below = all_reduced_subwords(g, y)
         for x in range(g.size):
             assert bruhat_leq(g, x, y) == (x in below)
-        assert g.bruhat_mask(y) == sum(1 << x for x in below)
+        assert np.flatnonzero(g.bruhat_leq(np.arange(g.size), y)).tolist() == sorted(below)
+
+
+@pytest.mark.parametrize("name", ["H3", "B4", "F4"])
+def test_bruhat_walk_matches_the_scalar_oracle_on_all_pairs(groups, name):
+    g = groups(name)
+    ids = np.arange(g.size)
+    got = g.bruhat_leq(ids[:, None], ids)
+    assert got.shape == (g.size, g.size)
+    for x in range(g.size):
+        assert got[x].tolist() == [bruhat_leq(g, x, y) for y in range(g.size)], x
 
 
 def test_bruhat_basics(groups):
@@ -161,7 +171,7 @@ def test_covers(groups):
 )
 def test_tables_and_covers_match_the_scalar_oracles(name):
     """The numpy relabel, derivation and deletion-set covers give what the
-    element-at-a-time loops and the Bruhat bitmasks give, and each array
+    element-at-a-time loops and the scalar Bruhat walk give, and each array
     equals its list."""
     g = group_from_name(name)
     matrix, n = g.matrix, g.rank
@@ -175,8 +185,8 @@ def test_tables_and_covers_match_the_scalar_oracles(name):
         assert getattr(g, field) == expected[field], field
         assert array.tolist() == expected[field], field
     assert g.w0 == lengths.index(max(lengths))
-    for y, covers in enumerate(bitmask_covers(g)):
-        assert g.covers(y).tolist() == covers.tolist(), y
+    for y, covers in enumerate(scalar_covers(g)):
+        assert g.covers(y).tolist() == covers, y
 
 
 def test_matrix_validation():

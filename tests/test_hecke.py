@@ -137,9 +137,8 @@ class TestCInT:
     def test_oracle_leaves_the_group_as_it_found_it(self):
         """The bar-solve keeps its t-inverses to itself: after the oracle
         has run on every element, every slot of the group holds the same
-        object with the same contents, its arrays included, and neither
-        its ``__dict__`` nor its Bruhat mask memo has gained or changed an
-        entry."""
+        object with the same contents, its arrays included, and its
+        ``__dict__`` has neither gained nor changed an entry."""
         g = group_from_name("B3")
         names = [n for n in GroupTable.__slots__ if n not in ("arrays", "__dict__")]
         slots, arrays, attrs = [getattr(g, n) for n in names], g.arrays, dict(vars(g))
