@@ -8,21 +8,18 @@ tables).  Every argument error ends the command with one line,
 name, a matrix file that is missing, malformed or of infinite type, too
 high a rank, too large a group), a wrong number of command arguments, an
 element id that is not an integer or not in the group, a --range that is
-reversed or outside the group, a --threads below 1, a --store-budget
-below 0, an --outdir that cannot be made a directory and bad triangle
-arguments; so does a sweep that outgrows its --store-budget, and a
+reversed or outside the group, a --threads below 1, an --outdir that
+cannot be made a directory and bad triangle arguments; so does a
 --resume into the output directory of another group's sweep, or one
 that would compute a column below a done one, before it changes any
 file there.  Errors argparse itself finds (an unknown command
 or option, a --range that is not LO:HI) print its usage and exit with
 status 2.
 
-Each positivity column appends to up to four files, keyed by y, in this
-order: with ``--store-budget``, its newly seen structure constants to the
-sidecar h_polynomials_by_column; its failures to error_log; a
-``y: maxcoeff = N`` line (cumulative maximum) to positivity_log; and its
-own maximum and counts to positivity_verbose_log.  A column is done when
-both logs carry it, and under ``--store-budget`` the sidecar as well.
+Each positivity column appends to up to three files, keyed by y, in this
+order: its failures to error_log; a ``y: maxcoeff = N`` line (cumulative
+maximum) to positivity_log; and its own maximum and counts to
+positivity_verbose_log.  A column is done when both logs carry it.
 Every run first rewrites each file (through a temporary file and a
 rename) to the lines of its done columns, sorted by y, and after them
 records the group as its Coxeter matrix in coxeter_matrix, the same way
@@ -40,11 +37,10 @@ wgraph.npz in the output directory; a resumed run loads that file (and
 builds and saves the graph only when the file is missing or damaged).
 A resume refuses a directory whose sweep files hold lines unless
 coxeter_matrix records this group's matrix, and one whose lines name a
-column outside this group.
-Every run removes h_polynomials with the rewrite; a run with
---store-budget writes it again at its end.  cycltable and cprod also
-read the graph from that file when it is valid, and build it from the P
-table otherwise.
+column outside this group.  A run neither reads nor removes any other
+file in the directory.
+cycltable and cprod also read the graph from that file when it is
+valid, and build it from the P table otherwise.
 """
 
 from __future__ import annotations
@@ -67,16 +63,8 @@ from .klbase import KLStore, WGraph, build_wgraph, load_wgraph, save_wgraph
 POSITIVITY_LOG = "positivity_log"
 VERBOSE_LOG = "positivity_verbose_log"
 ERROR_LOG = "error_log"
-H_COLUMNS = "h_polynomials_by_column"
-H_POLYNOMIALS = "h_polynomials"
 WGRAPH_FILE = "wgraph.npz"
 MATRIX_FILE = "coxeter_matrix"
-
-
-def _sidecar_line(line: str) -> tuple[int, list[str]]:
-    """(y, [p1, p2, ...]) of a sidecar line 'y: p1; p2; ...'."""
-    ystr, rest = line.split(":", 1)
-    return int(ystr), [p for p in rest.strip().split("; ") if p]
 
 
 def _log_line(line: str) -> tuple[int, int]:
@@ -88,7 +76,6 @@ def _log_line(line: str) -> tuple[int, int]:
 # the append-only files of a positivity sweep, in the order a column
 # appends to them, each with how to read the y and the value of one line
 SWEEP_FILES = (
-    (H_COLUMNS, _sidecar_line),
     (ERROR_LOG, lambda line: (int(line.split(",", 2)[1]), line)),  # 'h(x,y,z) = ...'
     (POSITIVITY_LOG, _log_line),
     (VERBOSE_LOG, _log_line),
@@ -183,23 +170,19 @@ def _recorded_matrix(path: Path) -> CoxeterMatrix | None:
         return None
 
 
-def _column_info(wg: WGraph, y: int, budget: int) -> dict:
-    """Column y, scanned; with a budget, also its distinct polynomials."""
-    col = column(wg, y)
-    info = column_summary(col, with_unimodality=True)
-    if budget:
-        info["polys"] = sorted(str(col.store.poly(u)) for u in col.store)
-    return info
+def _column_info(wg: WGraph, y: int) -> dict:
+    """Column y, scanned."""
+    return column_summary(column(wg, y), with_unimodality=True)
 
 
-# (wg, budget) inside a pool worker, set once by its initializer; never set
+# the W-graph inside a pool worker, set once by its initializer; never set
 # in the parent process
-_pool_job: tuple = ()
+_pool_wg: WGraph | None = None
 
 
-def _init_pool_worker(wg: WGraph, budget: int, sweep_pid: int) -> None:
-    global _pool_job
-    _pool_job = (wg, budget)
+def _init_pool_worker(wg: WGraph, sweep_pid: int) -> None:
+    global _pool_wg
+    _pool_wg = wg
     threading.Thread(target=_exit_after, args=(sweep_pid,), daemon=True).start()
 
 
@@ -217,8 +200,7 @@ def _exit_after(pid: int) -> None:
 
 
 def _pool_column(y: int) -> dict:
-    wg, budget = _pool_job
-    return _column_info(wg, y, budget)
+    return _column_info(_pool_wg, y)
 
 
 def cmd_positivity(ns: argparse.Namespace) -> int:
@@ -230,13 +212,12 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         raise SystemExit(f"klbasis: --range {lo}:{hi} has LO above HI")
     if not 0 <= lo <= hi < g.size:
         raise SystemExit(f"klbasis: --range {lo}:{hi} outside 0..{g.size - 1}")
-    budget = ns.store_budget
     paths = {name: _outpath(ns, name) for name in [*(name for name, _ in SWEEP_FILES), MATRIX_FILE]}
 
     # a kill can land between a column's appends, so it is done only when
-    # both logs carry it, and under a budget the sidecar too; each file is
-    # rewritten to the lines of the done columns, through a temporary file
-    # and a rename, so a kill during the rewrite loses no line of them.
+    # both logs carry it; each file is rewritten to the lines of the done
+    # columns, through a temporary file and a rename, so a kill during the
+    # rewrite loses no line of them.
     # The rewrite comes before the W-graph build, so a fresh run killed
     # there leaves no other run's column for a resume to count as done.
     kept = {name: _lines_by_y(paths[name], read) if ns.resume else {} for name, read in SWEEP_FILES}
@@ -253,8 +234,6 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
                 raise SystemExit(f"klbasis: cannot resume {g.name} in {ns.outdir}: {name} "
                                  f"names column {outside[0]}, outside 0..{g.size - 1}")
     done = kept[POSITIVITY_LOG].keys() & kept[VERBOSE_LOG].keys()
-    if budget:
-        done &= kept[H_COLUMNS].keys()
     todo = [y for y in range(lo, hi + 1) if y not in done]
     # a column's positivity_log line is the running maximum up to it, so
     # columns are computed only above every done one
@@ -269,10 +248,7 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         tmp = path.with_name(name + ".tmp")
         tmp.write_text(text)
         os.replace(tmp, path)
-    # a run with --store-budget writes it again at its end
-    _outpath(ns, H_POLYNOMIALS).unlink(missing_ok=True)
     cum = max((kept[POSITIVITY_LOG][y][-1][1] for y in done), default=0)
-    global_polys = {p for y in done for _, polys in kept[H_COLUMNS].get(y, ()) for p in polys}
 
     # the P table is needed only to extract the graph and is dropped at
     # once, so neither this process nor a sweep's pool workers hold it
@@ -291,10 +267,7 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         cum = max(cum, info["max_coeff"])
         problems = failure_lines(info)
         failures += len(problems)
-        new = [p for p in info.get("polys", ()) if p not in global_polys]
-        global_polys.update(new)
         lines = {
-            H_COLUMNS: [f"{y}: " + "; ".join(new)] if budget else [],
             ERROR_LOG: problems,
             POSITIVITY_LOG: [f"{y}: maxcoeff = {cum}"],
             VERBOSE_LOG: [
@@ -302,29 +275,18 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
                 f" distinct = {info['distinct']}"
             ],
         }
-        # in table order: the sidecar and error lines go before the logs,
-        # so a kill can never leave the column done without them
+        # in table order: the error lines go before the logs, so a kill
+        # can never leave the column done without them
         for name, _ in SWEEP_FILES:
             if lines[name]:
                 with open(paths[name], "a") as fh:
                     fh.write("".join(line + "\n" for line in lines[name]))
-        if budget and len(global_polys) > budget:
-            raise SystemExit(
-                f"klbasis: distinct-polynomial store exceeded budget {budget}; "
-                "rerun with a larger --store-budget or without it"
-            )
 
     if ns.threads <= 1:
         for y in todo:
-            handle(_column_info(wg, y, budget))
+            handle(_column_info(wg, y))
     else:
-        _run_pool(wg, todo, ns.threads, budget, handle)
-
-    if budget and global_polys:
-        with open(_outpath(ns, H_POLYNOMIALS), "w") as fh:
-            fh.write(f"group {g.name}: {len(global_polys)} distinct structure constants\n")
-            for p in sorted(global_polys):
-                fh.write(p + "\n")
+        _run_pool(wg, todo, ns.threads, handle)
 
     report = CheckReport(
         "positivity",
@@ -338,21 +300,21 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _run_pool(wg: WGraph, todo: list[int], threads: int, budget: int, handle) -> None:
+def _run_pool(wg: WGraph, todo: list[int], threads: int, handle) -> None:
     """Ordered collector over a process pool: results are applied in
     ascending y regardless of completion order, so logs are deterministic.
     Each worker receives the W-graph once, through its initializer (under
     the fork start method, by inheritance), whatever the start method.
     At most ``4 * threads`` columns beyond the last one handled are
     submitted, so the workers never run far ahead of the logs.  When
-    ``handle`` raises (a --store-budget abort, say), the columns not yet
-    started are cancelled rather than run to completion; when the sweep's
-    process is killed, each worker ends itself within about a second."""
+    ``handle`` raises, the columns not yet started are cancelled rather
+    than run to completion; when the sweep's process is killed, each
+    worker ends itself within about a second."""
     queue: deque = deque()  # the futures of the columns not yet handled, in y order
     with ProcessPoolExecutor(
         max_workers=threads,
         initializer=_init_pool_worker,
-        initargs=(wg, budget, os.getpid()),
+        initargs=(wg, os.getpid()),
     ) as pool:
         try:
             for y in todo:
@@ -445,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--resume", action="store_true",
                     help="skip y values already in positivity_log")
     ap.add_argument("--outdir", default=".")
-    ap.add_argument("--store-budget", type=int, default=0,
-                    help="collect at most this many distinct structure constants")
     return ap
 
 
@@ -454,8 +414,6 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     if ns.threads < 1:
         raise SystemExit(f"klbasis: --threads {ns.threads} is below 1")
-    if ns.store_budget < 0:
-        raise SystemExit(f"klbasis: --store-budget {ns.store_budget} is below 0")
     return COMMANDS[ns.command](ns)
 
 

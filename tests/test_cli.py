@@ -112,25 +112,6 @@ class TestPositivity:
         maxes = [int(l.split("=")[1]) for l in log]
         assert maxes == sorted(maxes)
 
-    def test_store_budget_writes_distinct_list(self, tmp_path):
-        assert run(
-            ["positivity", "--group", "I2(5)", "--store-budget", "100"], tmp_path
-        ) == 0
-        lines = (tmp_path / "h_polynomials").read_text().splitlines()
-        assert lines[0].startswith("group I2(5):")
-        total = int(lines[0].split(":")[1].split()[0])
-        assert len(lines) == total + 1
-        # the merged count dominates every per-column distinct count
-        per_column = [
-            int(line.split("distinct =")[1])
-            for line in (tmp_path / "positivity_verbose_log").read_text().splitlines()
-        ]
-        assert total >= max(per_column)
-
-    def test_store_budget_exceeded_aborts(self, tmp_path):
-        with pytest.raises(SystemExit, match="budget"):
-            run(["positivity", "--group", "I2(9)", "--store-budget", "2"], tmp_path)
-
     def test_threads_deterministic(self, tmp_path):
         a = tmp_path / "one"
         b = tmp_path / "two"
@@ -280,7 +261,7 @@ class TestKilledSweep:
         self.cut(cut, method, signal.SIGTERM, 5)
         self.cut(cut, method, signal.SIGKILL, len(cli._complete_lines(cut / cli.POSITIVITY_LOG)) + 5)
         assert main(["positivity", "--group", "B3", "--outdir", str(cut), "--resume"]) == 0
-        for name in (*LOGS, cli.H_COLUMNS, cli.MATRIX_FILE, cli.WGRAPH_FILE):
+        for name in (*LOGS, cli.MATRIX_FILE, cli.WGRAPH_FILE):
             assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
 
 
@@ -361,7 +342,7 @@ class TestFailingSweep:
         for name in LOGS:
             assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
 
-    @pytest.mark.parametrize("name", [cli.H_COLUMNS, *LOGS, cli.MATRIX_FILE])
+    @pytest.mark.parametrize("name", [*LOGS, cli.MATRIX_FILE])
     def test_resume_after_kill_during_rewrite(self, tmp_path, failing_scan, monkeypatch, name):
         """Killed halfway through writing one of the files a resume
         rewrites, a further resume still fails and ends with the logs of
@@ -402,103 +383,120 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-class TestStoreBudget:
-    BUDGET = ["--store-budget", "100000"]
-    OUTPUTS = (*LOGS, "h_polynomials", cli.H_COLUMNS)
+# the list and the per-column sidecar that the removed --store-budget
+# option wrote, as an older run may have left them; the sidecar ends in a
+# line torn by a kill
+STALE_BUDGET_FILES = {
+    "h_polynomials": "group B3: 3 distinct structure constants\n1\nv^-1 + v\nv^-2 + 2 + v^2\n",
+    "h_polynomials_by_column": "0: 1\n2: v^-1 + v\n1: \n3: v^-2 + 2 + v^2\n4: v^-",
+}
+
+
+def kill_at_append(monkeypatch, appends):
+    """Make the sweep's ``appends``-th append (counted from 0) raise
+    SimulatedKill before it writes."""
+    count = 0
+
+    def killing_open(path, mode="r", *args, **kwargs):
+        nonlocal count
+        if "a" in mode:
+            if count == appends:
+                raise SimulatedKill
+            count += 1
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", killing_open, raising=False)
+
+
+class TestAppendOrder:
+    """Each column appends to error_log, then positivity_log, then
+    positivity_verbose_log, and is done when both logs carry it: a resume
+    from logs that a kill or a tear cut anywhere ends with the files of an
+    uninterrupted run."""
 
     @staticmethod
     def sweep(outdir, *extra):
         return main(["positivity", "--group", "B3", "--range", "0:45",
                      "--outdir", str(outdir), *extra])
 
-    def assert_same(self, got, want):
-        for name in self.OUTPUTS:
+    @staticmethod
+    def assert_same(got, want):
+        for name in LOGS:
             assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
     def test_resume_from_torn_logs(self, tmp_path):
         reference, cut = tmp_path / "reference", tmp_path / "cut"
-        assert self.sweep(reference, *self.BUDGET) == 0
-        assert self.sweep(cut, *self.BUDGET) == 0
+        assert self.sweep(reference) == 0
+        assert self.sweep(cut) == 0
         for name, keep in ((cli.POSITIVITY_LOG, 40), (cli.VERBOSE_LOG, 38)):
             lines = (cut / name).read_text().splitlines(keepends=True)
             (cut / name).write_text("".join(lines[:keep]) + lines[keep][:5])
-        assert self.sweep(cut, "--resume", *self.BUDGET) == 0
+        assert self.sweep(cut, "--resume") == 0
         self.assert_same(cut, reference)
 
-    @pytest.mark.parametrize("appends", [1, 30, 31, 32, 120, 121, 122])
+    @pytest.mark.parametrize("appends", [1, 30, 31, 46, 47, 90, 91])
     def test_resume_after_kill(self, tmp_path, monkeypatch, appends):
-        """Killed after any of the sweep's appends (three per column: the
-        sidecar and the two logs), a resumed run ends with the files of an
-        uninterrupted one."""
+        """Killed after any of the sweep's appends (two per column, one to
+        each log: the first, after a whole column or between a column's
+        two lines, in the middle and at the end), a resumed run ends with
+        the files of an uninterrupted one."""
         reference, cut = tmp_path / "reference", tmp_path / "cut"
-        assert self.sweep(reference, *self.BUDGET) == 0
-        count = 0
-
-        def killing_open(path, mode="r", *args, **kwargs):
-            nonlocal count
-            if "a" in mode:
-                if count == appends:
-                    raise SimulatedKill
-                count += 1
-            return open(path, mode, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "open", killing_open, raising=False)
+        assert self.sweep(reference) == 0
+        kill_at_append(monkeypatch, appends)
         with pytest.raises(SimulatedKill):
-            self.sweep(cut, *self.BUDGET)
+            self.sweep(cut)
         monkeypatch.delattr(cli, "open")
-        assert self.sweep(cut, "--resume", *self.BUDGET) == 0
+        assert self.sweep(cut, "--resume") == 0
         self.assert_same(cut, reference)
 
-    def test_resume_after_a_run_without_budget(self, tmp_path):
-        """Columns logged without a budget carry no sidecar line: a resume
-        with a budget computes them again."""
+    def test_resume_leaves_stale_sidecar_files_as_they_are(self, tmp_path):
+        """Files that an older version's --store-budget left in the
+        directory are neither read nor removed: a resume beside them ends
+        with the logs of an uninterrupted run, and leaves them byte for
+        byte as they were."""
         reference, cut = tmp_path / "reference", tmp_path / "cut"
-        assert self.sweep(reference, *self.BUDGET) == 0
-        assert self.sweep(cut) == 0
-        assert not (cut / "h_polynomials").exists()
-        assert self.sweep(cut, "--resume", *self.BUDGET) == 0
+        assert self.sweep(reference) == 0
+        assert main(["positivity", "--group", "B3", "--range", "0:20", "--outdir", str(cut)]) == 0
+        for name, text in STALE_BUDGET_FILES.items():
+            (cut / name).write_text(text)
+        assert self.sweep(cut, "--resume") == 0
         self.assert_same(cut, reference)
-
-    @pytest.mark.parametrize("resume", [False, True])
-    def test_a_run_without_budget_removes_h_polynomials(self, tmp_path, resume):
-        """The list a budget run wrote does not outlive a later run without
-        the budget, whose sidecar is empty."""
-        sweep = ["positivity", "--group", "A2", "--outdir", str(tmp_path)]
-        assert main([*sweep, "--store-budget", "1000"]) == 0
-        assert (tmp_path / cli.H_POLYNOMIALS).exists()
-        assert main([*sweep, *(["--resume"] if resume else [])]) == 0
-        assert not (tmp_path / cli.H_POLYNOMIALS).exists()
+        for name, text in STALE_BUDGET_FILES.items():
+            assert (cut / name).read_text() == text, name
 
     @needs_fork
     def test_pool_abort_cancels_queued_columns(self, tmp_path, monkeypatch):
-        """A budget abort under --threads 2 runs no more than the columns
-        already started, and leaves logs a resume without the budget
-        completes to those of an uninterrupted run."""
+        """A collector that raises under --threads 2 (here a kill after 41
+        appends, between column 20's two log lines) runs no more than
+        the columns already started, and leaves logs a resume completes to
+        those of an uninterrupted run."""
         fork_pool(monkeypatch)
         reference, serial, cut = tmp_path / "reference", tmp_path / "serial", tmp_path / "cut"
         ran = tmp_path / "ran"
         job = cli._column_info
 
-        def recording(wg, y, *args):
+        def recording(wg, y):
             with open(ran, "a") as fh:
                 fh.write(f"{y}\n")
-            return job(wg, y, *args)
+            return job(wg, y)
 
         sweep = ["positivity", "--group", "B4", "--range", "0:127"]
         assert main([*sweep, "--outdir", str(reference)]) == 0
-        abort = [*sweep, "--store-budget", "10"]
-        with pytest.raises(SystemExit, match="budget"):
-            main([*abort, "--outdir", str(serial)])
+        kill_at_append(monkeypatch, 41)
+        with pytest.raises(SimulatedKill):
+            main([*sweep, "--outdir", str(serial)])
+        kill_at_append(monkeypatch, 41)
         monkeypatch.setattr(cli, "_column_info", recording)
-        with pytest.raises(SystemExit, match="budget"):
-            main([*abort, "--outdir", str(cut), "--threads", "2"])
-        for name in (*LOGS, cli.H_COLUMNS):
+        with pytest.raises(SimulatedKill):
+            main([*sweep, "--outdir", str(cut), "--threads", "2"])
+        for name in LOGS:
             assert (cut / name).read_bytes() == (serial / name).read_bytes(), name
         logged = len((cut / cli.POSITIVITY_LOG).read_text().splitlines())
         # the logged columns, and at most those the two workers had started
         # or queued when the abort came: far from all 128
         assert logged < 128 // 4
         assert len(ran.read_text().splitlines()) < logged + 10
+        monkeypatch.delattr(cli, "open")
         monkeypatch.setattr(cli, "_column_info", job)
         assert main([*sweep, "--outdir", str(cut), "--threads", "2", "--resume"]) == 0
         for name in LOGS:
@@ -740,41 +738,45 @@ class TestFreshRun:
     """A run without --resume counts no column as done, whatever another
     run left in its directory."""
 
-    BUDGET = ["--store-budget", "100000"]
-
-    def sweeps(self, tmp_path, budget):
+    def sweeps(self, tmp_path, stale=False):
         """The A3 sweep, its files in an empty directory, and a directory
-        holding a B3 run's files: a sidecar, logs of another range and a
-        W-graph of another group, with an error line for a column of the
-        range."""
-        sweep = ["positivity", "--group", "A3", "--range", "5:17", *budget]
+        holding a B3 run's files: logs of another range and a W-graph of
+        another group, with an error line for a column of the range; with
+        stale, also the files an older version's --store-budget wrote."""
+        sweep = ["positivity", "--group", "A3", "--range", "5:17"]
         empty, used = tmp_path / "empty", tmp_path / "used"
         assert main([*sweep, "--outdir", str(empty)]) == 0
-        other = ["positivity", "--group", "B3", "--range", "0:30", *self.BUDGET]
+        other = ["positivity", "--group", "B3", "--range", "0:30"]
         assert main([*other, "--outdir", str(used)]) == 0
         with open(used / cli.ERROR_LOG, "a") as fh:
             fh.write("h(0,7,7) = -v has a negative coefficient\n")
+        if stale:
+            for name, text in STALE_BUDGET_FILES.items():
+                (used / name).write_text(text)
         return [*sweep, "--outdir", str(used)], empty, used
 
     @staticmethod
-    def assert_files(got, want, budget):
-        names = (*LOGS, cli.H_COLUMNS, cli.MATRIX_FILE, cli.WGRAPH_FILE) + (
-            ("h_polynomials",) if budget else ())
-        for name in names:
+    def assert_files(got, want):
+        for name in (*LOGS, cli.MATRIX_FILE, cli.WGRAPH_FILE):
             assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
-    @pytest.mark.parametrize("budget", [[], BUDGET], ids=["plain", "budget"])
-    def test_other_runs_files_are_ignored(self, tmp_path, budget):
-        sweep, empty, used = self.sweeps(tmp_path, budget)
+    @pytest.mark.parametrize("stale", [False, True], ids=["plain", "stale sidecar"])
+    def test_other_runs_files_are_ignored(self, tmp_path, stale):
+        """The sweep files end as in an empty directory, and the stale
+        --store-budget files are left as they were."""
+        sweep, empty, used = self.sweeps(tmp_path, stale)
         assert main(sweep) == 0
-        self.assert_files(used, empty, budget)
+        self.assert_files(used, empty)
+        if stale:
+            for name, text in STALE_BUDGET_FILES.items():
+                assert (used / name).read_text() == text, name
 
     @pytest.mark.parametrize("when", ["building", "after saving"])
     def test_resume_after_kill_around_the_wgraph(self, tmp_path, monkeypatch, when):
         """Killed while it builds the W-graph or just after saving it, a
         fresh run has already dropped the other run's lines, so a resume
         counts none of its columns as done."""
-        sweep, empty, used = self.sweeps(tmp_path, self.BUDGET)
+        sweep, empty, used = self.sweeps(tmp_path)
         save = cli.save_wgraph
 
         def build_killed(store):
@@ -792,7 +794,7 @@ class TestFreshRun:
             main(sweep)
         monkeypatch.undo()
         assert main([*sweep, "--resume"]) == 0
-        self.assert_files(used, empty, self.BUDGET)
+        self.assert_files(used, empty)
 
 
 E7_MATRIX = "7\n2 3 2 2 2 2\n2 3 2 2 2\n3 2 2 2\n3 2 2\n3 2\n3\n"
@@ -832,10 +834,9 @@ class TestBadGroupInput:
 
 
 class TestBadArguments:
-    """A bad element id, argument count, --range, --threads,
-    --store-budget or --outdir ends the command with one line and exit
-    status 1, as bad group input does; so does a sweep over its
-    --store-budget."""
+    """A bad element id, argument count, --range, --threads or --outdir
+    ends the command with one line and exit status 1, as bad group input
+    does."""
 
     @pytest.mark.parametrize(
         "args, message",
@@ -848,10 +849,6 @@ class TestBadArguments:
             (["positivity", "--group", "A2", "--range", "0:99"], "--range 0:99 outside 0..5"),
             (["positivity", "--group", "A2", "--range", "2:1"], "--range 2:1 has LO above HI"),
             (["positivity", "--group", "A2", "--threads", "0"], "--threads 0 is below 1"),
-            (["positivity", "--group", "A2", "--store-budget", "-5"],
-             "--store-budget -5 is below 0"),
-            (["positivity", "--group", "I2(9)", "--store-budget", "2"],
-             "store exceeded budget 2"),
             (["positivity", "--group", "A2", "--outdir", "{file}"],
              "cannot make --outdir {file}: File exists"),
             (["klplist", "--group", "A2", "--outdir", "{file}/out"],
@@ -859,7 +856,7 @@ class TestBadArguments:
         ],
         ids=["id not a number", "id outside", "cprod count", "cycltable count",
              "triangle count", "range outside", "range reversed", "threads below 1",
-             "budget below 0", "budget exceeded", "outdir a file", "outdir under a file"],
+             "outdir a file", "outdir under a file"],
     )
     def test_one_line_and_exit_1(self, tmp_path, args, message):
         """``{file}`` stands for a regular file; an --outdir in args comes
@@ -873,6 +870,19 @@ class TestBadArguments:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("klbasis: ") and message in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    def test_store_budget_is_an_unknown_option(self, tmp_path):
+        """--store-budget is gone: argparse refuses it with its usage text
+        and exit status 2, before the output directory is made, and --help
+        does not list it."""
+        out = tmp_path / "out"
+        proc = run_python("-m", "klbasis", "positivity", "--group", "A2", "--store-budget", "5",
+                          "--outdir", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: klbasis ")
+        assert "unrecognized arguments: --store-budget 5" in proc.stderr
+        assert not out.exists()
+        assert "--store-budget" not in cli.build_parser().format_help()
 
 
 class TestProductCommands:
