@@ -10,35 +10,33 @@ high a rank, too large a group), a wrong number of command arguments, an
 element id that is not an integer or not in the group, a --range that is
 reversed or outside the group, a --threads below 1, an --outdir that
 cannot be made a directory and bad triangle arguments; so does a
---resume into the output directory of another group's sweep, or one
-that would compute a column below a done one, before it changes any
-file there.  Errors argparse itself finds (an unknown command
+--resume into the output directory of another group's sweep, before it
+changes any file there.  Errors argparse itself finds (an unknown command
 or option, a --range that is not LO:HI) print its usage and exit with
 status 2.
 
 Each positivity column appends to up to three files, keyed by y, in this
-order: its failures to error_log; a ``y: maxcoeff = N`` line (cumulative
-maximum) to positivity_log; and its own maximum and counts to
-positivity_verbose_log.  A column is done when both logs carry it.
-Every run first rewrites each file (through a temporary file and a
+order: its failures to error_log; its own maximum and counts to
+positivity_verbose_log; and a ``y: maxcoeff = N`` line (cumulative
+maximum) to positivity_log.  A column is done when the verbose log
+carries it, and positivity_log is derived: the running maximum of the
+verbose maxima of the done columns, in y order.  At its start and again
+at its end, every run rewrites each file (through a temporary file and a
 rename) to the lines of its done columns, sorted by y, and after them
 records the group as its Coxeter matrix in coxeter_matrix, the same way
-and in the --matrix file format; then it loads or builds the W-graph and
-sweeps the rest: a fresh run is the case where no column is done.
-``--resume`` ends with the files of an uninterrupted run, as when a
-killed sweep is resumed or a --range run is continued above its range:
-a resume whose first column to compute lies below a done column is
-refused, before it changes any file, since that column's positivity_log
-line would carry the done columns' cumulative maximum.
-A sweep passes, and exits 0, only when error_log holds no line of a done
-column and the run adds none.
+and in the --matrix file format; in between it loads or builds the
+W-graph and sweeps the rest: a fresh run is the case where no column is
+done.  ``--resume`` ends with the files of an uninterrupted run once
+every column is done, whatever order the --range runs and kills came in.
+A sweep passes, and exits 0, only when error_log, as read at the end,
+holds no line of a done column.
 A fresh run builds the W-graph from the P table and saves it as
 wgraph.npz in the output directory; a resumed run loads that file (and
 builds and saves the graph only when the file is missing or damaged).
-A resume refuses a directory whose sweep files hold lines unless
-coxeter_matrix records this group's matrix, and one whose lines name a
-column outside this group.  A run neither reads nor removes any other
-file in the directory.
+A resume refuses a directory whose error_log or verbose log holds lines
+unless coxeter_matrix records this group's matrix, and one whose lines
+name a column outside this group.  A run never reads positivity_log or a
+file not named here, and removes no file.
 cycltable and cprod also read the graph from that file when it is
 valid, and build it from the P table otherwise.
 """
@@ -73,11 +71,11 @@ def _log_line(line: str) -> tuple[int, int]:
     return int(ystr), int(rest.split()[0])
 
 
-# the append-only files of a positivity sweep, in the order a column
-# appends to them, each with how to read the y and the value of one line
+# the append-only files a positivity sweep reads back, in the order a
+# column appends to them, each with how to read the y and the value of one
+# line; positivity_log, appended last, is derived from the verbose log
 SWEEP_FILES = (
     (ERROR_LOG, lambda line: (int(line.split(",", 2)[1]), line)),  # 'h(x,y,z) = ...'
-    (POSITIVITY_LOG, _log_line),
     (VERBOSE_LOG, _log_line),
 )
 
@@ -161,6 +159,26 @@ def _lines_by_y(path: Path, read) -> dict[int, list[tuple[str, object]]]:
     return out
 
 
+def _rewrite_sweep(paths: dict[str, Path], kept: dict, matrix: CoxeterMatrix) -> int:
+    """Rewrite the sweep files to the kept lines of the done columns (those
+    the verbose log carries) in y order, positivity_log to the running
+    maximum of their verbose maxima and, last, so that a kill cannot leave
+    it beside another group's lines, coxeter_matrix to matrix: each through
+    a temporary file and a rename.  Returns the largest verbose maximum."""
+    done = sorted(kept[VERBOSE_LOG])
+    cum, log = 0, []
+    for y in done:
+        cum = max(cum, *(value for _, value in kept[VERBOSE_LOG][y]))
+        log.append(f"{y}: maxcoeff = {cum}\n")
+    texts = [(name, "".join(line + "\n" for y in done for line, _ in kept[name].get(y, ())))
+             for name, _ in SWEEP_FILES]
+    for name, text in [*texts, (POSITIVITY_LOG, "".join(log)), (MATRIX_FILE, matrix.to_text())]:
+        tmp = paths[name].with_name(name + ".tmp")
+        tmp.write_text(text)
+        os.replace(tmp, paths[name])
+    return cum
+
+
 def _recorded_matrix(path: Path) -> CoxeterMatrix | None:
     """The Coxeter matrix recorded at path, or None when the file is
     missing or cannot be read as one."""
@@ -212,14 +230,11 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         raise SystemExit(f"klbasis: --range {lo}:{hi} has LO above HI")
     if not 0 <= lo <= hi < g.size:
         raise SystemExit(f"klbasis: --range {lo}:{hi} outside 0..{g.size - 1}")
-    paths = {name: _outpath(ns, name) for name in [*(name for name, _ in SWEEP_FILES), MATRIX_FILE]}
+    paths = {n: _outpath(ns, n) for n in (ERROR_LOG, VERBOSE_LOG, POSITIVITY_LOG, MATRIX_FILE)}
 
-    # a kill can land between a column's appends, so it is done only when
-    # both logs carry it; each file is rewritten to the lines of the done
-    # columns, through a temporary file and a rename, so a kill during the
-    # rewrite loses no line of them.
-    # The rewrite comes before the W-graph build, so a fresh run killed
-    # there leaves no other run's column for a resume to count as done.
+    # a column is done once its verbose line, which follows its error lines,
+    # is complete; the rewrite comes before the W-graph build, so a fresh
+    # run killed there leaves no other run's column for a resume to count
     kept = {name: _lines_by_y(paths[name], read) if ns.resume else {} for name, read in SWEEP_FILES}
     if ns.resume:
         # kept lines pass for done columns only beside the record of this
@@ -233,22 +248,9 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
             if outside:
                 raise SystemExit(f"klbasis: cannot resume {g.name} in {ns.outdir}: {name} "
                                  f"names column {outside[0]}, outside 0..{g.size - 1}")
-    done = kept[POSITIVITY_LOG].keys() & kept[VERBOSE_LOG].keys()
-    todo = [y for y in range(lo, hi + 1) if y not in done]
-    # a column's positivity_log line is the running maximum up to it, so
-    # columns are computed only above every done one
-    if todo and done and todo[0] < max(done):
-        raise SystemExit(f"klbasis: cannot resume {g.name} in {ns.outdir}: column {todo[0]} "
-                         f"lies below done column {max(done)}")
-    # the record of the group goes last: written before the sweep files, a
-    # kill could leave it beside another group's lines
-    for name, path in paths.items():
-        text = (g.matrix.to_text() if name == MATRIX_FILE else
-                "".join(line + "\n" for y in sorted(done) for line, _ in kept[name].get(y, ())))
-        tmp = path.with_name(name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    cum = max((kept[POSITIVITY_LOG][y][-1][1] for y in done), default=0)
+    skipped = len(kept[VERBOSE_LOG])
+    todo = [y for y in range(lo, hi + 1) if y not in kept[VERBOSE_LOG]]
+    cum = _rewrite_sweep(paths, kept, g.matrix)
 
     # the P table is needed only to extract the graph and is dropped at
     # once, so neither this process nor a sweep's pool workers hold it
@@ -258,29 +260,22 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
         wg = build_wgraph(KLStore(g))
         save_wgraph(wg, wg_path)
 
-    # the failures kept in error_log count toward this run's verdict
-    failures = sum(len(kept[ERROR_LOG].get(y, ())) for y in done)
-
     def handle(info: dict) -> None:
-        nonlocal cum, failures
+        nonlocal cum
         y = info["y"]
         cum = max(cum, info["max_coeff"])
-        problems = failure_lines(info)
-        failures += len(problems)
         lines = {
-            ERROR_LOG: problems,
+            ERROR_LOG: failure_lines(info),
+            VERBOSE_LOG: [f"{y}: maxcoeff = {info['max_coeff']} entries = {info['entries']}"
+                          f" distinct = {info['distinct']}"],
             POSITIVITY_LOG: [f"{y}: maxcoeff = {cum}"],
-            VERBOSE_LOG: [
-                f"{y}: maxcoeff = {info['max_coeff']} entries = {info['entries']}"
-                f" distinct = {info['distinct']}"
-            ],
         }
-        # in table order: the error lines go before the logs, so a kill
-        # can never leave the column done without them
-        for name, _ in SWEEP_FILES:
-            if lines[name]:
+        # in this order: the error lines go before the verbose line, so a
+        # kill can never leave the column done without them
+        for name, text in lines.items():
+            if text:
                 with open(paths[name], "a") as fh:
-                    fh.write("".join(line + "\n" for line in lines[name]))
+                    fh.write("".join(line + "\n" for line in text))
 
     if ns.threads <= 1:
         for y in todo:
@@ -288,11 +283,16 @@ def cmd_positivity(ns: argparse.Namespace) -> int:
     else:
         _run_pool(wg, todo, ns.threads, handle)
 
+    # the end rewrite puts the lines of columns computed below done ones
+    # in order; the verdict is what it read back
+    kept = {name: _lines_by_y(paths[name], read) for name, read in SWEEP_FILES}
+    max_coeff = _rewrite_sweep(paths, kept, g.matrix)
+    failures = sum(len(kept[ERROR_LOG].get(y, ())) for y in kept[VERBOSE_LOG])
     report = CheckReport(
         "positivity",
         g.name,
         passed=failures == 0,
-        counters={"columns": len(todo), "skipped": len(done), "max_coeff": cum},
+        counters={"columns": len(todo), "skipped": skipped, "max_coeff": max_coeff},
     )
     if failures:
         report.counterexamples.append(f"{failures} failures written to {paths[ERROR_LOG]}")
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inclusive range of y ids for positivity")
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--resume", action="store_true",
-                    help="skip y values already in positivity_log")
+                    help="skip y values already in positivity_verbose_log")
     ap.add_argument("--outdir", default=".")
     return ap
 

@@ -156,18 +156,27 @@ class TestPositivity:
         assert len(ahead) == 48
         assert max(ahead) == 4 * 2 - 1
 
-    def test_resume_after_partial_log(self, tmp_path):
+    @pytest.mark.parametrize("torn, columns",
+                             [("positivity_verbose_log", 8), ("positivity_log", 0)],
+                             ids=["verbose log torn", "positivity_log torn alone"])
+    def test_resume_after_partial_log(self, tmp_path, torn, columns):
+        """The columns cut from the verbose log, the record, are computed
+        again; a cut positivity_log alone costs no column and is
+        regenerated from the verbose log."""
         full = tmp_path / "full"
         cut = tmp_path / "cut"
         assert main(["positivity", "--group", "I2(6)", "--outdir", str(full)]) == 0
         assert main(["positivity", "--group", "I2(6)", "--outdir", str(cut)]) == 0
-        log = cut / "positivity_log"
+        log = cut / torn
         lines = log.read_text().splitlines(keepends=True)
         log.write_text("".join(lines[:4]) + "7: maxco")  # torn final line
         assert main(
             ["positivity", "--group", "I2(6)", "--outdir", str(cut), "--resume"]
         ) == 0
-        assert log.read_bytes() == (full / "positivity_log").read_bytes()
+        report = json.loads((cut / "checks.jsonl").read_text().splitlines()[-1])
+        assert report["counters"]["columns"] == columns
+        for name in LOGS:
+            assert (cut / name).read_bytes() == (full / name).read_bytes(), name
 
 
 LOGS = (cli.POSITIVITY_LOG, cli.VERBOSE_LOG, cli.ERROR_LOG)
@@ -351,21 +360,48 @@ class TestFailingSweep:
         cut = tmp_path / "cut"
         assert main(["positivity", "--group", "B2", "--outdir", str(reference)]) == 1
         assert main(["positivity", "--group", "B2", "--outdir", str(cut)]) == 1
-        write_text = Path.write_text
-
-        def killed(path, data, *args, **kwargs):
-            if path.name.startswith(name):
-                write_text(path, data[: len(data) // 2], *args, **kwargs)
-                raise SimulatedKill
-            return write_text(path, data, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", killed)
-        with pytest.raises(SimulatedKill):
+        with monkeypatch.context() as patch, pytest.raises(SimulatedKill):
+            kill_at_write(patch, name, 1)
             main(["positivity", "--group", "B2", "--outdir", str(cut), "--resume"])
-        monkeypatch.setattr(Path, "write_text", write_text)
         assert main(["positivity", "--group", "B2", "--outdir", str(cut), "--resume"]) == 1
         for log in LOGS:
             assert (cut / log).read_bytes() == (reference / log).read_bytes(), log
+
+    @pytest.mark.parametrize("name", [*LOGS, cli.MATRIX_FILE])
+    def test_resume_after_kill_during_end_rewrite(self, tmp_path, failing_scan, monkeypatch,
+                                                  name):
+        """A slice below done columns, killed halfway through writing one of
+        the files its end rewrite puts back in y order, leaves files that a
+        further resume ends with the files of an uninterrupted run."""
+        reference = tmp_path / "reference"
+        cut = tmp_path / "cut"
+        assert main(["positivity", "--group", "B2", "--outdir", str(reference)]) == 1
+        assert main(["positivity", "--group", "B2", "--range", "4:7", "--outdir", str(cut)]) == 0
+        with monkeypatch.context() as patch, pytest.raises(SimulatedKill):
+            kill_at_write(patch, name, 2)  # the end rewrite's write, after the start's
+            main(["positivity", "--group", "B2", "--range", "0:3", "--outdir", str(cut),
+                  "--resume"])
+        assert main(["positivity", "--group", "B2", "--outdir", str(cut), "--resume"]) == 1
+        for log in (*LOGS, cli.MATRIX_FILE, cli.WGRAPH_FILE):
+            assert (cut / log).read_bytes() == (reference / log).read_bytes(), log
+
+
+def kill_at_write(monkeypatch, name, nth):
+    """Make the nth write_text (counted from 1) to a file whose name starts
+    with name write half its text, then raise SimulatedKill."""
+    write_text = Path.write_text
+    writes = 0
+
+    def killed(path, data, *args, **kwargs):
+        nonlocal writes
+        if path.name.startswith(name):
+            writes += 1
+            if writes == nth:
+                write_text(path, data[: len(data) // 2], *args, **kwargs)
+                raise SimulatedKill
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", killed)
 
 
 def fork_pool(monkeypatch):
@@ -409,8 +445,8 @@ def kill_at_append(monkeypatch, appends):
 
 
 class TestAppendOrder:
-    """Each column appends to error_log, then positivity_log, then
-    positivity_verbose_log, and is done when both logs carry it: a resume
+    """Each column appends to error_log, then positivity_verbose_log, then
+    positivity_log, and is done when the verbose log carries it: a resume
     from logs that a kill or a tear cut anywhere ends with the files of an
     uninterrupted run."""
 
@@ -448,6 +484,27 @@ class TestAppendOrder:
         monkeypatch.delattr(cli, "open")
         assert self.sweep(cut, "--resume") == 0
         self.assert_same(cut, reference)
+
+    @pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "2 threads"])
+    def test_out_of_order_slices_cut_by_kills(self, tmp_path, monkeypatch, threads):
+        """B4 in three slices out of order: 300:383 killed between two
+        columns, then 0:99 killed between a column's verbose line and its
+        positivity_log line, then the rest; the files end as those of an
+        uninterrupted run."""
+        reference, cut = tmp_path / "reference", tmp_path / "cut"
+        sweep = ["positivity", "--group", "B4", "--threads", threads]
+        assert main([*sweep, "--outdir", str(reference)]) == 0
+        for extra, appends in ((["--range", "300:383"], 40),
+                               (["--range", "0:99", "--resume"], 61)):
+            kill_at_append(monkeypatch, appends)
+            with pytest.raises(SimulatedKill):
+                main([*sweep, "--outdir", str(cut), *extra])
+            monkeypatch.delattr(cli, "open")
+        assert len(cli._complete_lines(cut / cli.VERBOSE_LOG)) == 20 + 31
+        assert len(cli._complete_lines(cut / cli.POSITIVITY_LOG)) == 20 + 30
+        assert main([*sweep, "--outdir", str(cut), "--resume"]) == 0
+        for name in (*LOGS, cli.MATRIX_FILE, cli.WGRAPH_FILE):
+            assert (cut / name).read_bytes() == (reference / name).read_bytes(), name
 
     def test_resume_leaves_stale_sidecar_files_as_they_are(self, tmp_path):
         """Files that an older version's --store-budget left in the
@@ -635,20 +692,23 @@ class TestWGraphFile:
 
     def test_resume_of_a_column_outside_the_group_is_refused(self, tmp_path):
         cut = self.cut(tmp_path)
-        with open(cut / cli.POSITIVITY_LOG, "a") as fh:
-            fh.write("48: maxcoeff = 1\n")
-        self.assert_refused(cut, "B3", "positivity_log names column 48, outside 0..47")
+        with open(cut / cli.VERBOSE_LOG, "a") as fh:
+            fh.write("48: maxcoeff = 1 entries = 1 distinct = 1\n")
+        self.assert_refused(cut, "B3", "positivity_verbose_log names column 48, outside 0..47")
 
-    def test_resume_below_a_done_column_is_refused(self, tmp_path):
-        """A run whose first column to compute lies below a done column is
-        refused, as its positivity_log line would carry the done columns'
-        cumulative maximum: on H3, a sweep of 60:119, then 0:59 resumed,
-        would log 0: maxcoeff = 74."""
-        out = tmp_path / "out"
-        assert main(["positivity", "--group", "H3", "--range", "60:119",
-                     "--outdir", str(out)]) == 0
-        self.assert_refused(out, "H3", "column 0 lies below done column 119", "--range", "0:59")
-        self.assert_refused(out, "H3", "column 0 lies below done column 119")
+    @pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "2 threads"])
+    def test_slices_in_any_order(self, tmp_path, threads):
+        """Slices may run in any order: on H3, a sweep of 60:119, then 0:59
+        resumed, ends with the files of a fresh sweep, its positivity_log
+        regenerated as the running maximum from column 0."""
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert main(["positivity", "--group", "H3", "--outdir", str(fresh)]) == 0
+        sweep = ["positivity", "--group", "H3", "--threads", threads, "--outdir", str(out)]
+        assert main([*sweep, "--range", "60:119"]) == 0
+        assert main([*sweep, "--range", "0:59", "--resume"]) == 0
+        for name in (*LOGS, cli.MATRIX_FILE, cli.WGRAPH_FILE):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert (out / cli.POSITIVITY_LOG).read_text().splitlines()[-1] == "119: maxcoeff = 74"
 
     def test_resume_by_matrix_file_of_a_preset_sweep(self, tmp_path):
         """The record is compared as a matrix, not a name: a --group H3 sweep
